@@ -4,9 +4,10 @@
 
 Run from the repository root.  Operations run one after another, each in a
 fresh worker interpreter (``worker.py``) so that set-up time and peak RSS are
-those of a ``pavi`` process.  The loop starts operations until ``--seconds``
-have passed and at least ``MIN_OPS`` have run, checks every output, and
-prints each metric with its unit and sample count, then one JSON line:
+those of a ``pavi`` process.  The loop runs at least ``MIN_OPS`` operations
+and starts no further one that would likely end past ``--seconds``.  It
+checks every output and prints each metric with its unit and sample count,
+then one JSON line:
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -228,13 +229,18 @@ def main(argv=None):
                     WORK / f"{args.workload}-seed{args.seed}-trace{args.trace}")
     runner.prepare()
     measure_from = time.monotonic()
-    longest = 0.0
-    while len(runner.records) < MIN_OPS or time.monotonic() - measure_from < args.seconds:
-        if time.monotonic() + longest > runner.deadline:
+    cycles = []  # spawn to result, per operation
+    while True:
+        now = time.monotonic()
+        # stop before an operation that would likely end past --seconds, so a
+        # run lasts about --seconds whatever the length of one operation
+        if len(runner.records) >= MIN_OPS and (
+                now - measure_from + statistics.median(cycles) > args.seconds):
             break
-        t = time.monotonic()
+        if cycles and now + max(cycles) > runner.deadline:
+            break
         rec = runner.op(trace=bool(args.trace) and len(runner.records) % 2 == 1)
-        longest = max(longest, time.monotonic() - t)
+        cycles.append(time.monotonic() - now)
         if not rec["ok"]:
             print(f"FAILED operation {rec['index']}: {rec['detail']}")
 

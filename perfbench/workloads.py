@@ -36,6 +36,8 @@ WORKLOADS = {
     for w in (
         # pavi run, quadratic m=2, N=2048, corollary schedule (h~0.050, B=7),
         # analytic reference, W2 every 20 iterations, checkpoint every 200.
+        # Runnable by hand but not in BENCHMARK.json: its run medians vary
+        # more with the host's load than the bound allows (README.md).
         Workload(
             "run-m2-gauss",
             "run",
