@@ -55,7 +55,6 @@ from .oracle import (
 )
 from .particles import (
     ParticleArray,
-    ProductEmpirical,
     RngStream,
     coordinate_means,
     init_particles,
@@ -63,7 +62,6 @@ from .particles import (
     sorted_marginal,
 )
 from .potentials import (
-    ClaimedConstants,
     PerturbedQuadraticPotential,
     Potential,
     QuadraticPotential,

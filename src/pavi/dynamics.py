@@ -16,7 +16,6 @@ so any thread schedule reproduces the same trajectory.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import time
@@ -37,14 +36,21 @@ from .errors import (
 from .metrics import w2_reference_profile
 from .particles import (
     ParticleArray,
-    ProductEmpirical,
     RngStream,
     coordinate_means,
     init_particles,
     sample_product,
 )
 from .potentials import potential_fingerprint
-from .reports import ConvergenceReport, StepTrace, summarize_rows
+from .reports import (
+    ConvergenceReport,
+    StepTrace,
+    decode_f8,
+    encode_f8,
+    read_json,
+    summarize_rows,
+    write_atomic,
+)
 
 _EXHAUSTIVE_MAX = 1_000_000
 _CHECKPOINT_FORMAT = "pavi-checkpoint-v1"
@@ -193,26 +199,25 @@ def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
     otherwise averages partials over all N^(m-1) atom combinations, gated at
     10^6 combinations.
     """
-    q = X if isinstance(X, ProductEmpirical) else ProductEmpirical(X)
     i = int(i)
-    if not 0 <= i < q.m:
-        raise UsageError(f"coordinate index {i} out of range for dimension {q.m}")
+    if not 0 <= i < X.m:
+        raise UsageError(f"coordinate index {i} out of range for dimension {X.m}")
     xs = np.asarray(xs, dtype=float).ravel()
-    if q.m == 1:
+    if X.m == 1:
         return np.asarray(pot.partial_cols(i, xs[None, :]), dtype=float)
     if pot.has_conditional_mean_gradient:
-        other = np.delete(coordinate_means(q), i)
+        other = np.delete(coordinate_means(X), i)
         return np.asarray(pot.conditional_mean_gradient(i, xs, other), dtype=float)
-    combos = q.N ** (q.m - 1)
+    combos = X.N ** (X.m - 1)
     if combos > _EXHAUSTIVE_MAX:
         raise ScaleError(
             f"exhaustive averaging needs {combos} combinations (> {_EXHAUSTIVE_MAX}); "
             "use the stochastic algorithm instead"
         )
-    others = [q.values[k] for k in range(q.m) if k != i]
+    others = [X.values[k] for k in range(X.m) if k != i]
     mesh = np.meshgrid(*others, indexing="ij")
-    cols = np.empty((q.m, combos))
-    for row, grid in zip((k for k in range(q.m) if k != i), mesh):
+    cols = np.empty((X.m, combos))
+    for row, grid in zip((k for k in range(X.m) if k != i), mesh):
         cols[row] = grid.ravel()
     out = np.empty(xs.size)
     for idx, x in enumerate(xs):
@@ -229,12 +234,12 @@ def exact_mean_field_grad(pot, X, i, x) -> float:
 # stepping -----------------------------------------------------------------------
 
 
-def _step_parts(pot, X, h, B, rng, n, algorithm, pool=None, zero_noise=False):
+def _step_parts(pot, X, h, B, rng, n, algorithm, pool=None):
     """Advance the particle array one iteration; returns (values, grad_rms)."""
     values = X.values
     m, N = values.shape
     if algorithm == "pavi":
-        z = sample_product(ProductEmpirical(X), B, rng.generator(n, "context"))
+        z = sample_product(X, B, rng.generator(n, "context"))
 
         def grad_row(i):
             return stochastic_grad_at(pot, z, i, values[i])
@@ -248,8 +253,6 @@ def _step_parts(pot, X, h, B, rng, n, algorithm, pool=None, zero_noise=False):
 
     def row_task(i):
         g = grad_row(i)
-        if zero_noise:
-            return values[i] - h * g, g
         noise = rng.generator(n, "noise", i).standard_normal(N)
         return values[i] - h * g + scale * noise, g
 
@@ -264,15 +267,15 @@ def _step_parts(pot, X, h, B, rng, n, algorithm, pool=None, zero_noise=False):
     return new, float(math.sqrt(np.mean(grads * grads)))
 
 
-def pavi_step(pot, X: ParticleArray, h, B, rng: RngStream, n, *, _zero_noise=False, pool=None):
+def pavi_step(pot, X: ParticleArray, h, B, rng: RngStream, n):
     """One stochastic iteration: contexts drawn once, then per-row updates."""
-    new, _ = _step_parts(pot, X, float(h), int(B), rng, int(n), "pavi", pool, _zero_noise)
+    new, _ = _step_parts(pot, X, float(h), int(B), rng, int(n), "pavi")
     return ParticleArray(new)
 
 
-def exact_step(pot, X: ParticleArray, h, rng: RngStream, n, *, _zero_noise=False, pool=None):
+def exact_step(pot, X: ParticleArray, h, rng: RngStream, n):
     """One exact-gradient iteration; same noise addressing as pavi_step."""
-    new, _ = _step_parts(pot, X, float(h), None, rng, int(n), "exact", pool, _zero_noise)
+    new, _ = _step_parts(pot, X, float(h), None, rng, int(n), "exact")
     return ParticleArray(new)
 
 
@@ -287,24 +290,39 @@ def _write_checkpoint(path, pot, cfg, next_iteration, X, rows, wall_times):
         "next_iteration": int(next_iteration),
         "rows": [r.to_dict() for r in rows],
         "wall_times": list(wall_times),
-        "particles": base64.b64encode(X.values.astype("<f8").tobytes()).decode("ascii"),
+        "particles": encode_f8(X.values),
         "shape": [X.m, X.N],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    write_atomic(path, json.dumps(doc, sort_keys=True))
+
+
+def read_checkpoint(path):
+    """Decode a checkpoint file into its document and its particle array.
+
+    Anything that is not a well-formed checkpoint raises ConfigError naming
+    the file.
+    """
+    doc = read_json(path)
+    if doc.get("format") != _CHECKPOINT_FORMAT:
+        raise ConfigError(f"{path} is not a checkpoint file")
+    try:
+        m, N = (int(k) for k in doc["shape"])
+        if m < 1 or N < 2:
+            raise ValueError(f"shape {[m, N]}")
+        text = doc["particles"]
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path} is a malformed checkpoint ({err!r})") from None
+    return doc, ParticleArray(decode_f8(text, m * N, path).reshape(m, N))
 
 
 def _load_checkpoint(path, pot, cfg):
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != _CHECKPOINT_FORMAT:
-        raise ConfigError(f"{path} is not a checkpoint file")
-    if doc["fingerprint"] != potential_fingerprint(pot):
+    doc, X = read_checkpoint(path)
+    if doc.get("fingerprint") != potential_fingerprint(pot):
         raise ConfigError("checkpoint was produced with a different potential")
-    if doc["config"] != cfg.to_dict():
+    if doc.get("config") != cfg.to_dict():
         raise ConfigError("checkpoint was produced with a different run configuration")
-    m, N = doc["shape"]
-    vals = np.frombuffer(base64.b64decode(doc["particles"]), dtype="<f8").reshape(m, N)
     rows = [StepTrace.from_dict(r) for r in doc["rows"]]
-    return ParticleArray(vals.copy()), rows, list(doc["wall_times"]), int(doc["next_iteration"])
+    return X, rows, list(doc["wall_times"]), int(doc["next_iteration"])
 
 
 def run(
@@ -318,7 +336,6 @@ def run(
     checkpoint_path=None,
     checkpoint_every=None,
     resume=False,
-    _stop_after=None,
 ) -> ConvergenceReport:
     """Execute T iterations, recording W2 to the reference at a fixed cadence.
 
@@ -346,7 +363,7 @@ def run(
         w2_total = None
         w2_coord = None
         if reference is not None:
-            per, w2_total = w2_reference_profile(ProductEmpirical(X), reference)
+            per, w2_total = w2_reference_profile(X, reference)
             w2_coord = [float(p) for p in per]
         row = StepTrace(int(iteration), w2_total, w2_coord, grad_rms)
         row.validate()
@@ -367,11 +384,6 @@ def run(
     pool = ThreadPoolExecutor(max_workers=threads) if threads and threads > 1 else None
     try:
         for n in range(start, cfg.T):
-            if _stop_after is not None and n >= _stop_after:
-                if checkpoint_path is None:
-                    raise UsageError("_stop_after requires a checkpoint path")
-                _write_checkpoint(checkpoint_path, pot, cfg, n, X, rows, wall_times)
-                return None
             try:
                 new, grad_rms = _step_parts(
                     pot, X, h, B, rng, n, cfg.algorithm, pool=pool

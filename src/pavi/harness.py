@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import base64
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -14,7 +12,7 @@ import yaml
 from . import dynamics, oracle
 from .errors import ConfigError, UsageError
 from .metrics import grad_moment_check, w2_reference_profile
-from .particles import ParticleArray, ProductEmpirical, RngStream
+from .particles import RngStream
 from .potentials import potential_from_config
 from .reports import (
     ConvergenceReport,
@@ -22,6 +20,7 @@ from .reports import (
     SweepResult,
     fit_loglog_slope,
     rate_fit,
+    read_json,
 )
 
 __all__ = [
@@ -343,8 +342,7 @@ def _load_compare_side(path):
     path = Path(path)
     if path.is_dir():
         return ("report", ConvergenceReport.load(path), path)
-    doc = json.loads(path.read_text())
-    if doc.get("format") == "pavi-reference-v1":
+    if read_json(path).get("format") == "pavi-reference-v1":
         return ("reference", oracle.load_reference(path), path)
     raise UsageError(f"{path} is neither a report directory nor a reference document")
 
@@ -382,10 +380,8 @@ def cmd_compare(path_a, path_b) -> dict:
             f"report at {rep_dir} has no {CHECKPOINT_FILE}; rerun with checkpointing "
             "to compare final particles against a reference"
         )
-    doc = json.loads(ckpt.read_text())
-    m, N = doc["shape"]
-    vals = np.frombuffer(base64.b64decode(doc["particles"]), dtype="<f8").reshape(m, N)
-    per, total = w2_reference_profile(ProductEmpirical(ParticleArray(vals.copy())), ref)
+    doc, X = dynamics.read_checkpoint(ckpt)
+    per, total = w2_reference_profile(X, ref)
     return {
         "mode": "report-reference",
         "iteration": doc["next_iteration"],

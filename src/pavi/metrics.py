@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ReferenceQuantileError, ScaleError, UsageError
-from .particles import ProductEmpirical
+from .particles import ParticleArray
 
 _BRUTEFORCE_MAX = 8
 
@@ -54,7 +54,7 @@ def w2_1d_bruteforce(a, b) -> float:
     return math.sqrt(best / n)
 
 
-def w2_product_empirical(X: ProductEmpirical, Y: ProductEmpirical) -> float:
+def w2_product_empirical(X: ParticleArray, Y: ParticleArray) -> float:
     """W2 between two product empirical measures (additive across coordinates)."""
     if X.m != Y.m or X.N != Y.N:
         raise UsageError(
@@ -62,7 +62,7 @@ def w2_product_empirical(X: ProductEmpirical, Y: ProductEmpirical) -> float:
         )
     total = 0.0
     for i in range(X.m):
-        total += w2_1d_empirical(X.marginal_atoms(i), Y.marginal_atoms(i)) ** 2
+        total += w2_1d_empirical(X.values[i], Y.values[i]) ** 2
     return math.sqrt(total)
 
 
@@ -82,10 +82,6 @@ class GaussianMarginal:
         if self.var == 0.0:
             return np.full_like(u, self.mean)
         return self.mean + math.sqrt(self.var) * ndtri(u)
-
-    @property
-    def variance(self) -> float:
-        return self.var
 
 
 @dataclass
@@ -118,9 +114,6 @@ class ReferenceProduct:
             self._tables[N] = table
         return self._tables[N]
 
-    def variances(self) -> np.ndarray:
-        return np.array([mar.variance for mar in self.marginals])
-
 
 def w2_empirical_vs_reference(atoms, marginal) -> float:
     """W2 between an N-atom empirical measure and a reference marginal.
@@ -139,7 +132,7 @@ def w2_empirical_vs_reference(atoms, marginal) -> float:
     return float(math.sqrt(np.mean(d * d)))
 
 
-def w2_reference_profile(X: ProductEmpirical, ref: ReferenceProduct):
+def w2_reference_profile(X: ParticleArray, ref: ReferenceProduct):
     """Per-coordinate W2 to the reference plus the quadrature total."""
     if X.m != ref.m:
         raise UsageError(f"dimension mismatch: particles m={X.m}, reference m={ref.m}")
@@ -151,7 +144,7 @@ def w2_reference_profile(X: ProductEmpirical, ref: ReferenceProduct):
     return per, float(math.sqrt(np.sum(per * per)))
 
 
-def w2_to_reference(X: ProductEmpirical, ref: ReferenceProduct) -> float:
+def w2_to_reference(X: ParticleArray, ref: ReferenceProduct) -> float:
     """W2 between a product empirical measure and a product reference."""
     return w2_reference_profile(X, ref)[1]
 

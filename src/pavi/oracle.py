@@ -14,11 +14,9 @@ dynamics.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid
@@ -35,6 +33,7 @@ from .errors import (
 )
 from .metrics import GaussianMarginal, ReferenceProduct
 from .potentials import PerturbedQuadraticPotential, QuadraticPotential
+from .reports import decode_f8, encode_f8, read_json, write_atomic
 
 DEFAULT_GRID_SIZE = 1025
 _BOUNDARY_TOL = 1e-8
@@ -43,7 +42,10 @@ _CHUNK_BUDGET = 2_000_000
 
 
 class GridDensity:
-    """Normalized probability density on a uniform 1-D grid, kept in log space."""
+    """Normalized probability density on a uniform 1-D grid, kept in log space.
+
+    Its quantile function makes it usable directly as a reference marginal.
+    """
 
     __slots__ = ("nodes", "log_density", "_cdf", "_inv")
 
@@ -175,7 +177,7 @@ def minimizer(pot, tol=1e-10, max_iter=50_000) -> np.ndarray:
     x = np.zeros(pot.m)
     step = 1.0 / pot.lip
     for _ in range(max_iter):
-        g = pot.gradient(x)
+        g = pot.gradient_cols(x[:, None])[:, 0]
         if np.linalg.norm(g) < tol:
             return x
         x = x - step * g
@@ -353,22 +355,6 @@ def fixed_point_solve(
     )
 
 
-class GridMarginal:
-    """Quantile view of a grid density, usable as a reference marginal."""
-
-    __slots__ = ("density",)
-
-    def __init__(self, density: GridDensity):
-        self.density = density
-
-    def quantile(self, u):
-        return self.density.quantile(u)
-
-    @property
-    def variance(self) -> float:
-        return self.density.variance()
-
-
 def gaussian_mfvi_solution(pot) -> ReferenceProduct:
     """Closed-form optimal product approximation for quadratic potentials.
 
@@ -390,7 +376,7 @@ def gaussian_mfvi_solution(pot) -> ReferenceProduct:
 def grid_reference(q: GridProduct) -> ReferenceProduct:
     """Wrap a (converged) grid product as a reference."""
     residual = q.residual.to_dict() if q.residual is not None else None
-    return ReferenceProduct([GridMarginal(d) for d in q.marginals], "grid-oracle", residual)
+    return ReferenceProduct(list(q.marginals), "grid-oracle", residual)
 
 
 def sample_reference(ref: ReferenceProduct, K, rng) -> np.ndarray:
@@ -414,17 +400,14 @@ def save_reference(path, ref: ReferenceProduct) -> None:
     for mar in ref.marginals:
         if isinstance(mar, GaussianMarginal):
             marginals.append({"type": "gaussian", "mean": mar.mean, "var": mar.var})
-        elif isinstance(mar, GridMarginal):
-            d = mar.density
+        elif isinstance(mar, GridDensity):
             marginals.append(
                 {
                     "type": "grid",
-                    "lo": float(d.nodes[0]),
-                    "hi": float(d.nodes[-1]),
-                    "count": int(d.nodes.size),
-                    "log_density": base64.b64encode(
-                        d.log_density.astype("<f8").tobytes()
-                    ).decode("ascii"),
+                    "lo": float(mar.nodes[0]),
+                    "hi": float(mar.nodes[-1]),
+                    "count": int(mar.nodes.size),
+                    "log_density": encode_f8(mar.log_density),
                 }
             )
         else:
@@ -435,23 +418,34 @@ def save_reference(path, ref: ReferenceProduct) -> None:
         "marginals": marginals,
         "residual": ref.residual,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    write_atomic(path, json.dumps(doc, sort_keys=True))
+
+
+def _finite_fields(path, entry, *keys):
+    values = [float(entry[k]) for k in keys]
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{path} holds non-finite values")
+    return values
 
 
 def load_reference(path) -> ReferenceProduct:
-    doc = json.loads(Path(path).read_text())
+    """Inverse of :func:`save_reference`; a corrupt file raises ConfigError."""
+    doc = read_json(path)
     if doc.get("format") != _FORMAT:
         raise ConfigError(f"{path} is not a reference document")
     marginals = []
-    for entry in doc["marginals"]:
-        if entry["type"] == "gaussian":
-            marginals.append(GaussianMarginal(entry["mean"], entry["var"]))
-        elif entry["type"] == "grid":
-            nodes = np.linspace(entry["lo"], entry["hi"], entry["count"])
-            logd = np.frombuffer(
-                base64.b64decode(entry["log_density"]), dtype="<f8"
-            ).copy()
-            marginals.append(GridMarginal(GridDensity(nodes, logd)))
-        else:
-            raise ConfigError(f"unknown marginal type {entry['type']!r}")
-    return ReferenceProduct(marginals, doc["provenance"], doc.get("residual"))
+    try:
+        for entry in doc["marginals"]:
+            if entry["type"] == "gaussian":
+                mean, var = _finite_fields(path, entry, "mean", "var")
+                marginals.append(GaussianMarginal(mean, var))
+            elif entry["type"] == "grid":
+                lo, hi = _finite_fields(path, entry, "lo", "hi")
+                count = int(entry["count"])
+                logd = decode_f8(entry["log_density"], count, path)
+                marginals.append(GridDensity(np.linspace(lo, hi, count), logd))
+            else:
+                raise ConfigError(f"unknown marginal type {entry['type']!r}")
+        return ReferenceProduct(marginals, doc["provenance"], doc.get("residual"))
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path} is a malformed reference ({err!r})") from None

@@ -1,17 +1,15 @@
-"""Particle arrays, their product empirical measure, and seeded RNG streams."""
+"""Particle arrays, seeded RNG streams, and sampling from the product
+empirical measure of an array, which is never materialized."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, UsageError
 
 _ROLE_CODES = {"init": 0, "context": 1, "noise": 2, "reference": 3, "sample": 4}
-_MAGIC = b"PAV1"
 
 
 @dataclass(frozen=True)
@@ -71,41 +69,6 @@ class ParticleArray:
     def N(self) -> int:
         return self.values.shape[1]
 
-    def copy(self) -> "ParticleArray":
-        return ParticleArray(self.values.copy())
-
-
-class ProductEmpirical:
-    """Product of the m per-row empirical measures of a particle array.
-
-    Each marginal puts mass 1/N on the row's atoms; the product measure has
-    N^m atoms conceptually and is only ever sampled, never materialized.
-    """
-
-    __slots__ = ("particles",)
-
-    def __init__(self, particles: ParticleArray):
-        if not isinstance(particles, ParticleArray):
-            particles = ParticleArray(particles)
-        self.particles = particles
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.particles.values
-
-    @property
-    def m(self) -> int:
-        return self.particles.m
-
-    @property
-    def N(self) -> int:
-        return self.particles.N
-
-    def marginal_atoms(self, i) -> np.ndarray:
-        if not 0 <= int(i) < self.m:
-            raise UsageError(f"coordinate index {i} out of range for dimension {self.m}")
-        return self.values[int(i)]
-
 
 def init_particles(m, N, init="standard_normal", seed=0) -> ParticleArray:
     """Create the initial m-by-N particle state.
@@ -146,8 +109,8 @@ def _resolve_generator(rng) -> np.random.Generator:
     raise UsageError("rng must be an RngStream or numpy Generator")
 
 
-def sample_product(q: ProductEmpirical, B, rng) -> np.ndarray:
-    """Draw B i.i.d. columns from the product empirical measure.
+def sample_product(X: ParticleArray, B, rng) -> np.ndarray:
+    """Draw B i.i.d. columns from the product empirical measure of X.
 
     For each coordinate i independently a uniform atom index is drawn, so
     entries are independent across coordinates and across columns.
@@ -156,39 +119,17 @@ def sample_product(q: ProductEmpirical, B, rng) -> np.ndarray:
     if B < 1:
         raise UsageError(f"B must be >= 1, got {B}")
     gen = _resolve_generator(rng)
-    idx = gen.integers(0, q.N, size=(q.m, B))
-    return q.values[np.arange(q.m)[:, None], idx]
+    idx = gen.integers(0, X.N, size=(X.m, B))
+    return X.values[np.arange(X.m)[:, None], idx]
 
 
-def sorted_marginal(q: ProductEmpirical, i) -> np.ndarray:
+def sorted_marginal(X: ParticleArray, i) -> np.ndarray:
     """Order statistics of marginal i (ascending, ties kept stable)."""
-    return np.sort(q.marginal_atoms(i), kind="stable")
+    if not 0 <= int(i) < X.m:
+        raise UsageError(f"coordinate index {i} out of range for dimension {X.m}")
+    return np.sort(X.values[int(i)], kind="stable")
 
 
-def coordinate_means(q: ProductEmpirical) -> np.ndarray:
+def coordinate_means(X: ParticleArray) -> np.ndarray:
     """Per-coordinate means (1/N) sum_j X[i, j]."""
-    return q.values.mean(axis=1)
-
-
-def save_particles(path, particles: ParticleArray, seed=0, iteration=0) -> None:
-    """Write particles as a flat binary file: header (m, N, seed, iteration)
-    followed by row-major doubles."""
-    header = struct.pack(
-        "<4sqqqq", _MAGIC, particles.m, particles.N, int(seed), int(iteration)
-    )
-    Path(path).write_bytes(header + particles.values.astype("<f8").tobytes(order="C"))
-
-
-def load_particles(path):
-    """Inverse of :func:`save_particles`; returns (particles, seed, iteration)."""
-    blob = Path(path).read_bytes()
-    head = struct.calcsize("<4sqqqq")
-    if len(blob) < head:
-        raise UsageError(f"{path} is not a particle file (truncated header)")
-    magic, m, N, seed, iteration = struct.unpack("<4sqqqq", blob[:head])
-    if magic != _MAGIC:
-        raise UsageError(f"{path} is not a particle file (bad magic {magic!r})")
-    body = np.frombuffer(blob[head:], dtype="<f8")
-    if body.size != m * N:
-        raise UsageError(f"{path} has {body.size} values, expected {m * N}")
-    return ParticleArray(body.reshape(m, N)), int(seed), int(iteration)
+    return X.values.mean(axis=1)

@@ -1,7 +1,8 @@
 """Strongly log-concave target potentials with analytic convexity constants.
 
-A potential knows its scalar field ``V``, per-coordinate partial derivatives,
-the full gradient, and the constants ``alpha <= lip`` sandwiching its Hessian
+A potential evaluates ``V``, one partial derivative, or the full gradient on a
+batch of points given as the columns of an ``(m, K)`` array, and carries the
+constants ``alpha <= lip`` sandwiching its Hessian
 spectrum plus a bound ``third_bound`` on ``|d^3 V / dx_i^3|``.  The built-in
 families keep all three constants exact so step-size guards downstream can
 trust them; a ``check`` command re-validates them by sampling.
@@ -58,6 +59,8 @@ class Potential:
     alpha: float
     lip: float
     third_bound: float
+    # True when a config's ``claimed`` section replaced the derived constants
+    claimed = False
 
     def _check_constants(self):
         if not (0.0 < self.alpha <= self.lip):
@@ -68,29 +71,15 @@ class Potential:
         if self.third_bound < 0.0:
             raise ConfigError("third_bound must be nonnegative")
 
-    # scalar interface -------------------------------------------------------
-    def value(self, x) -> float:
-        raise NotImplementedError
-
-    def partial(self, i, x) -> float:
-        # read off the gradient so the two closed forms can never disagree
-        return float(self.gradient(x)[i])
-
-    def gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    # column-batched interface; ``cols`` has shape (m, K) --------------------
+    # batch interface; ``cols`` has shape (m, K), one point per column -------
     def value_cols(self, cols) -> np.ndarray:
-        cols = np.asarray(cols, dtype=float)
-        return np.array([self.value(cols[:, k]) for k in range(cols.shape[1])])
+        raise NotImplementedError
 
     def partial_cols(self, i, cols) -> np.ndarray:
-        cols = np.asarray(cols, dtype=float)
-        return np.array([self.partial(i, cols[:, k]) for k in range(cols.shape[1])])
+        raise NotImplementedError
 
     def gradient_cols(self, cols) -> np.ndarray:
-        cols = np.asarray(cols, dtype=float)
-        return np.vstack([self.partial_cols(i, cols) for i in range(self.m)])
+        raise NotImplementedError
 
     # optional exact conditional mean gradient -------------------------------
     has_conditional_mean_gradient = False
@@ -140,13 +129,6 @@ class QuadraticPotential(Potential):
         self.third_bound = 0.0
         self._check_constants()
 
-    def value(self, x):
-        d = np.asarray(x, dtype=float) - self.mean
-        return float(0.5 * d @ (self.precision @ d))
-
-    def gradient(self, x):
-        return self.precision @ (np.asarray(x, dtype=float) - self.mean)
-
     def value_cols(self, cols):
         d = np.asarray(cols, dtype=float) - self.mean[:, None]
         return 0.5 * np.einsum("ik,ik->k", d, self.precision @ d)
@@ -169,11 +151,18 @@ class QuadraticPotential(Potential):
         return self.precision[i, i] * (np.asarray(x_i, dtype=float) - self.mean[i]) + cross
 
     def to_config(self):
-        return {
+        doc = {
             "family": self.family,
             "precision": self.precision.tolist(),
             "mean": self.mean.tolist(),
         }
+        if self.claimed:
+            doc["claimed"] = {
+                "alpha": self.alpha,
+                "lip": self.lip,
+                "third_bound": self.third_bound,
+            }
+        return doc
 
 
 class PerturbedQuadraticPotential(QuadraticPotential):
@@ -200,14 +189,6 @@ class PerturbedQuadraticPotential(QuadraticPotential):
         self.third_bound = float(c.max() * LOGCOSH_THIRD_SUP)
         self._check_constants()
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return super().value(x) + float(self.weights @ logcosh(x))
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        return super().gradient(x) + self.weights * np.tanh(x)
-
     def value_cols(self, cols):
         cols = np.asarray(cols, dtype=float)
         return super().value_cols(cols) + self.weights @ logcosh(cols)
@@ -232,56 +213,6 @@ class PerturbedQuadraticPotential(QuadraticPotential):
         return doc
 
 
-class ClaimedConstants(Potential):
-    """Delegating wrapper that replaces the declared convexity constants.
-
-    Used by the ``check`` command to validate user-supplied constants against
-    sampled finite differences.
-    """
-
-    def __init__(self, base, alpha=None, lip=None, third_bound=None):
-        self.base = base
-        self.m = base.m
-        self.alpha = float(base.alpha if alpha is None else alpha)
-        self.lip = float(base.lip if lip is None else lip)
-        self.third_bound = float(base.third_bound if third_bound is None else third_bound)
-        self._check_constants()
-
-    def value(self, x):
-        return self.base.value(x)
-
-    def partial(self, i, x):
-        return self.base.partial(i, x)
-
-    def gradient(self, x):
-        return self.base.gradient(x)
-
-    def value_cols(self, cols):
-        return self.base.value_cols(cols)
-
-    def partial_cols(self, i, cols):
-        return self.base.partial_cols(i, cols)
-
-    def gradient_cols(self, cols):
-        return self.base.gradient_cols(cols)
-
-    @property
-    def has_conditional_mean_gradient(self):
-        return self.base.has_conditional_mean_gradient
-
-    def conditional_mean_gradient(self, i, x_i, other_means):
-        return self.base.conditional_mean_gradient(i, x_i, other_means)
-
-    def to_config(self):
-        doc = self.base.to_config()
-        doc["claimed"] = {
-            "alpha": self.alpha,
-            "lip": self.lip,
-            "third_bound": self.third_bound,
-        }
-        return doc
-
-
 # operations -----------------------------------------------------------------
 
 
@@ -291,7 +222,7 @@ def eval_potential(pot, x) -> float:
     j = _first_nonfinite(x)
     if j is not None:
         raise EvaluationError(f"non-finite input at coordinate {j}")
-    v = float(pot.value(x))
+    v = float(pot.value_cols(x[:, None])[0])
     if not np.isfinite(v):
         raise EvaluationError(f"potential evaluated to a non-finite value at x={x.tolist()}")
     return v
@@ -304,7 +235,7 @@ def partial_derivative(pot, i, x) -> float:
     j = _first_nonfinite(x)
     if j is not None:
         raise EvaluationError(f"non-finite input at coordinate {j}")
-    g = float(pot.partial(i, x))
+    g = float(pot.partial_cols(i, x[:, None])[0])
     if not np.isfinite(g):
         raise EvaluationError(
             f"partial derivative {i} evaluated to a non-finite value at x={x.tolist()}"
@@ -315,7 +246,7 @@ def partial_derivative(pot, i, x) -> float:
 def conditional_mean_gradient(pot, i, x_i, other_means) -> float:
     """Expected i-th partial when the other coordinates follow a product law.
 
-    Exact for potentials whose ``partial(i, .)`` is affine in the other
+    Exact for potentials whose i-th partial is affine in the other
     coordinates: the expectation then depends on the product law only through
     its coordinate means (length m-1, ascending coordinate order, skipping i).
     """
@@ -365,12 +296,11 @@ def potential_from_config(doc) -> Potential:
         raise ConfigError(f"unknown potential family {family!r}")
     claimed = doc.get("claimed")
     if claimed:
-        pot = ClaimedConstants(
-            pot,
-            alpha=claimed.get("alpha"),
-            lip=claimed.get("lip"),
-            third_bound=claimed.get("third_bound"),
-        )
+        for name in ("alpha", "lip", "third_bound"):
+            if claimed.get(name) is not None:
+                setattr(pot, name, float(claimed[name]))
+        pot.claimed = True
+        pot._check_constants()
     return pot
 
 

@@ -1,18 +1,68 @@
-"""Run reports, steady-state summaries, and rate fitting."""
+"""Run reports, steady-state summaries, rate fitting, and the file helpers
+shared by the checkpoint and reference documents."""
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 
 METRICS_FILE = "metrics.jsonl"
 SUMMARY_FILE = "summary.json"
+
+
+def write_atomic(path, text) -> None:
+    """Replace the file at ``path`` with ``text`` in one step.
+
+    The text goes to a temporary file in the same directory, which
+    ``os.replace`` then renames over the target, so a reader finds either the
+    previous file or the complete new one.  This guards against a process
+    crash during the write; there is no fsync, so it does not guard against
+    power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def read_json(path) -> dict:
+    """Load a JSON object, naming the file when it cannot be read or parsed."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ConfigError(f"cannot read a JSON document from {path} ({err})") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    return doc
+
+
+def encode_f8(values) -> str:
+    """Base64 text of an array's little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values).astype("<f8").tobytes()).decode("ascii")
+
+
+def decode_f8(text, count, path) -> np.ndarray:
+    """Inverse of :func:`encode_f8`; checks the value count and finiteness."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{path} holds a corrupt base64 buffer ({err})") from None
+    if len(raw) != 8 * count:
+        raise ConfigError(
+            f"{path} holds a buffer of {len(raw)} bytes, expected {count} float64 values"
+        )
+    values = np.frombuffer(raw, dtype="<f8").astype(float)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{path} holds non-finite values")
+    return values
 
 
 @dataclass

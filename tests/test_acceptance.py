@@ -15,7 +15,6 @@ import yaml
 import pavi
 from pavi import (
     ParticleArray,
-    ProductEmpirical,
     QuadraticPotential,
     RngStream,
     RunConfig,
@@ -81,7 +80,7 @@ def test_criterion_02_w2_additivity():
         m, N = int(rng.integers(1, 5)), int(rng.integers(2, 9))
         X = rng.standard_normal((m, N))
         Y = rng.standard_normal((m, N))
-        qx, qy = ProductEmpirical(ParticleArray(X)), ProductEmpirical(ParticleArray(Y))
+        qx, qy = ParticleArray(X), ParticleArray(Y)
         lhs = w2_product_empirical(qx, qy) ** 2
         rhs = 0.0
         for i in range(m):
@@ -110,12 +109,11 @@ def test_criterion_03_stochastic_grad_unbiased(unbias_setup):
         has_conditional_mean_gradient = False
 
     exhaustive = NoCap(pot.precision, pot.mean, pot.weights)
-    q = ProductEmpirical(X)
     draws = 100_000
     probes = (-1.0, 0.3, 1.7)
     worst_sigma = 0.0
     for i in range(3):
-        z = sample_product(q, draws, RngStream(500 + i).generator(0, "context"))
+        z = sample_product(X, draws, RngStream(500 + i).generator(0, "context"))
         for x in probes:
             vals = context_partials(pot, z, i, x)
             exact = float(exact_grad_profile(exhaustive, X, i, [x])[0])  # 16 contexts
@@ -130,12 +128,11 @@ def test_criterion_03_stochastic_grad_unbiased(unbias_setup):
 
 def test_criterion_04_variance_scaling(unbias_setup):
     pot, X = unbias_setup
-    q = ProductEmpirical(X)
     draws = 100_000
     i, x = 0, 0.9
-    z1 = sample_product(q, draws, RngStream(600).generator(0, "context"))
+    z1 = sample_product(X, draws, RngStream(600).generator(0, "context"))
     var1 = context_partials(pot, z1, i, x).var(ddof=1)
-    z16 = sample_product(q, draws * 16, RngStream(601).generator(0, "context"))
+    z16 = sample_product(X, draws * 16, RngStream(601).generator(0, "context"))
     est16 = context_partials(pot, z16, i, x).reshape(draws, 16).mean(axis=1)
     var16 = est16.var(ddof=1)
     ratio = var1 / var16
@@ -268,7 +265,7 @@ def test_criterion_10_empirical_concentration(gauss_target):
         sq = []
         for s in range(seeds):
             Y = sample_reference(ref, N, RngStream(9000 + s).generator(0, "reference"))
-            w2 = w2_to_reference(ProductEmpirical(ParticleArray(Y)), ref)
+            w2 = w2_to_reference(ParticleArray(Y), ref)
             sq.append(w2**2)
         ratios.append(float(np.mean(sq)) * N / (pot.m * math.log(N)))
     spread = max(ratios) / min(ratios)

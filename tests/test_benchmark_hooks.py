@@ -1,0 +1,50 @@
+"""The traced benchmark in perfbench/ wraps pavi functions by name.
+
+These checks fail when a wrapped attribute is renamed or removed, or when a
+wrapped call no longer has the shape the benchmark's counters read.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = textwrap.dedent(
+    """
+    import sys
+    import tempfile
+    from pathlib import Path
+
+    import spans
+    from pavi import harness
+
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    potential = {"family": "perturbed_quadratic", "precision": [[2.0, 0.5], [0.5, 2.0]],
+                 "mean": [0.3, -0.2], "weights": [1.0, 1.0]}
+    with tempfile.TemporaryDirectory() as tmp:
+        ref = Path(tmp) / "reference.json"
+        harness.cmd_oracle({"potential": potential, "method": "grid", "grid_size": 33,
+                            "half_width": 6.0, "check_inits": False}, out_path=ref)
+        harness.cmd_run({"potential": potential, "N": 16, "T": 4, "metrics_every": 1,
+                         "checkpoint_every": 2, "reference": str(ref)}, out_dir=tmp)
+    missing = [k for k in ("dynamics.drift.flops_computed", "dynamics.checkpoint.bytes",
+                           "potentials.partial_cols.cols", "oracle.sweeps")
+               if not tracer.counts.get(k)]
+    sys.exit(f"counters never filled: {missing}" if missing else 0)
+    """
+)
+
+
+def test_traced_benchmark_hooks_install_and_count():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -26,6 +26,11 @@ def write_config(tmp_path, doc, name="config.yaml"):
     return path
 
 
+def truncate(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
 class TestRunCommand:
     def test_success_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, RUN_DOC)
@@ -78,6 +83,15 @@ class TestRunCommand:
         # finished checkpoint resumes into an immediate no-op completion
         assert main(["run", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
 
+    def test_resume_truncated_checkpoint_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(RUN_DOC, checkpoint_every=20))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        truncate(out / "checkpoint.json")
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--resume"]) == 2
+        assert "checkpoint.json" in capsys.readouterr().err
+
 
 class TestOracleAndCompare:
     def test_oracle_then_compare(self, tmp_path, capsys):
@@ -94,6 +108,20 @@ class TestOracleAndCompare:
         assert main(["compare", str(out), str(ref)]) == 0
         text = capsys.readouterr().out
         assert "w2_total" in text
+
+    def test_compare_truncated_checkpoint_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, RUN_DOC)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        ocfg = write_config(
+            tmp_path, {"potential": RUN_DOC["potential"]}, name="oracle.yaml"
+        )
+        ref = tmp_path / "ref.json"
+        assert main(["oracle", "--config", str(ocfg), "--out", str(ref)]) == 0
+        truncate(out / "checkpoint.json")
+        capsys.readouterr()
+        assert main(["compare", str(out), str(ref)]) == 2
+        assert "checkpoint.json" in capsys.readouterr().err
 
     def test_compare_bad_path_exit_two(self, tmp_path, capsys):
         other = tmp_path / "x.json"
@@ -161,6 +189,12 @@ class TestCheckCommand:
         assert main(["check", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "PASS gradient_consistency" in out
+
+    def test_check_claimed_quadratic_with_analytic_reference(self, tmp_path, capsys):
+        potential = dict(RUN_DOC["potential"], claimed={"alpha": 0.9, "lip": 3.2})
+        cfg = write_config(tmp_path, {"potential": potential, "reference": "analytic"})
+        assert main(["check", "--config", str(cfg)]) == 0
+        assert "PASS reference_moments" in capsys.readouterr().out
 
     def test_check_fail_exit_one(self, tmp_path, capsys):
         doc = {"potential": dict(RUN_DOC["potential"], claimed={"lip": 1.5})}

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,6 @@ from pavi import (
     ConfigError,
     ParticleArray,
     PerturbedQuadraticPotential,
-    ProductEmpirical,
     QuadraticPotential,
     RngStream,
     RunConfig,
@@ -16,6 +18,7 @@ from pavi import (
     exact_step,
     gaussian_mfvi_solution,
     init_particles,
+    partial_derivative,
     pavi_step,
     run,
     sample_product,
@@ -25,9 +28,11 @@ from pavi import (
 from pavi.dynamics import (
     context_partials,
     exact_grad_profile,
+    read_checkpoint,
     stochastic_grad_at,
 )
 from pavi.errors import DivergenceError
+from pavi.reports import encode_f8
 
 from conftest import AD_CRIT_1E3, anderson_darling_normal
 
@@ -104,7 +109,7 @@ class TestStochasticGrad:
         z = np.zeros((1, 17))
         x = 1.25
         assert stochastic_grad(pot, z, 0, x) == pytest.approx(
-            pot.partial(0, [x]), abs=1e-15
+            partial_derivative(pot, 0, [x]), abs=1e-15
         )
 
     def test_hand_average(self, gauss21_centered):
@@ -157,7 +162,7 @@ class TestExactMeanFieldGrad:
         pot = QuadraticPotential([[3.0]], [0.2])
         X = init_particles(1, 5, "standard_normal", 0)
         assert exact_mean_field_grad(pot, X, 0, 1.0) == pytest.approx(
-            pot.partial(0, [1.0]), abs=1e-15
+            partial_derivative(pot, 0, [1.0]), abs=1e-15
         )
 
     def test_exhaustive_matches_capability_perturbed(self):
@@ -187,19 +192,28 @@ class TestExactMeanFieldGrad:
             exact_mean_field_grad(pot, X, 0, 0.0)
 
 
+def noise_rows(rng, n, h, m, N):
+    """The scaled noise step n adds, rebuilt from its counter-addressed streams."""
+    return np.vstack(
+        [np.sqrt(2 * h) * rng.generator(n, "noise", i).standard_normal(N) for i in range(m)]
+    )
+
+
 class TestSteps:
     def test_drift_only_one_dim(self):
+        # the drift at x = 1 is exactly 1, so the step is (1 - h) plus noise
         pot = QuadraticPotential([[1.0]], [0.0])
         X = ParticleArray([[1.0, 1.0]])
         h = 0.3
-        out = pavi_step(pot, X, h, 2, RngStream(0), 0, _zero_noise=True)
-        assert np.allclose(out.values, 1.0 - h, atol=1e-15)
+        out = pavi_step(pot, X, h, 2, RngStream(0), 0)
+        assert np.array_equal(out.values, (1.0 - h) + noise_rows(RngStream(0), 0, h, 1, 2))
 
     def test_fixed_point_at_minimizer(self):
+        # zero drift: the step adds exactly its noise
         pot = QuadraticPotential(np.diag([2.0, 0.5]), [1.0, -2.0])
         X = init_particles(2, 6, ("point", [1.0, -2.0]))
-        out = pavi_step(pot, X, 0.1, 3, RngStream(1), 0, _zero_noise=True)
-        assert np.array_equal(out.values, X.values)
+        out = pavi_step(pot, X, 0.1, 3, RngStream(1), 0)
+        assert np.array_equal(out.values, X.values + noise_rows(RngStream(1), 0, 0.1, 2, 6))
 
     def test_step_determinism(self, gauss21):
         X = init_particles(2, 4, "standard_normal", 3)
@@ -212,7 +226,7 @@ class TestSteps:
         rng = RngStream(9)
         h, B, n = 0.05, 3, 4
         stepped = pavi_step(gauss21, X, h, B, rng, n)
-        z = sample_product(ProductEmpirical(X), B, rng.generator(n, "context"))
+        z = sample_product(X, B, rng.generator(n, "context"))
         manual = np.empty_like(X.values)
         for i in range(2):
             g = stochastic_grad_at(gauss21, z, i, X.values[i])
@@ -224,24 +238,25 @@ class TestSteps:
         # decoupled coordinates: the contexts are irrelevant
         pot = QuadraticPotential(np.diag([2.0, 1.0]), [0.0, 3.0])
         X = init_particles(2, 5, "standard_normal", 4)
-        a = pavi_step(pot, X, 0.1, 3, RngStream(2), 0, _zero_noise=True)
-        b = exact_step(pot, X, 0.1, RngStream(2), 0, _zero_noise=True)
+        a = pavi_step(pot, X, 0.1, 3, RngStream(2), 0)
+        b = exact_step(pot, X, 0.1, RngStream(2), 0)
         assert np.allclose(a.values, b.values, atol=1e-14)
 
     def test_exact_step_shares_noise_with_pavi(self, gauss21):
         X = init_particles(2, 6, "standard_normal", 8)
-        a = pavi_step(gauss21, X, 0.05, 4, RngStream(3), 2)
-        b = exact_step(gauss21, X, 0.05, RngStream(3), 2)
-        noise_a = a.values - (
-            pavi_step(gauss21, X, 0.05, 4, RngStream(3), 2, _zero_noise=True).values
-        )
-        noise_b = b.values - (
-            exact_step(gauss21, X, 0.05, RngStream(3), 2, _zero_noise=True).values
-        )
-        assert np.allclose(noise_a, noise_b, atol=1e-15)
+        rng, h, B, n = RngStream(3), 0.05, 4, 2
+        a = pavi_step(gauss21, X, h, B, rng, n)
+        b = exact_step(gauss21, X, h, rng, n)
+        z = sample_product(X, B, rng.generator(n, "context"))
+        noise = noise_rows(rng, n, h, 2, 6)
+        for i in range(2):
+            drift_a = X.values[i] - h * stochastic_grad_at(gauss21, z, i, X.values[i])
+            drift_b = X.values[i] - h * exact_grad_profile(gauss21, X, i, X.values[i])
+            assert np.array_equal(a.values[i], drift_a + noise[i])
+            assert np.array_equal(b.values[i], drift_b + noise[i])
 
     def test_batch_noise_shrinks_like_inverse_sqrt_B(self, gauss21_centered):
-        # with shared (zeroed) noise the step difference is h * batch error;
+        # with shared noise the step difference is h * batch error;
         # quadrupling B should halve its RMS
         pot = gauss21_centered
         h = 0.05
@@ -252,8 +267,8 @@ class TestSteps:
             for rep in range(200):
                 X = init_particles(2, 16, "standard_normal", 1000 + rep)
                 rng = RngStream(rep)
-                a = pavi_step(pot, X, h, B, rng, 0, _zero_noise=True)
-                b = exact_step(pot, X, h, rng, 0, _zero_noise=True)
+                a = pavi_step(pot, X, h, B, rng, 0)
+                b = exact_step(pot, X, h, rng, 0)
                 d = a.values - b.values
                 sq += float(np.sum(d * d))
                 count += d.size
@@ -269,7 +284,7 @@ class TestSteps:
         with np.errstate(over="ignore"):
             with pytest.raises(DivergenceError) as err:
                 # step large enough to overflow the drift
-                pavi_step(pot, X, 1e60, 1, RngStream(0), 5, _zero_noise=True)
+                pavi_step(pot, X, 1e60, 1, RngStream(0), 5)
         assert err.value.iteration == 5
         assert err.value.coordinate == 0
 
@@ -278,10 +293,9 @@ class TestEstimatorStatistics:
     def test_unbiasedness_small_case(self, perturbed2):
         # Monte Carlo mean of single-context estimates vs the exact average
         X = init_particles(2, 3, "standard_normal", 21)
-        q = ProductEmpirical(X)
         draws = 20_000
         gen = RngStream(100).generator(0, "context")
-        z = sample_product(q, draws, gen)
+        z = sample_product(X, draws, gen)
         for i in range(2):
             for x in (-0.5, 0.8):
                 vals = context_partials(perturbed2, z, i, x)
@@ -291,13 +305,12 @@ class TestEstimatorStatistics:
 
     def test_variance_scaling(self, gauss21):
         X = init_particles(2, 4, "standard_normal", 33)
-        q = ProductEmpirical(X)
         draws = 100_000
         gen = RngStream(7).generator(0, "context")
         x, i = 0.9, 0
-        z1 = sample_product(q, draws, gen)
+        z1 = sample_product(X, draws, gen)
         var1 = context_partials(gauss21, z1, i, x).var(ddof=1)
-        z16 = sample_product(q, draws * 16, gen)
+        z16 = sample_product(X, draws * 16, gen)
         est16 = context_partials(gauss21, z16, i, x).reshape(draws, 16).mean(axis=1)
         var16 = est16.var(ddof=1)
         assert 16 / 1.5 <= var1 / var16 <= 16 * 1.5
@@ -321,8 +334,8 @@ class TestEstimatorStatistics:
         permuted = np.vstack([rng.permutation(row) for row in vals])
         from pavi import w2_to_reference
 
-        a = w2_to_reference(ProductEmpirical(ParticleArray(vals)), ref)
-        b = w2_to_reference(ProductEmpirical(ParticleArray(permuted)), ref)
+        a = w2_to_reference(ParticleArray(vals), ref)
+        b = w2_to_reference(ParticleArray(permuted), ref)
         assert a == b
 
     def test_noise_rows_normality(self):
@@ -336,6 +349,20 @@ class TestEstimatorStatistics:
             ]
         )
         assert anderson_darling_normal(draws) < AD_CRIT_1E3
+
+
+class Crash(Exception):
+    pass
+
+
+def crash_at(iteration):
+    """A sink that stops a run, as a crash would, when a row is recorded."""
+
+    def sink(row):
+        if row.iteration == iteration:
+            raise Crash(iteration)
+
+    return sink
 
 
 class TestRun:
@@ -384,8 +411,36 @@ class TestRun:
         cfg = RunConfig(N=24, T=40, schedule="corollary", seed=9, metrics_every=5)
         full = run(gauss21, cfg, ref)
         ck = tmp_path / "ck.json"
-        partial = run(gauss21, cfg, ref, checkpoint_path=ck, _stop_after=23)
-        assert partial is None
+        # checkpoints at 7, 14, 21; the crash at row 25 resumes from 21,
+        # between two metrics rows
+        with pytest.raises(Crash):
+            run(gauss21, cfg, ref, crash_at(25), checkpoint_path=ck, checkpoint_every=7)
+        assert read_checkpoint(ck)[0]["next_iteration"] == 21
+        resumed = run(gauss21, cfg, ref, checkpoint_path=ck, resume=True)
+        assert resumed.metrics_lines() == full.metrics_lines()
+
+    def test_interrupted_checkpoint_write_keeps_previous(
+        self, gauss21, tmp_path, monkeypatch
+    ):
+        ref = gaussian_mfvi_solution(gauss21)
+        cfg = RunConfig(N=24, T=40, schedule="corollary", seed=9, metrics_every=5)
+        full = run(gauss21, cfg, ref)
+        ck = tmp_path / "ck.json"
+        real_write = Path.write_text
+        calls = []
+
+        def crash_mid_second_write(path, text, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == 2:
+                real_write(path, text[: len(text) // 2])
+                raise OSError("simulated crash during the write")
+            return real_write(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", crash_mid_second_write)
+        with pytest.raises(OSError, match="simulated"):
+            run(gauss21, cfg, ref, checkpoint_path=ck, checkpoint_every=10)
+        monkeypatch.undo()
+        assert json.loads(ck.read_text())["next_iteration"] == 10
         resumed = run(gauss21, cfg, ref, checkpoint_path=ck, resume=True)
         assert resumed.metrics_lines() == full.metrics_lines()
 
@@ -393,7 +448,8 @@ class TestRun:
         ref = gaussian_mfvi_solution(gauss21)
         cfg = RunConfig(N=24, T=40, schedule="corollary", seed=9, metrics_every=5)
         ck = tmp_path / "ck.json"
-        run(gauss21, cfg, ref, checkpoint_path=ck, _stop_after=10)
+        with pytest.raises(Crash):
+            run(gauss21, cfg, ref, crash_at(15), checkpoint_path=ck, checkpoint_every=10)
         other = RunConfig(N=24, T=50, schedule="corollary", seed=9, metrics_every=5)
         with pytest.raises(ConfigError, match="different run configuration"):
             run(gauss21, other, ref, checkpoint_path=ck, resume=True)
@@ -408,12 +464,6 @@ class TestRun:
             alpha = 0.5
             lip = 1.0
             third_bound = 0.0
-
-            def value(self, x):
-                return -0.5 * float(np.asarray(x)[0]) ** 2
-
-            def gradient(self, x):
-                return -np.asarray(x, dtype=float)
 
             def partial_cols(self, i, cols):
                 return -np.asarray(cols, dtype=float)[i]
@@ -436,3 +486,30 @@ class TestRun:
         cfg = RunConfig(N=16, T=20, schedule="corollary", seed=0, metrics_every=5)
         run(gauss21, cfg, ref, sink=seen.append)
         assert [r.iteration for r in seen] == [0, 5, 10, 15, 20]
+
+
+CORRUPTIONS = {
+    "truncated": (lambda text, doc: text[: len(text) // 2], "JSON"),
+    "bad-base64": (lambda text, doc: json.dumps(dict(doc, particles="@@@@")), "base64"),
+    "size-mismatch": (lambda text, doc: json.dumps(dict(doc, shape=[2, 7])), "expected 14"),
+    "non-finite": (
+        lambda text, doc: json.dumps(dict(doc, particles=encode_f8(np.full(12, np.nan)))),
+        "non-finite",
+    ),
+}
+
+
+class TestCheckpointDecoding:
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_corrupt_file_is_config_error(self, gauss21, tmp_path, kind):
+        ck = tmp_path / "ck.json"
+        cfg = RunConfig(N=6, T=2, schedule="corollary")
+        run(gauss21, cfg, checkpoint_path=ck)
+        corrupt, match = CORRUPTIONS[kind]
+        text = ck.read_text()
+        ck.write_text(corrupt(text, json.loads(text)))
+        with pytest.raises(ConfigError, match=match) as err:
+            read_checkpoint(ck)
+        assert str(ck) in str(err.value)
+        with pytest.raises(ConfigError):
+            run(gauss21, cfg, checkpoint_path=ck, resume=True)

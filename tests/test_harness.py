@@ -166,9 +166,11 @@ class TestCmdSweep:
 
 class TestCmdOracle:
     def test_quadratic_analytic_path(self, tmp_path):
-        out = cmd_oracle({"potential": dict(BASE_POTENTIAL)}, out_path=tmp_path / "ref.json")
-        doc = json.loads(out.read_text())
-        assert doc["provenance"] == "analytic-gaussian"
+        claimed = dict(BASE_POTENTIAL, claimed={"alpha": 0.9, "lip": 3.2})
+        for potential in (dict(BASE_POTENTIAL), claimed):
+            doc = {"potential": potential, "method": "auto"}
+            out = cmd_oracle(doc, out_path=tmp_path / "ref.json")
+            assert json.loads(out.read_text())["provenance"] == "analytic-gaussian"
 
     def test_perturbed_grid_path_with_init_check(self, tmp_path):
         doc = {

@@ -4,7 +4,6 @@ import pytest
 from pavi import (
     GaussianMarginal,
     ParticleArray,
-    ProductEmpirical,
     QuadraticPotential,
     ReferenceProduct,
     ScaleError,
@@ -20,7 +19,7 @@ from pavi.errors import ReferenceQuantileError
 
 
 def q_of(rows):
-    return ProductEmpirical(ParticleArray(np.asarray(rows, dtype=float)))
+    return ParticleArray(np.asarray(rows, dtype=float))
 
 
 class TestW2OneDim:
@@ -140,8 +139,6 @@ class TestReferenceDistances:
         class Broken:
             def quantile(self, u):
                 return np.full_like(np.asarray(u, dtype=float), np.nan)
-
-            variance = 1.0
 
         with pytest.raises(ReferenceQuantileError):
             w2_empirical_vs_reference([0.0, 1.0], Broken())

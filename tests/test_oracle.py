@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from pavi import (
+    ConfigError,
     GridDensity,
     GridProduct,
     PerturbedQuadraticPotential,
@@ -26,6 +29,7 @@ from pavi.errors import (
 )
 from pavi.oracle import coordinate_grids, minimizer
 from pavi.particles import RngStream
+from pavi.reports import encode_f8
 
 
 def gaussian_grid(nodes, mean, var):
@@ -82,7 +86,7 @@ class TestMinimizerAndGrids:
 
     def test_minimizer_perturbed(self, perturbed2):
         x = minimizer(perturbed2)
-        assert np.linalg.norm(perturbed2.gradient(x)) < 1e-9
+        assert np.linalg.norm(perturbed2.gradient_cols(x[:, None])) < 1e-9
 
     def test_grids_centered_with_half_width(self, gauss21):
         grids = coordinate_grids(gauss21, G=65)
@@ -368,3 +372,36 @@ class TestSerialization:
         u = np.linspace(0.01, 0.99, 99)
         for a, b in zip(ref.marginals, again.marginals):
             assert np.allclose(a.quantile(u), b.quantile(u), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "gaussian, update, match",
+        [
+            (False, None, "JSON"),
+            (False, {"log_density": "not base64!"}, "base64"),
+            (False, {"count": 34}, "expected 34"),
+            (False, {"log_density": encode_f8(np.full(33, np.nan))}, "non-finite"),
+            (True, {"var": float("inf")}, "non-finite"),
+        ],
+        ids=[
+            "truncated", "bad-base64", "size-mismatch", "non-finite-grid",
+            "non-finite-gaussian",
+        ],
+    )
+    def test_corrupt_file_is_config_error(
+        self, gauss21, perturbed2, tmp_path, gaussian, update, match
+    ):
+        path = tmp_path / "ref.json"
+        if gaussian:
+            save_reference(path, gaussian_mfvi_solution(gauss21))
+        else:
+            save_reference(path, grid_reference(initial_grid_product(perturbed2, 33)))
+        text = path.read_text()
+        if update is None:
+            path.write_text(text[: len(text) // 2])
+        else:
+            doc = json.loads(text)
+            doc["marginals"][0].update(update)
+            path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=match) as err:
+            load_reference(path)
+        assert str(path) in str(err.value)

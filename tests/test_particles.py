@@ -1,19 +1,26 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import chisquare
 
 from pavi import (
     ConfigError,
     ParticleArray,
-    ProductEmpirical,
+    QuadraticPotential,
     RngStream,
+    RunConfig,
     UsageError,
     coordinate_means,
     init_particles,
     sample_product,
     sorted_marginal,
 )
-from pavi.particles import load_particles, save_particles
+from pavi.dynamics import _write_checkpoint, read_checkpoint
 
 
 class TestInitParticles:
@@ -73,21 +80,21 @@ class TestSampleProduct:
     def test_degenerate_support(self):
         xbar = np.array([1.5, -2.0])
         X = init_particles(2, 4, ("point", xbar))
-        z = sample_product(ProductEmpirical(X), 10, RngStream(0).generator())
+        z = sample_product(X, 10, RngStream(0).generator())
         assert np.array_equal(z, np.repeat(xbar[:, None], 10, axis=1))
 
     def test_product_independence_frequency(self):
         # joint frequency of the (0, 1) pair under the product of two
         # two-atom marginals is 1/4
         X = ParticleArray([[0.0, 1.0], [0.0, 1.0]])
-        z = sample_product(ProductEmpirical(X), 100_000, RngStream(3).generator())
+        z = sample_product(X, 100_000, RngStream(3).generator())
         freq = np.mean((z[0] == 0.0) & (z[1] == 1.0))
         assert freq == pytest.approx(0.25, abs=0.01)
 
     def test_marginal_frequencies_binomial_band(self):
         N, draws = 5, 100_000
         X = ParticleArray(np.arange(2.0 * N).reshape(2, N))
-        z = sample_product(ProductEmpirical(X), draws, RngStream(4).generator())
+        z = sample_product(X, draws, RngStream(4).generator())
         p = 1.0 / N
         band = 3.0 * np.sqrt(p * (1 - p) / draws)
         for i in range(2):
@@ -97,70 +104,87 @@ class TestSampleProduct:
     def test_index_law_chi_square(self):
         N, draws = 8, 100_000
         X = ParticleArray(np.arange(float(N))[None, :].repeat(2, axis=0))
-        z = sample_product(ProductEmpirical(X), draws, RngStream(5).generator())
+        z = sample_product(X, draws, RngStream(5).generator())
         counts = np.bincount(z[0].astype(int), minlength=N)
         assert chisquare(counts).pvalue > 1e-3
 
     def test_coordinate_independence_correlation(self):
         draws = 100_000
         X = ParticleArray(np.arange(8.0)[None, :].repeat(2, axis=0))
-        z = sample_product(ProductEmpirical(X), draws, RngStream(6).generator())
+        z = sample_product(X, draws, RngStream(6).generator())
         corr = np.corrcoef(z[0], z[1])[0, 1]
         assert abs(corr) <= 4.0 / np.sqrt(draws)
 
     def test_invalid_batch(self):
         X = init_particles(1, 2)
         with pytest.raises(UsageError):
-            sample_product(ProductEmpirical(X), 0, RngStream(0).generator())
+            sample_product(X, 0, RngStream(0).generator())
 
 
 class TestMarginalViews:
     def test_sorted_marginal(self):
-        q = ProductEmpirical(ParticleArray([[3.0, 1.0, 2.0]]))
+        q = ParticleArray([[3.0, 1.0, 2.0]])
         assert np.array_equal(sorted_marginal(q, 0), [1.0, 2.0, 3.0])
 
     def test_sorted_marginal_ties(self):
-        q = ProductEmpirical(ParticleArray([[1.0, 1.0, 0.0]]))
+        q = ParticleArray([[1.0, 1.0, 0.0]])
         assert np.array_equal(sorted_marginal(q, 0), [0.0, 1.0, 1.0])
 
     def test_sorted_marginal_idempotent(self):
-        q = ProductEmpirical(ParticleArray([[-1.0, 0.0, 2.0]]))
+        q = ParticleArray([[-1.0, 0.0, 2.0]])
         assert np.array_equal(sorted_marginal(q, 0), q.values[0])
 
     def test_sorted_marginal_index_error(self):
-        q = ProductEmpirical(ParticleArray([[0.0, 1.0]]))
+        q = ParticleArray([[0.0, 1.0]])
         with pytest.raises(UsageError):
             sorted_marginal(q, 1)
 
     def test_coordinate_means(self):
-        q = ProductEmpirical(ParticleArray([[0.0, 2.0], [-1.0, 1.0]]))
+        q = ParticleArray([[0.0, 2.0], [-1.0, 1.0]])
         assert np.array_equal(coordinate_means(q), [1.0, 0.0])
 
     def test_coordinate_means_point_mass(self):
         xbar = np.array([0.25, -4.0])
-        q = ProductEmpirical(init_particles(2, 6, ("point", xbar)))
+        q = init_particles(2, 6, ("point", xbar))
         assert np.allclose(coordinate_means(q), xbar, atol=1e-15)
 
     def test_coordinate_means_permutation_invariant(self):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((3, 10))
         shuffled = np.vstack([rng.permutation(row) for row in vals])
-        a = coordinate_means(ProductEmpirical(ParticleArray(vals)))
-        b = coordinate_means(ProductEmpirical(ParticleArray(shuffled)))
+        a = coordinate_means(ParticleArray(vals))
+        b = coordinate_means(ParticleArray(shuffled))
         assert np.allclose(a, b, atol=1e-15)
 
 
+def _checkpoint(path, values):
+    m, N = values.shape
+    cfg = RunConfig(N=N, T=1, h=0.1, B=1)
+    pot = QuadraticPotential(np.eye(m))
+    _write_checkpoint(path, pot, cfg, 1, ParticleArray(values), [], [])
+
+
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        X = init_particles(3, 5, "standard_normal", seed=9)
-        path = tmp_path / "state.bin"
-        save_particles(path, X, seed=9, iteration=42)
-        Y, seed, iteration = load_particles(path)
-        assert seed == 9 and iteration == 42
-        assert np.array_equal(X.values, Y.values)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(2, 9)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_round_trip(self, values):
+        # the checkpoint codec is bit-exact for every finite array, including
+        # signed zeros and subnormals
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ck.json"
+            _checkpoint(path, values)
+            _, X = read_checkpoint(path)
+        assert X.values.tobytes() == np.ascontiguousarray(values).tobytes()
+        assert X.values.shape == values.shape
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"nope" + b"\x00" * 64)
-        with pytest.raises(UsageError, match="magic"):
-            load_particles(path)
+        path = tmp_path / "junk.json"
+        path.write_text('{"format": "nope"}')
+        with pytest.raises(ConfigError, match="not a checkpoint"):
+            read_checkpoint(path)

@@ -5,7 +5,6 @@ import pytest
 
 import pavi
 from pavi import (
-    ClaimedConstants,
     ConfigError,
     EvaluationError,
     PerturbedQuadraticPotential,
@@ -77,14 +76,22 @@ class TestPartialDerivative:
         with pytest.raises(UsageError, match="out of range"):
             partial_derivative(pot, 2, [0.0, 0.0])
 
-    def test_gradient_matches_partial_exactly(self, gauss21, perturbed2):
+    def test_gradient_cols_matches_partial_cols(self, gauss21, perturbed2):
+        # the two batch evaluators round differently (measured up to 2.7e-16
+        # relative at m=2 and 9.6e-15 at m=30), so they agree to 1e-13
         rng = np.random.default_rng(0)
-        for pot in (gauss21, perturbed2):
-            for _ in range(50):
-                x = rng.standard_normal(pot.m) * 2
-                g = pot.gradient(x)
-                for i in range(pot.m):
-                    assert g[i] == pot.partial(i, x)
+        A = rng.standard_normal((30, 30))
+        big = PerturbedQuadraticPotential(A @ A.T / 30 + np.eye(30), None, rng.random(30))
+        for pot in (gauss21, perturbed2, big):
+            cols = rng.standard_normal((pot.m, 50)) * 2
+            grads = pot.gradient_cols(cols)
+            for i in range(pot.m):
+                assert pot.partial_cols(i, cols) == pytest.approx(
+                    grads[i], rel=1e-13, abs=1e-13
+                )
+            assert partial_derivative(pot, 1, cols[:, 0]) == pytest.approx(
+                grads[1, 0], rel=1e-13, abs=1e-13
+            )
 
 
 class TestConditionalMeanGradient:
@@ -117,11 +124,11 @@ class TestConditionalMeanGradient:
             lip = 2.0
             third_bound = 1.0
 
-            def value(self, x):
-                return float(0.5 * np.sum(np.asarray(x) ** 2))
+            def value_cols(self, cols):
+                return 0.5 * np.sum(np.asarray(cols) ** 2, axis=0)
 
-            def gradient(self, x):
-                return np.asarray(x, dtype=float)
+            def gradient_cols(self, cols):
+                return np.asarray(cols, dtype=float)
 
         with pytest.raises(UnsupportedCapabilityError):
             conditional_mean_gradient(Cubicish(), 0, 0.0, [0.0])
@@ -149,7 +156,7 @@ class TestConditionalMeanGradient:
                     x = np.empty(m)
                     x[i] = x_i
                     x[[k for k in range(m) if k != i]] = combo
-                    total += pot.partial(i, x)
+                    total += partial_derivative(pot, i, x)
                     count += 1
                 brute = total / count
                 means = [a.mean() for a in atoms]
@@ -231,17 +238,26 @@ class TestDerivativeProperties:
         assert quot.min() >= pot.alpha - 1e-3
         assert quot.max() <= pot.lip + 1e-3
 
-    def test_batched_evaluators_match_scalar(self, perturbed2):
+    def test_batched_evaluators_closed_form(self):
+        # V = 0.5 (x-mu)' A (x-mu) + sum_i c_i logcosh(x_i) and its gradient
+        # A (x-mu) + c tanh(x), evaluated column by column with plain loops
+        A = [[3.0, 1.0, 0.5], [1.0, 2.5, -0.7], [0.5, -0.7, 2.0]]
+        mu, c = [0.2, -0.4, 0.1], [0.5, 0.0, 1.0]
+        pot = PerturbedQuadraticPotential(A, mu, c)
         rng = np.random.default_rng(9)
-        cols = rng.standard_normal((2, 40))
-        vals = perturbed2.value_cols(cols)
-        grads = perturbed2.gradient_cols(cols)
+        cols = rng.standard_normal((3, 40)) * 2
+        vals = pot.value_cols(cols)
+        grads = pot.gradient_cols(cols)
         for k in range(40):
-            assert vals[k] == pytest.approx(perturbed2.value(cols[:, k]), rel=1e-14)
-            for i in range(2):
-                assert grads[i, k] == pytest.approx(
-                    perturbed2.partial(i, cols[:, k]), rel=1e-13, abs=1e-13
-                )
+            x = cols[:, k]
+            value = quad_value_independent(A, mu, x) + sum(
+                ci * np.log(np.cosh(xi)) for ci, xi in zip(c, x)
+            )
+            assert vals[k] == pytest.approx(value, rel=1e-14)
+            for i in range(3):
+                grad = sum(A[i][j] * (x[j] - mu[j]) for j in range(3))
+                grad += c[i] * np.tanh(x[i])
+                assert grads[i, k] == pytest.approx(grad, rel=1e-13, abs=1e-13)
 
 
 class TestConfigLoading:
@@ -270,15 +286,30 @@ class TestConfigLoading:
         doc = gauss21.to_config()
         doc["claimed"] = {"lip": 1.5}
         pot = potential_from_config(doc)
-        assert isinstance(pot, ClaimedConstants)
+        assert type(pot) is QuadraticPotential
         assert pot.lip == 1.5
         assert pot.alpha == gauss21.alpha
-        x = np.array([0.4, 0.6])
-        assert pot.value(x) == gauss21.value(x)
+        assert pot.third_bound == gauss21.third_bound
+        cols = np.array([[0.4, -1.0], [0.6, 2.0]])
+        assert np.array_equal(pot.value_cols(cols), gauss21.value_cols(cols))
         assert pot.conditional_mean_gradient(0, 1.0, [0.5]) == pytest.approx(
             gauss21.conditional_mean_gradient(0, 1.0, np.array([0.5]))
         )
+        assert pot.to_config()["claimed"] == {
+            "alpha": gauss21.alpha, "lip": 1.5, "third_bound": 0.0
+        }
+        assert "claimed" not in gauss21.to_config()
 
     def test_claimed_constants_validated(self, gauss21):
-        with pytest.raises(ConfigError):
-            ClaimedConstants(gauss21, alpha=2.0, lip=1.0)
+        doc = gauss21.to_config()
+        doc["claimed"] = {"alpha": 2.0, "lip": 1.0}
+        with pytest.raises(ConfigError, match="alpha <= lip"):
+            potential_from_config(doc)
+
+    def test_claimed_fingerprints_unchanged(self, gauss21, perturbed2):
+        # digests of claimed configs as written before the claimed section
+        # became an override of the built potential's constants
+        quad = dict(gauss21.to_config(), claimed={"alpha": 0.9, "lip": 3.2})
+        pert = dict(perturbed2.to_config(), claimed={"lip": 3.6})
+        assert potential_fingerprint(potential_from_config(quad)) == "77387ab0d2f990da"
+        assert potential_fingerprint(potential_from_config(pert)) == "535f05400578f3c6"
