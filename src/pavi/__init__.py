@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 from .dynamics import (
     RunConfig,
     corollary_schedule,
-    exact_mean_field_grad,
     exact_step,
     pavi_step,
     run,
-    stochastic_grad,
     validate_config,
 )
 from .errors import (
@@ -27,7 +25,6 @@ from .errors import (
     OracleConvergenceError,
     PaviError,
     ScaleError,
-    UnsupportedCapabilityError,
     UsageError,
 )
 from .metrics import (
@@ -65,7 +62,6 @@ from .potentials import (
     PerturbedQuadraticPotential,
     Potential,
     QuadraticPotential,
-    conditional_mean_gradient,
     eval_potential,
     partial_derivative,
     potential_from_config,

@@ -14,7 +14,7 @@ def _add_common(p, with_seed=True):
     if with_seed:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="output directory or file")
-    p.add_argument("--threads", type=int, default=None, help="worker thread count")
+    p.add_argument("--threads", type=int, default=None, help="sweep threads; run ignores it")
 
 
 def build_parser() -> argparse.ArgumentParser:

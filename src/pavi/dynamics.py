@@ -8,10 +8,11 @@ gradient step plus Gaussian noise:
     X[i, j] <- X[i, j] - h * g_i(X[i, j]) + sqrt(2 h) * xi[i, j]
 
 The exact variant replaces the batch average by the expectation under the
-product of the other coordinates' empirical marginals, either through the
-potential's conditional mean gradient or by exhaustive enumeration at small
-scale.  Context and noise draws are addressed by (seed, iteration, role, row)
-so any thread schedule reproduces the same trajectory.
+product of the other coordinates' empirical marginals.  ``stochastic_grad_at``
+is the one average of a partial over contexts; with affine coupling both
+variants pass it a single mean context.  Context and noise draws are
+addressed by (seed, iteration, role, row), so a rerun reproduces the same
+trajectory.
 """
 
 from __future__ import annotations
@@ -19,20 +20,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    EvaluationError,
-    ScaleError,
-    UsageError,
-)
+from .errors import ConfigError, DivergenceError, ScaleError, UsageError
 from .metrics import w2_reference_profile
 from .particles import (
     ParticleArray,
@@ -101,12 +95,37 @@ def step_size_bounds(pot, B):
     return bound_pair, bound_batch
 
 
+def step_guard(pot, h, B) -> dict:
+    """The guard 0 < h < min(2/(alpha+lip), B*alpha/(4*lip^2)) at (h, B).
+
+    ``bound_batch`` is None when no batch size applies.
+    """
+    bound_pair, bound_batch = step_size_bounds(pot, B)
+    return {
+        "h": float(h),
+        "B": B,
+        "bound_pair": bound_pair,
+        "bound_batch": None if B is None else bound_batch,
+        "holds": bool(0.0 < h < min(bound_pair, bound_batch)),
+    }
+
+
+def guard_violation(guard) -> str:
+    """One-line statement that a step_guard record does not hold."""
+    bound_batch = math.inf if guard["bound_batch"] is None else guard["bound_batch"]
+    return (
+        f"step size h={guard['h']:.6g} violates 0 < h < min(2/(alpha+lip) = "
+        f"{guard['bound_pair']:.6g}, B*alpha/(4*lip^2) = {bound_batch:.6g})"
+    )
+
+
 def validate_config(pot, cfg: RunConfig):
     """Check the run configuration and return the resolved (h, B).
 
     Explicit schedules must satisfy the strict guard
     0 < h < min(2/(alpha+lip), B*alpha/(4*lip^2)); boundary equality is
-    rejected.  Corollary schedules derive h and B instead of taking them.
+    rejected.  Corollary schedules derive h and B instead of taking them and
+    are not checked against the guard; ``run`` records whether it holds.
     """
     if cfg.N < 2:
         raise ConfigError(
@@ -136,78 +155,48 @@ def validate_config(pot, cfg: RunConfig):
             raise ConfigError(f"B must be a positive integer, got {B}")
     elif B is not None:
         B = int(B)
-    bound_pair, bound_batch = step_size_bounds(pot, B)
-    if not (0.0 < h < min(bound_pair, bound_batch)):
-        raise ConfigError(
-            f"step size h={h:.6g} violates 0 < h < min(2/(alpha+lip) = "
-            f"{bound_pair:.6g}, B*alpha/(4*lip^2) = {bound_batch:.6g})"
-        )
+    guard = step_guard(pot, h, B)
+    if not guard["holds"]:
+        raise ConfigError(guard_violation(guard))
     return h, B
 
 
 # gradient estimators ----------------------------------------------------------
 
 
-def context_partials(pot, z, i, x) -> np.ndarray:
-    """Per-context partial derivatives whose average is the batch estimate."""
+def stochastic_grad_at(pot, z, i, xs) -> np.ndarray:
+    """Average of the i-th partial over the context columns of z, at many points.
+
+    Each point replaces coordinate i of every column of ``z`` (shape (m, B))
+    and the B partials are averaged.  The same context columns serve every
+    point, matching how one iteration reuses its contexts across particles.
+    """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] != pot.m:
         raise UsageError(f"context array must have shape ({pot.m}, B), got {z.shape}")
-    i = int(i)
-    if not 0 <= i < pot.m:
-        raise UsageError(f"coordinate index {i} out of range for dimension {pot.m}")
-    cols = z.copy()
-    cols[i, :] = x
-    vals = np.asarray(pot.partial_cols(i, cols), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError(
-            f"non-finite partial derivative in the batch estimate for coordinate {i}"
-        )
-    return vals
-
-
-def stochastic_grad(pot, z, i, x) -> float:
-    """Batch-average estimate of the conditional gradient at a single point."""
-    return float(context_partials(pot, z, i, x).mean())
-
-
-def stochastic_grad_at(pot, z, i, xs) -> np.ndarray:
-    """Vectorized batch estimate at many points of coordinate i.
-
-    The same context columns serve every evaluation point, matching how one
-    iteration reuses its contexts across all particles.
-    """
-    z = np.asarray(z, dtype=float)
     m, B = z.shape
     i = int(i)
+    if not 0 <= i < m:
+        raise UsageError(f"coordinate index {i} out of range for dimension {m}")
     xs = np.asarray(xs, dtype=float).ravel()
     K = xs.size
     cols = np.broadcast_to(z[:, :, None], (m, B, K)).reshape(m, B * K).copy()
     cols[i] = np.tile(xs, B)
-    vals = np.asarray(pot.partial_cols(i, cols), dtype=float).reshape(B, K)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError(
-            f"non-finite partial derivative in the batch estimate for coordinate {i}"
-        )
-    return vals.mean(axis=0)
+    return np.asarray(pot.partial_cols(i, cols), dtype=float).reshape(B, K).mean(axis=0)
 
 
 def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
     """Exact conditional gradient under the other coordinates' marginals.
 
-    Uses the potential's conditional mean gradient when available (any scale);
-    otherwise averages partials over all N^(m-1) atom combinations, gated at
-    10^6 combinations.
+    With affine coupling this is the partial at the coordinate means (any
+    scale); otherwise partials are averaged over all N^(m-1) atom
+    combinations, gated at 10^6 combinations.
     """
     i = int(i)
     if not 0 <= i < X.m:
         raise UsageError(f"coordinate index {i} out of range for dimension {X.m}")
-    xs = np.asarray(xs, dtype=float).ravel()
-    if X.m == 1:
-        return np.asarray(pot.partial_cols(i, xs[None, :]), dtype=float)
-    if pot.has_conditional_mean_gradient:
-        other = np.delete(coordinate_means(X), i)
-        return np.asarray(pot.conditional_mean_gradient(i, xs, other), dtype=float)
+    if pot.affine_coupling:
+        return stochastic_grad_at(pot, coordinate_means(X)[:, None], i, xs)
     combos = X.N ** (X.m - 1)
     if combos > _EXHAUSTIVE_MAX:
         raise ScaleError(
@@ -215,52 +204,34 @@ def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
             "use the stochastic algorithm instead"
         )
     others = [X.values[k] for k in range(X.m) if k != i]
-    mesh = np.meshgrid(*others, indexing="ij")
-    cols = np.empty((X.m, combos))
-    for row, grid in zip((k for k in range(X.m) if k != i), mesh):
-        cols[row] = grid.ravel()
-    out = np.empty(xs.size)
-    for idx, x in enumerate(xs):
-        cols[i] = x
-        out[idx] = float(np.mean(pot.partial_cols(i, cols)))
-    return out
-
-
-def exact_mean_field_grad(pot, X, i, x) -> float:
-    """Exact conditional gradient at one point (scalar convenience wrapper)."""
-    return float(exact_grad_profile(pot, X, i, [x])[0])
+    grids = np.array([g.ravel() for g in np.meshgrid(*others, indexing="ij")])
+    # row i of the contexts is a placeholder that stochastic_grad_at overwrites
+    z = np.insert(grids.reshape(X.m - 1, combos), i, 0.0, axis=0)
+    xs = np.asarray(xs, dtype=float).ravel()
+    chunk = max(1, _EXHAUSTIVE_MAX // combos)
+    return np.concatenate(
+        [stochastic_grad_at(pot, z, i, xs[s : s + chunk]) for s in range(0, xs.size, chunk)]
+    )
 
 
 # stepping -----------------------------------------------------------------------
 
 
-def _step_parts(pot, X, h, B, rng, n, algorithm, pool=None):
+def _step_parts(pot, X, h, B, rng, n, algorithm):
     """Advance the particle array one iteration; returns (values, grad_rms)."""
     values = X.values
     m, N = values.shape
-    if algorithm == "pavi":
-        z = sample_product(X, B, rng.generator(n, "context"))
-
-        def grad_row(i):
-            return stochastic_grad_at(pot, z, i, values[i])
-
-    else:
-
-        def grad_row(i):
-            return exact_grad_profile(pot, X, i, values[i])
-
-    scale = math.sqrt(2.0 * h)
-
-    def row_task(i):
-        g = grad_row(i)
-        noise = rng.generator(n, "noise", i).standard_normal(N)
-        return values[i] - h * g + scale * noise, g
-
-    results = list(pool.map(row_task, range(m))) if pool is not None else [
-        row_task(i) for i in range(m)
-    ]
-    new = np.vstack([r[0] for r in results])
-    grads = np.vstack([r[1] for r in results])
+    # an overflow anywhere in the update is reported once, as a divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        if algorithm == "pavi":
+            z = sample_product(X, B, rng.generator(n, "context"))
+            if pot.affine_coupling:
+                z = z.mean(axis=1, keepdims=True)
+            grads = np.vstack([stochastic_grad_at(pot, z, i, values[i]) for i in range(m)])
+        else:
+            grads = np.vstack([exact_grad_profile(pot, X, i, values[i]) for i in range(m)])
+        noise = np.vstack([rng.generator(n, "noise", i).standard_normal(N) for i in range(m)])
+        new = values - h * grads + math.sqrt(2.0 * h) * noise
     if not np.all(np.isfinite(new)):
         bad_i, bad_j = np.argwhere(~np.isfinite(new))[0]
         raise DivergenceError(n, bad_i, bad_j)
@@ -268,7 +239,7 @@ def _step_parts(pot, X, h, B, rng, n, algorithm, pool=None):
 
 
 def pavi_step(pot, X: ParticleArray, h, B, rng: RngStream, n):
-    """One stochastic iteration: contexts drawn once, then per-row updates."""
+    """One stochastic iteration: contexts drawn once, then one whole-array update."""
     new, _ = _step_parts(pot, X, float(h), int(B), rng, int(n), "pavi")
     return ParticleArray(new)
 
@@ -332,7 +303,6 @@ def run(
     sink=None,
     *,
     init="standard_normal",
-    threads=1,
     checkpoint_path=None,
     checkpoint_every=None,
     resume=False,
@@ -343,16 +313,10 @@ def run(
     and at T.  ``sink`` receives each row as it is produced.  When a
     checkpoint path is given the final state is always written there, a
     divergence retains the last good state, and ``resume=True`` continues a
-    previous run bit-identically.
+    previous run bit-identically.  The summary records the step-size guard at
+    the resolved (h, B) under ``step_guard``.
     """
     h, B = validate_config(pot, cfg)
-    if cfg.algorithm == "exact" and not pot.has_conditional_mean_gradient:
-        combos = cfg.N ** (pot.m - 1)
-        if combos > _EXHAUSTIVE_MAX:
-            raise ScaleError(
-                f"exact algorithm needs {combos} combinations per evaluation "
-                f"(> {_EXHAUSTIVE_MAX}); use algorithm 'pavi'"
-            )
     me = cfg.resolved_metrics_every()
     rng = RngStream(cfg.seed)
     rows: list[StepTrace] = []
@@ -381,26 +345,19 @@ def run(
         X = init_particles(pot.m, cfg.N, init, cfg.seed)
         record(0, X)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads and threads > 1 else None
-    try:
-        for n in range(start, cfg.T):
-            try:
-                new, grad_rms = _step_parts(
-                    pot, X, h, B, rng, n, cfg.algorithm, pool=pool
-                )
-            except DivergenceError:
-                if checkpoint_path is not None:
-                    _write_checkpoint(checkpoint_path, pot, cfg, n, X, rows, wall_times)
-                raise
-            X = ParticleArray(new)
-            k = n + 1
-            if k % me == 0 or k == cfg.T:
-                record(k, X, grad_rms)
-            if checkpoint_every and k % int(checkpoint_every) == 0 and checkpoint_path:
-                _write_checkpoint(checkpoint_path, pot, cfg, k, X, rows, wall_times)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for n in range(start, cfg.T):
+        try:
+            new, grad_rms = _step_parts(pot, X, h, B, rng, n, cfg.algorithm)
+        except DivergenceError:
+            if checkpoint_path is not None:
+                _write_checkpoint(checkpoint_path, pot, cfg, n, X, rows, wall_times)
+            raise
+        X = ParticleArray(new)
+        k = n + 1
+        if k % me == 0 or k == cfg.T:
+            record(k, X, grad_rms)
+        if checkpoint_every and k % int(checkpoint_every) == 0 and checkpoint_path:
+            _write_checkpoint(checkpoint_path, pot, cfg, k, X, rows, wall_times)
 
     if checkpoint_path is not None:
         _write_checkpoint(checkpoint_path, pot, cfg, cfg.T, X, rows, wall_times)
@@ -410,7 +367,7 @@ def run(
         seed=cfg.seed,
         version=__version__,
         rows=rows,
-        summary=summarize_rows(rows),
+        summary=dict(summarize_rows(rows), step_guard=step_guard(pot, h, B)),
         wall_times=wall_times,
         wall_total=time.perf_counter() - t0,
     )

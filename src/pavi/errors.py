@@ -31,10 +31,6 @@ class EvaluationError(PaviError):
     """Potential evaluation produced or received a non-finite value."""
 
 
-class UnsupportedCapabilityError(PaviError):
-    """The potential does not expose an exact conditional mean gradient."""
-
-
 class DivergenceError(PaviError):
     """A particle update produced a non-finite entry."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -94,9 +95,18 @@ def _init_from_doc(doc):
 
 
 def cmd_run(doc, out_dir=None, seed=None, threads=None, resume=False) -> ConvergenceReport:
-    """Execute one run described by a config document and persist the report."""
+    """Execute one run described by a config document and persist the report.
+
+    A run is one sequential chain: ``threads`` (argument or config key) is
+    accepted and unused, so configs and callers that set it keep working.  A
+    corollary schedule that breaks the step-size guard runs anyway, with one
+    warning line on stderr.
+    """
     pot = potential_from_config(doc.get("potential") or _missing("potential"))
     cfg = run_config_from_doc(doc, seed)
+    guard = dynamics.step_guard(pot, *dynamics.validate_config(pot, cfg))
+    if not guard["holds"]:
+        print(f"warning: {dynamics.guard_violation(guard)}; running anyway", file=sys.stderr)
     ref = build_reference(doc.get("reference"), pot)
     out = Path(out_dir or doc.get("output") or "pavi_out")
     out.mkdir(parents=True, exist_ok=True)
@@ -105,7 +115,6 @@ def cmd_run(doc, out_dir=None, seed=None, threads=None, resume=False) -> Converg
         cfg,
         ref,
         init=_init_from_doc(doc),
-        threads=int(threads if threads is not None else doc.get("threads", 1)),
         checkpoint_path=out / CHECKPOINT_FILE,
         checkpoint_every=doc.get("checkpoint_every"),
         resume=resume,
@@ -211,11 +220,6 @@ def cmd_oracle(doc, out_path=None):
             raise ConfigError("analytic oracle is only available for the quadratic family")
         ref = oracle.gaussian_mfvi_solution(pot)
     elif method == "grid":
-        if pot.m > 3 and not pot.has_conditional_mean_gradient:
-            raise oracle.ScaleError(
-                f"grid oracle supports m <= 3 without a separable conditional "
-                f"gradient; got m={pot.m}"
-            )
         G = int(doc.get("grid_size", oracle.DEFAULT_GRID_SIZE))
         tol = float(doc.get("tol", 1e-8))
         max_iter = int(doc.get("max_iter", 300))

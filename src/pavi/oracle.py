@@ -231,9 +231,10 @@ def vbar_on_grid(pot, i, q: GridProduct) -> np.ndarray:
     """Expected potential profile for coordinate i on its grid.
 
     Integrates V over the other coordinates' grid densities by tensor
-    trapezoid quadrature (m <= 3).  Beyond that, potentials exposing the exact
-    conditional mean gradient get a derivative route whose output is the same
-    profile up to an additive constant (irrelevant after normalization).
+    trapezoid quadrature (m <= 3).  Beyond that, potentials with affine
+    coupling get a derivative route: the expected partial is the partial at
+    the other marginals' means, and its integral is the same profile up to an
+    additive constant (irrelevant after normalization).
     """
     m = pot.m
     if q.m != m:
@@ -275,15 +276,16 @@ def vbar_on_grid(pot, i, q: GridProduct) -> np.ndarray:
             c[k2] = np.tile(y2, n_nodes)
             out[sl] = pot.value_cols(c).reshape(n_nodes, P) @ w
         return out
-    if pot.has_conditional_mean_gradient:
-        # profile from the conditional mean gradient, determined only up to an
-        # additive constant; downstream normalization does not see the offset
-        means = np.array([q.marginals[k].mean() for k in others])
-        grad = np.asarray(pot.conditional_mean_gradient(i, nodes, means), dtype=float)
+    if pot.affine_coupling:
+        cols = np.empty((m, nodes.size))
+        for k in others:
+            cols[k] = q.marginals[k].mean()
+        cols[i] = nodes
+        grad = np.asarray(pot.partial_cols(i, cols), dtype=float)
         return cumulative_trapezoid(grad, nodes, initial=0.0)
     raise ScaleError(
         f"dimension {m} exceeds the tensor-quadrature gate (m <= 3) and the "
-        "potential has no separable conditional gradient"
+        "potential has no affine coupling"
     )
 
 

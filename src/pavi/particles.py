@@ -16,8 +16,9 @@ _ROLE_CODES = {"init": 0, "context": 1, "noise": 2, "reference": 3, "sample": 4}
 class RngStream:
     """Counter-addressed randomness: (seed, iteration, role, row) -> stream.
 
-    Identical coordinates always yield identical draws, independent of thread
-    scheduling, so per-row parallel updates stay bit-reproducible.
+    Identical coordinates always yield identical draws, independent of the
+    order in which they are requested, so runs and sweep replications stay
+    bit-reproducible.
     """
 
     seed: int

@@ -15,12 +15,7 @@ import json
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EvaluationError,
-    UnsupportedCapabilityError,
-    UsageError,
-)
+from .errors import ConfigError, EvaluationError, UsageError
 
 # sup_t |d^3/dt^3 log(cosh t)|; the exact supremum is 4/(3*sqrt(3)) ~= 0.76980
 # and the declared bound rounds it up.
@@ -81,14 +76,10 @@ class Potential:
     def gradient_cols(self, cols) -> np.ndarray:
         raise NotImplementedError
 
-    # optional exact conditional mean gradient -------------------------------
-    has_conditional_mean_gradient = False
-
-    def conditional_mean_gradient(self, i, x_i, other_means):
-        raise UnsupportedCapabilityError(
-            "potential has no exact conditional mean gradient; fall back to "
-            "exact_mean_field_grad at exhaustive scale or stochastic estimation"
-        )
+    # True only when every partial_i V is affine in the other coordinates:
+    # its average over any set of context points then equals its value at
+    # their mean, which the dynamics and the oracle rely on
+    affine_coupling = False
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -141,14 +132,9 @@ class QuadraticPotential(Potential):
         d = np.asarray(cols, dtype=float) - self.mean[:, None]
         return self.precision @ d
 
-    has_conditional_mean_gradient = True
-
-    def conditional_mean_gradient(self, i, x_i, other_means):
-        # partial_i V is affine in the other coordinates, so the expectation
-        # under any product measure depends only on its coordinate means
-        other_means = np.asarray(other_means, dtype=float)
-        cross = float(np.delete(self.precision[i], i) @ (other_means - np.delete(self.mean, i)))
-        return self.precision[i, i] * (np.asarray(x_i, dtype=float) - self.mean[i]) + cross
+    # partial_i V = A[i] @ (x - mean); the perturbed family's logcosh bump
+    # depends on x_i alone, so it keeps the coupling affine
+    affine_coupling = True
 
     def to_config(self):
         doc = {
@@ -201,12 +187,6 @@ class PerturbedQuadraticPotential(QuadraticPotential):
         cols = np.asarray(cols, dtype=float)
         return super().gradient_cols(cols) + self.weights[:, None] * np.tanh(cols)
 
-    def conditional_mean_gradient(self, i, x_i, other_means):
-        # the coupling across coordinates is purely quadratic; the logcosh
-        # term only touches coordinate i
-        quad = super().conditional_mean_gradient(i, x_i, other_means)
-        return quad + self.weights[i] * np.tanh(np.asarray(x_i, dtype=float))
-
     def to_config(self):
         doc = super().to_config()
         doc["weights"] = self.weights.tolist()
@@ -241,27 +221,6 @@ def partial_derivative(pot, i, x) -> float:
             f"partial derivative {i} evaluated to a non-finite value at x={x.tolist()}"
         )
     return g
-
-
-def conditional_mean_gradient(pot, i, x_i, other_means) -> float:
-    """Expected i-th partial when the other coordinates follow a product law.
-
-    Exact for potentials whose i-th partial is affine in the other
-    coordinates: the expectation then depends on the product law only through
-    its coordinate means (length m-1, ascending coordinate order, skipping i).
-    """
-    i = _check_index(i, pot.m)
-    if not pot.has_conditional_mean_gradient:
-        # raise the capability error from the potential itself
-        pot.conditional_mean_gradient(i, x_i, other_means)
-    other_means = np.asarray(other_means, dtype=float)
-    if other_means.shape != (pot.m - 1,):
-        raise UsageError(
-            f"other_means must have length {pot.m - 1}, got shape {other_means.shape}"
-        )
-    if not np.isfinite(x_i) or not np.all(np.isfinite(other_means)):
-        raise EvaluationError("non-finite input to conditional mean gradient")
-    return float(pot.conditional_mean_gradient(i, float(x_i), other_means))
 
 
 def potential_from_config(doc) -> Potential:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import pavi
 from pavi import PerturbedQuadraticPotential, QuadraticPotential
+from pavi.potentials import LOGCOSH_THIRD_SUP
 
 
 @pytest.fixture
@@ -20,6 +22,30 @@ def gauss21_centered():
 def perturbed2():
     """Non-Gaussian target used by the grid oracle criteria."""
     return PerturbedQuadraticPotential([[2.0, 0.5], [0.5, 2.0]], [0.0, 0.0], [1.0, 1.0])
+
+
+class TanhCoupled(pavi.Potential):
+    """V(x) = |x|^2 / 2 + c logcosh(x_1 + ... + x_m), strongly convex.
+
+    Its partials x_i + c tanh(x_1 + ... + x_m) are not affine in the other
+    coordinates, so averages over contexts differ from the partial at their
+    mean.  The Hessian I + c sech^2(.) 11' has eigenvalues in [1, 1 + c m].
+    """
+
+    alpha = 1.0
+
+    def __init__(self, m, c=1.0):
+        self.m = m
+        self.c = c
+        self.lip = 1.0 + c * m
+        self.third_bound = c * LOGCOSH_THIRD_SUP
+
+    def partial_cols(self, i, cols):
+        cols = np.asarray(cols, dtype=float)
+        return cols[i] + self.c * np.tanh(cols.sum(axis=0))
+
+    def to_config(self):
+        return {"family": "test-tanh-coupled", "m": self.m, "c": self.c}
 
 
 def anderson_darling_normal(z):

@@ -3,6 +3,7 @@ import json
 import pytest
 import yaml
 
+from pavi import corollary_schedule
 from pavi.cli import main
 
 RUN_DOC = {
@@ -82,6 +83,45 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         # finished checkpoint resumes into an immediate no-op completion
         assert main(["run", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+
+    @pytest.mark.parametrize("algorithm", ["pavi", "exact"])
+    def test_overflowing_drift_exit_three_keeps_checkpoint(self, tmp_path, capsys, algorithm):
+        # the drift at a point mass near the largest double overflows on the
+        # first step, under either algorithm
+        doc = dict(
+            RUN_DOC,
+            potential={"family": "quadratic", "precision": [[2.0, 0.5], [0.5, 2.0]]},
+            algorithm=algorithm,
+            init={"point": [1e308, 0.0]},
+            reference="none",
+        )
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite particle update at iteration 0" in err
+        assert "RuntimeWarning" not in err
+        assert json.loads((out / "checkpoint.json").read_text())["next_iteration"] == 0
+
+    @pytest.mark.parametrize("N, holds", [(16, False), (2048, True)])
+    def test_corollary_step_guard_recorded(self, tmp_path, capsys, N, holds):
+        # corollary schedule on A = [[2, 1], [1, 2]]: h = 1/(3 N^(1/4)) breaks
+        # h < B alpha / (4 lip^2) at N = 16 and meets it at N = 2048
+        cfg = write_config(tmp_path, dict(RUN_DOC, N=N, T=2))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        guard = json.loads((out / "summary.json").read_text())["summary"]["step_guard"]
+        h, B = corollary_schedule(3.0, N)
+        assert guard["h"] == h and guard["B"] == B
+        assert guard["bound_pair"] == pytest.approx(0.5, rel=1e-12)
+        assert guard["bound_batch"] == pytest.approx(B / 36.0, rel=1e-12)
+        assert guard["holds"] is holds
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line]
+        if holds:
+            assert warnings == []
+        else:
+            assert len(warnings) == 1
+            assert "h=0.166667" in warnings[0] and "0.0555556" in warnings[0]
 
     def test_resume_truncated_checkpoint_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(RUN_DOC, checkpoint_every=20))

@@ -3,6 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pavi import (
     ConfigError,
@@ -14,7 +17,6 @@ from pavi import (
     ScaleError,
     UsageError,
     corollary_schedule,
-    exact_mean_field_grad,
     exact_step,
     gaussian_mfvi_solution,
     init_particles,
@@ -22,19 +24,13 @@ from pavi import (
     pavi_step,
     run,
     sample_product,
-    stochastic_grad,
     validate_config,
 )
-from pavi.dynamics import (
-    context_partials,
-    exact_grad_profile,
-    read_checkpoint,
-    stochastic_grad_at,
-)
+from pavi.dynamics import exact_grad_profile, read_checkpoint, stochastic_grad_at
 from pavi.errors import DivergenceError
 from pavi.reports import encode_f8
 
-from conftest import AD_CRIT_1E3, anderson_darling_normal
+from conftest import AD_CRIT_1E3, TanhCoupled, anderson_darling_normal
 
 
 class TestValidateConfig:
@@ -103,30 +99,63 @@ class TestCorollarySchedule:
             corollary_schedule(1.0, 1)
 
 
+def per_context(pot, z, i, x):
+    """The partials at x against each context column, whose mean is the estimate."""
+    cols = np.array(z, dtype=float)
+    cols[i] = x
+    return pot.partial_cols(i, cols)
+
+
+def mean_context(z):
+    return z.mean(axis=1, keepdims=True)
+
+
+def grad_at(pot, z, i, x):
+    return float(stochastic_grad_at(pot, z, i, [x])[0])
+
+
+@st.composite
+def affine_cases(draw):
+    """A random potential of either built-in family with contexts and points."""
+    m = draw(st.integers(1, 5))
+    B = draw(st.integers(1, 9))
+    unit = st.floats(-1.0, 1.0)
+    M = draw(arrays(np.float64, (m, m), elements=unit))
+    A = M @ M.T
+    A = 0.5 * (A + A.T) + 0.5 * np.eye(m)
+    mean = draw(arrays(np.float64, m, elements=st.floats(-3.0, 3.0)))
+    if draw(st.booleans()):
+        weights = draw(arrays(np.float64, m, elements=st.floats(0.0, 2.0)))
+        pot = PerturbedQuadraticPotential(A, mean, weights)
+    else:
+        pot = QuadraticPotential(A, mean)
+    z = draw(arrays(np.float64, (m, B), elements=st.floats(-10.0, 10.0)))
+    xs = draw(arrays(np.float64, draw(st.integers(1, 6)), elements=st.floats(-10.0, 10.0)))
+    return pot, z, draw(st.integers(0, m - 1)), xs
+
+
 class TestStochasticGrad:
     def test_one_dim_exact(self):
         pot = QuadraticPotential([[2.0]], [0.5])
         z = np.zeros((1, 17))
         x = 1.25
-        assert stochastic_grad(pot, z, 0, x) == pytest.approx(
+        assert grad_at(pot, z, 0, x) == pytest.approx(
             partial_derivative(pot, 0, [x]), abs=1e-15
         )
 
     def test_hand_average(self, gauss21_centered):
         z = np.array([[9.9, -9.9], [0.0, 1.0]])  # first row is replaced
-        assert stochastic_grad(gauss21_centered, z, 0, 1.0) == pytest.approx(
-            2.5, abs=1e-14
-        )
+        assert grad_at(gauss21_centered, z, 0, 1.0) == pytest.approx(2.5, abs=1e-14)
 
     def test_expectation_equals_exact_by_enumeration(self, gauss21_centered):
         # average the estimator over every atom of the context marginal
         X = ParticleArray([[0.1, -0.4, 0.9], [1.0, 2.0, -0.5]])
         x = 0.7
         vals = [
-            stochastic_grad(gauss21_centered, np.array([[0.0], [atom]]), 0, x)
+            grad_at(gauss21_centered, np.array([[0.0], [atom]]), 0, x)
             for atom in X.values[1]
         ]
-        exact = exact_mean_field_grad(gauss21_centered, X, 0, x)
+        exact = exact_grad_profile(gauss21_centered, X, 0, [x])[0]
         assert np.mean(vals) == pytest.approx(exact, abs=1e-12)
 
     def test_vectorized_matches_scalar(self, perturbed2):
@@ -135,35 +164,49 @@ class TestStochasticGrad:
         xs = rng.standard_normal(7)
         vec = stochastic_grad_at(perturbed2, z, 1, xs)
         for k, x in enumerate(xs):
-            assert vec[k] == pytest.approx(
-                stochastic_grad(perturbed2, z, 1, x), rel=1e-14, abs=1e-14
+            brute = np.mean(
+                [partial_derivative(perturbed2, 1, [z[0, b], x]) for b in range(5)]
             )
+            assert vec[k] == pytest.approx(brute, rel=1e-14, abs=1e-14)
 
     def test_context_shape_checked(self, gauss21):
-        with pytest.raises(UsageError):
-            context_partials(gauss21, np.zeros((3, 4)), 0, 0.0)
+        for bad in (np.zeros((3, 4)), np.zeros((3, 1)), np.zeros(2)):
+            with pytest.raises(UsageError):
+                stochastic_grad_at(gauss21, bad, 0, [0.0])
+        with pytest.raises(UsageError, match="out of range"):
+            stochastic_grad_at(gauss21, np.zeros((2, 4)), 2, [0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(affine_cases())
+    def test_affine_coupling_average_equals_mean_context(self, case):
+        pot, z, i, xs = case
+        assert pot.affine_coupling
+        full = stochastic_grad_at(pot, z, i, xs)
+        reduced = stochastic_grad_at(pot, mean_context(z), i, xs)
+        # relative to the size of the averaged terms, so that a near-zero
+        # average of large partials is held to the rounding of those partials
+        scale = max(1.0, max(np.max(np.abs(per_context(pot, z, i, x))) for x in xs))
+        np.testing.assert_allclose(reduced, full, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestExactMeanFieldGrad:
     def test_hand_value_both_paths(self, gauss21_centered):
         X = ParticleArray([[5.0, -5.0], [0.0, 1.0]])
-        got = exact_mean_field_grad(gauss21_centered, X, 0, 1.0)
+        got = exact_grad_profile(gauss21_centered, X, 0, [1.0])[0]
         assert got == pytest.approx(2.5, abs=1e-14)
 
         class NoCap(QuadraticPotential):
-            has_conditional_mean_gradient = False
+            affine_coupling = False
 
-        brute = exact_mean_field_grad(
-            NoCap([[2.0, 1.0], [1.0, 2.0]]), X, 0, 1.0
-        )
+        brute = exact_grad_profile(NoCap([[2.0, 1.0], [1.0, 2.0]]), X, 0, [1.0])[0]
         assert brute == pytest.approx(2.5, abs=1e-14)
 
     def test_one_dim(self):
-        pot = QuadraticPotential([[3.0]], [0.2])
         X = init_particles(1, 5, "standard_normal", 0)
-        assert exact_mean_field_grad(pot, X, 0, 1.0) == pytest.approx(
-            partial_derivative(pot, 0, [1.0]), abs=1e-15
-        )
+        for pot in (QuadraticPotential([[3.0]], [0.2]), TanhCoupled(1)):
+            assert exact_grad_profile(pot, X, 0, [1.0])[0] == pytest.approx(
+                partial_derivative(pot, 0, [1.0]), abs=1e-15
+            )
 
     def test_exhaustive_matches_capability_perturbed(self):
         rng = np.random.default_rng(1)
@@ -172,24 +215,52 @@ class TestExactMeanFieldGrad:
         pot = PerturbedQuadraticPotential(A, rng.standard_normal(3), rng.random(3))
 
         class NoCap(PerturbedQuadraticPotential):
-            has_conditional_mean_gradient = False
+            affine_coupling = False
 
         nocap = NoCap(A, pot.mean, pot.weights)
         X = init_particles(3, 5, "standard_normal", 2)
         for i in range(3):
-            x = float(rng.standard_normal())
-            assert exact_mean_field_grad(pot, X, i, x) == pytest.approx(
-                exact_mean_field_grad(nocap, X, i, x), abs=1e-10
+            xs = rng.standard_normal(4)
+            np.testing.assert_allclose(
+                exact_grad_profile(pot, X, i, xs),
+                exact_grad_profile(nocap, X, i, xs),
+                rtol=0, atol=1e-10,
+            )
+
+    def test_exhaustive_matches_bruteforce_non_affine(self):
+        pot = TanhCoupled(3)
+        X = init_particles(3, 4, "standard_normal", 6)
+        xs = np.array([-0.8, 0.1, 1.3])
+        for i in range(3):
+            first, second = (X.values[k] for k in range(3) if k != i)
+            brute = [
+                np.mean([
+                    partial_derivative(pot, i, np.insert([a, b], i, x))
+                    for a in first for b in second
+                ])
+                for x in xs
+            ]
+            np.testing.assert_allclose(
+                exact_grad_profile(pot, X, i, xs), brute, rtol=1e-13, atol=1e-13
             )
 
     def test_scale_gate(self):
         class NoCap(QuadraticPotential):
-            has_conditional_mean_gradient = False
+            affine_coupling = False
 
         pot = NoCap(np.eye(4) + 0.05)
         X = init_particles(4, 200, "standard_normal", 0)
         with pytest.raises(ScaleError, match="stochastic"):
-            exact_mean_field_grad(pot, X, 0, 0.0)
+            exact_grad_profile(pot, X, 0, [0.0])
+        cfg = RunConfig(N=200, T=1, h=0.01, algorithm="exact")
+        with pytest.raises(ScaleError, match="stochastic"):
+            run(pot, cfg)
+        # with affine coupling there is no gate: the partial at the means
+        affine = QuadraticPotential(pot.precision)
+        at_means = np.insert(X.values[1:].mean(axis=1), 0, 0.3)
+        assert exact_grad_profile(affine, X, 0, [0.3])[0] == pytest.approx(
+            partial_derivative(affine, 0, at_means), abs=1e-14
+        )
 
 
 def noise_rows(rng, n, h, m, N):
@@ -221,17 +292,30 @@ class TestSteps:
         b = pavi_step(gauss21, X, 0.02, 2, RngStream(5), 7)
         assert np.array_equal(a.values, b.values)
 
-    def test_step_matches_manual_reconstruction(self, gauss21):
-        X = init_particles(2, 8, "standard_normal", 11)
-        rng = RngStream(9)
-        h, B, n = 0.05, 3, 4
-        stepped = pavi_step(gauss21, X, h, B, rng, n)
+    def reconstruct_pavi_step(self, pot, X, h, B, rng, n, reduce):
         z = sample_product(X, B, rng.generator(n, "context"))
+        if reduce:
+            z = mean_context(z)
         manual = np.empty_like(X.values)
-        for i in range(2):
-            g = stochastic_grad_at(gauss21, z, i, X.values[i])
-            xi = rng.generator(n, "noise", i).standard_normal(8)
+        for i in range(X.m):
+            g = stochastic_grad_at(pot, z, i, X.values[i])
+            xi = rng.generator(n, "noise", i).standard_normal(X.N)
             manual[i] = X.values[i] - h * g + np.sqrt(2 * h) * xi
+        return manual
+
+    def test_step_matches_manual_reconstruction(self, gauss21):
+        # an affine-coupled potential steps against the batch's mean column
+        X = init_particles(2, 8, "standard_normal", 11)
+        stepped = pavi_step(gauss21, X, 0.05, 3, RngStream(9), 4)
+        manual = self.reconstruct_pavi_step(gauss21, X, 0.05, 3, RngStream(9), 4, True)
+        assert np.array_equal(manual, stepped.values)
+
+    def test_step_matches_manual_reconstruction_non_affine(self):
+        # any other potential steps against the full batch
+        pot = TanhCoupled(2)
+        X = init_particles(2, 8, "standard_normal", 11)
+        stepped = pavi_step(pot, X, 0.05, 3, RngStream(9), 4)
+        manual = self.reconstruct_pavi_step(pot, X, 0.05, 3, RngStream(9), 4, False)
         assert np.array_equal(manual, stepped.values)
 
     def test_exact_step_equals_pavi_for_diagonal(self):
@@ -242,18 +326,32 @@ class TestSteps:
         b = exact_step(pot, X, 0.1, RngStream(2), 0)
         assert np.allclose(a.values, b.values, atol=1e-14)
 
-    def test_exact_step_shares_noise_with_pavi(self, gauss21):
+    def check_shared_noise(self, pot, reduce):
         X = init_particles(2, 6, "standard_normal", 8)
         rng, h, B, n = RngStream(3), 0.05, 4, 2
-        a = pavi_step(gauss21, X, h, B, rng, n)
-        b = exact_step(gauss21, X, h, rng, n)
+        a = pavi_step(pot, X, h, B, rng, n)
+        b = exact_step(pot, X, h, rng, n)
         z = sample_product(X, B, rng.generator(n, "context"))
+        # the exact variant's reduced context is the column of coordinate means
+        exact = (
+            (lambda i, xs: stochastic_grad_at(pot, mean_context(X.values), i, xs))
+            if reduce
+            else (lambda i, xs: exact_grad_profile(pot, X, i, xs))
+        )
+        if reduce:
+            z = mean_context(z)
         noise = noise_rows(rng, n, h, 2, 6)
         for i in range(2):
-            drift_a = X.values[i] - h * stochastic_grad_at(gauss21, z, i, X.values[i])
-            drift_b = X.values[i] - h * exact_grad_profile(gauss21, X, i, X.values[i])
+            drift_a = X.values[i] - h * stochastic_grad_at(pot, z, i, X.values[i])
+            drift_b = X.values[i] - h * exact(i, X.values[i])
             assert np.array_equal(a.values[i], drift_a + noise[i])
             assert np.array_equal(b.values[i], drift_b + noise[i])
+
+    def test_exact_step_shares_noise_with_pavi(self, gauss21):
+        self.check_shared_noise(gauss21, True)
+
+    def test_exact_step_shares_noise_with_pavi_non_affine(self):
+        self.check_shared_noise(TanhCoupled(2), False)
 
     def test_batch_noise_shrinks_like_inverse_sqrt_B(self, gauss21_centered):
         # with shared noise the step difference is h * batch error;
@@ -298,8 +396,8 @@ class TestEstimatorStatistics:
         z = sample_product(X, draws, gen)
         for i in range(2):
             for x in (-0.5, 0.8):
-                vals = context_partials(perturbed2, z, i, x)
-                exact = exact_mean_field_grad(perturbed2, X, i, x)
+                vals = per_context(perturbed2, z, i, x)
+                exact = exact_grad_profile(perturbed2, X, i, [x])[0]
                 se = vals.std(ddof=1) / np.sqrt(draws)
                 assert abs(vals.mean() - exact) <= 4.0 * se
 
@@ -309,9 +407,9 @@ class TestEstimatorStatistics:
         gen = RngStream(7).generator(0, "context")
         x, i = 0.9, 0
         z1 = sample_product(X, draws, gen)
-        var1 = context_partials(gauss21, z1, i, x).var(ddof=1)
+        var1 = per_context(gauss21, z1, i, x).var(ddof=1)
         z16 = sample_product(X, draws * 16, gen)
-        est16 = context_partials(gauss21, z16, i, x).reshape(draws, 16).mean(axis=1)
+        est16 = per_context(gauss21, z16, i, x).reshape(draws, 16).mean(axis=1)
         var16 = est16.var(ddof=1)
         assert 16 / 1.5 <= var1 / var16 <= 16 * 1.5
 
@@ -388,14 +486,6 @@ class TestRun:
         early = np.mean(vals[:3])
         late = np.mean(vals[-15:])
         assert late < early
-
-    def test_thread_count_invariance(self, gauss21):
-        ref = gaussian_mfvi_solution(gauss21)
-        cfg = RunConfig(N=32, T=40, schedule="corollary", seed=5, metrics_every=4)
-        lines = [
-            run(gauss21, cfg, ref, threads=k).metrics_lines() for k in (1, 4, 8)
-        ]
-        assert lines[0] == lines[1] == lines[2]
 
     def test_exact_algorithm_runs(self, gauss21):
         ref = gaussian_mfvi_solution(gauss21)

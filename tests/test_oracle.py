@@ -144,18 +144,19 @@ class TestVbarOnGrid:
         A = A @ A.T + 3 * np.eye(3)
         pot = QuadraticPotential(A, rng.standard_normal(3))
         q = initial_grid_product(pot, G=65)
-        # against the conditional-gradient route: derivative of the tensor
-        # quadrature profile equals the conditional mean gradient
+        # affine coupling: the derivative of the tensor quadrature profile
+        # equals the partial with the other coordinates at their grid means
         nodes = q.marginals[1].nodes
         vbar = vbar_on_grid(pot, 1, q)
         num_grad = np.gradient(vbar, nodes)
-        means = np.array([q.marginals[k].mean() for k in (0, 2)])
-        exact = pot.conditional_mean_gradient(1, nodes, means)
+        cols = np.empty((3, nodes.size))
+        cols[0], cols[1], cols[2] = q.marginals[0].mean(), nodes, q.marginals[2].mean()
+        exact = pot.partial_cols(1, cols)
         assert np.max(np.abs(num_grad[2:-2] - exact[2:-2])) < 1e-3
 
     def test_scale_gate_without_capability(self):
         class Plain(QuadraticPotential):
-            has_conditional_mean_gradient = False
+            affine_coupling = False
 
         pot = Plain(np.eye(4))
         q = initial_grid_product(pot, G=17)

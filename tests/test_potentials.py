@@ -9,14 +9,15 @@ from pavi import (
     EvaluationError,
     PerturbedQuadraticPotential,
     QuadraticPotential,
-    UnsupportedCapabilityError,
     UsageError,
-    conditional_mean_gradient,
     eval_potential,
     partial_derivative,
     potential_from_config,
 )
+from pavi.dynamics import stochastic_grad_at
 from pavi.potentials import LOGCOSH_THIRD_SUP, logcosh, potential_fingerprint
+
+from conftest import TanhCoupled
 
 
 def quad_value_independent(A, mu, x):
@@ -94,10 +95,20 @@ class TestPartialDerivative:
             )
 
 
+def grad_at_means(pot, i, x_i, other_means):
+    """The i-th partial at x_i with the other coordinates at their means.
+
+    For a potential with affine coupling this is the expected i-th partial
+    under any product law with those means, the drift the exact variant uses.
+    """
+    at = np.insert(np.asarray(other_means, dtype=float), i, 0.0)[:, None]
+    return float(stochastic_grad_at(pot, at, i, [x_i])[0])
+
+
 class TestConditionalMeanGradient:
     def test_hand_value(self):
         pot = QuadraticPotential([[2.0, 1.0], [1.0, 2.0]])
-        assert conditional_mean_gradient(pot, 0, 1.0, [0.5]) == pytest.approx(
+        assert grad_at_means(pot, 0, 1.0, [0.5]) == pytest.approx(
             2.5, abs=1e-14
         )
 
@@ -107,17 +118,19 @@ class TestConditionalMeanGradient:
         for _ in range(20):
             x = rng.standard_normal(2)
             other_mean = rng.standard_normal(1)
-            assert conditional_mean_gradient(pot, 0, x[0], other_mean) == pytest.approx(
+            assert grad_at_means(pot, 0, x[0], other_mean) == pytest.approx(
                 partial_derivative(pot, 0, x), abs=1e-14
             )
 
     def test_vanishes_when_means_match(self):
         pot = QuadraticPotential([[2.0, 1.0], [1.0, 2.0]], [1.0, -1.0])
-        assert conditional_mean_gradient(pot, 1, -1.0, [1.0]) == pytest.approx(
+        assert grad_at_means(pot, 1, -1.0, [1.0]) == pytest.approx(
             0.0, abs=1e-14
         )
 
     def test_missing_capability(self):
+        # a potential has no affine coupling unless it declares it, and for
+        # one without it the partial at the means is not the expected partial
         class Cubicish(pavi.Potential):
             m = 2
             alpha = 1.0
@@ -130,12 +143,16 @@ class TestConditionalMeanGradient:
             def gradient_cols(self, cols):
                 return np.asarray(cols, dtype=float)
 
-        with pytest.raises(UnsupportedCapabilityError):
-            conditional_mean_gradient(Cubicish(), 0, 0.0, [0.0])
-
-    def test_wrong_other_means_length(self, gauss21):
-        with pytest.raises(UsageError):
-            conditional_mean_gradient(gauss21, 0, 0.0, [0.0, 0.0])
+        assert not Cubicish().affine_coupling
+        pot = TanhCoupled(3)
+        assert not pot.affine_coupling
+        atoms = [np.array([-2.0, 0.5, 2.0]), np.array([1.0, -1.5])]
+        for x_i in (-1.0, 0.0, 0.4):
+            brute = np.mean([
+                partial_derivative(pot, 1, [a, x_i, b]) for a in atoms[0] for b in atoms[1]
+            ])
+            at_means = grad_at_means(pot, 1, x_i, [a.mean() for a in atoms])
+            assert abs(at_means - brute) > 0.01
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_bruteforce_discrete_average(self, m):
@@ -148,6 +165,7 @@ class TestConditionalMeanGradient:
             QuadraticPotential(A, mu),
             PerturbedQuadraticPotential(A, mu, rng.random(m)),
         ):
+            assert pot.affine_coupling
             atoms = [rng.standard_normal(rng.integers(2, 6)) for _ in range(m - 1)]
             for i in range(m):
                 x_i = float(rng.standard_normal())
@@ -160,7 +178,7 @@ class TestConditionalMeanGradient:
                     count += 1
                 brute = total / count
                 means = [a.mean() for a in atoms]
-                assert conditional_mean_gradient(pot, i, x_i, means) == pytest.approx(
+                assert grad_at_means(pot, i, x_i, means) == pytest.approx(
                     brute, abs=1e-10
                 )
 
@@ -292,9 +310,8 @@ class TestConfigLoading:
         assert pot.third_bound == gauss21.third_bound
         cols = np.array([[0.4, -1.0], [0.6, 2.0]])
         assert np.array_equal(pot.value_cols(cols), gauss21.value_cols(cols))
-        assert pot.conditional_mean_gradient(0, 1.0, [0.5]) == pytest.approx(
-            gauss21.conditional_mean_gradient(0, 1.0, np.array([0.5]))
-        )
+        assert pot.affine_coupling
+        assert np.array_equal(pot.partial_cols(0, cols), gauss21.partial_cols(0, cols))
         assert pot.to_config()["claimed"] == {
             "alpha": gauss21.alpha, "lip": 1.5, "third_bound": 0.0
         }
