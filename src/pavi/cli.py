@@ -9,12 +9,18 @@ from . import __version__, harness
 from .errors import PaviError
 
 
-def _add_common(p, with_seed=True):
+_FLAGS = {
+    "--seed": dict(type=int, help="override the config seed"),
+    "--out": dict(help="output directory or file"),
+    "--threads": dict(type=int, help="sweep threads; run ignores it"),
+}
+
+
+def _add_common(p, *flags):
+    """Add the required --config and the subcommand's own optional flags."""
     p.add_argument("--config", required=True, help="YAML or JSON config document")
-    if with_seed:
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--out", default=None, help="output directory or file")
-    p.add_argument("--threads", type=int, default=None, help="sweep threads; run ignores it")
+    for flag in flags:
+        p.add_argument(flag, default=None, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,17 +32,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="execute one run and persist its metrics")
-    _add_common(p)
+    _add_common(p, "--seed", "--out", "--threads")
     p.add_argument("--resume", action="store_true", help="continue from the checkpoint")
 
     p = sub.add_parser("sweep", help="replicate runs across particle counts")
-    _add_common(p)
+    _add_common(p, "--seed", "--out", "--threads")
 
     p = sub.add_parser("oracle", help="compute and serialize a reference solution")
-    _add_common(p, with_seed=False)
+    _add_common(p, "--out")
 
     p = sub.add_parser("check", help="validate potential constants by sampling")
-    _add_common(p)
+    _add_common(p, "--seed")
 
     p = sub.add_parser("compare", help="print W2 deltas between two results")
     p.add_argument("a", help="report directory or reference file")

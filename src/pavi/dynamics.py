@@ -125,7 +125,8 @@ def validate_config(pot, cfg: RunConfig):
     Explicit schedules must satisfy the strict guard
     0 < h < min(2/(alpha+lip), B*alpha/(4*lip^2)); boundary equality is
     rejected.  Corollary schedules derive h and B instead of taking them and
-    are not checked against the guard; ``run`` records whether it holds.
+    are not checked against the guard; ``run`` records whether it holds.  The
+    exact algorithm draws no batch, so its B is None under both schedules.
     """
     if cfg.N < 2:
         raise ConfigError(
@@ -140,7 +141,8 @@ def validate_config(pot, cfg: RunConfig):
     if cfg.schedule == "corollary":
         if cfg.h is not None or cfg.B is not None:
             raise ConfigError("corollary schedule derives h and B; do not supply them")
-        return corollary_schedule(pot.lip, cfg.N)
+        h, B = corollary_schedule(pot.lip, cfg.N)
+        return h, (B if cfg.algorithm == "pavi" else None)
     if cfg.schedule != "explicit":
         raise ConfigError(f"unknown schedule {cfg.schedule!r}")
     if cfg.h is None:
@@ -154,7 +156,7 @@ def validate_config(pot, cfg: RunConfig):
         if B < 1:
             raise ConfigError(f"B must be a positive integer, got {B}")
     elif B is not None:
-        B = int(B)
+        raise ConfigError("the exact algorithm takes no batch size B")
     guard = step_guard(pot, h, B)
     if not guard["holds"]:
         raise ConfigError(guard_violation(guard))

@@ -41,11 +41,14 @@ CHECKPOINT_FILE = "checkpoint.json"
 
 
 def load_config(path) -> dict:
-    """Read a YAML or JSON config document."""
+    """Read a YAML or JSON config document, naming the file when it cannot."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} not found")
-    doc = yaml.safe_load(path.read_text())
+    try:
+        doc = yaml.safe_load(path.read_text())
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as err:
+        raise ConfigError(f"cannot read a config document from {path} ({err})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
     return doc

@@ -1,15 +1,17 @@
 """Independent computation of the optimal product approximation.
 
 Quadratic targets have a closed-form answer (Gaussian product with marginal
-means equal to the target mean and variances 1/A_ii).  For other targets at
-small dimension, a nonparametric solver represents each marginal as a
-normalized log-density on a uniform grid and cycles the coordinate update
+means equal to the target mean and variances 1/A_ii).  For other targets, a
+nonparametric solver represents each marginal as a normalized log-density on a
+uniform grid and cycles the coordinate update
 
     q^i  <-  normalize( exp( -E_{x_-i ~ q^-i} V(..., x, ...) ) )
 
 until the per-coordinate W2 residual between successive marginals drops below
-tolerance.  The converged product serves as ground truth for the particle
-dynamics.
+tolerance.  Under affine coupling the expectation is V at the other marginals'
+means up to a constant, at any dimension; other potentials take tensor
+quadrature over the other grids, up to m = 3.  The converged product serves as
+ground truth for the particle dynamics.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
+from scipy.integrate import cumulative_simpson
 from scipy.interpolate import PchipInterpolator
 from scipy.special import logsumexp
 
@@ -37,7 +39,7 @@ from .reports import decode_f8, encode_f8, read_json, write_atomic
 
 DEFAULT_GRID_SIZE = 1025
 _BOUNDARY_TOL = 1e-8
-# quadrature cells handled per vectorized chunk in the m = 3 tensor pass
+# quadrature cells handled per vectorized chunk of the tensor pass
 _CHUNK_BUDGET = 2_000_000
 
 
@@ -228,13 +230,11 @@ def _quadrature_weights(d: GridDensity) -> np.ndarray:
 
 
 def vbar_on_grid(pot, i, q: GridProduct) -> np.ndarray:
-    """Expected potential profile for coordinate i on its grid.
+    """Expected potential profile for coordinate i on its grid, up to a constant.
 
-    Integrates V over the other coordinates' grid densities by tensor
-    trapezoid quadrature (m <= 3).  Beyond that, potentials with affine
-    coupling get a derivative route: the expected partial is the partial at
-    the other marginals' means, and its integral is the same profile up to an
-    additive constant (irrelevant after normalization).
+    Under affine coupling this is V with the other coordinates at their
+    marginal means (the rest of the expectation is constant in x_i); other
+    potentials take tensor trapezoid quadrature over the other grids, m <= 3.
     """
     m = pot.m
     if q.m != m:
@@ -243,50 +243,35 @@ def vbar_on_grid(pot, i, q: GridProduct) -> np.ndarray:
     if not 0 <= i < m:
         raise UsageError(f"coordinate index {i} out of range for dimension {m}")
     nodes = q.marginals[i].nodes
-    if m == 1:
-        return np.asarray(pot.value_cols(nodes[None, :]), dtype=float)
-    others = [k for k in range(m) if k != i]
-    if m == 2:
-        (k,) = others
-        wk = _quadrature_weights(q.marginals[k])
-        yk = q.marginals[k].nodes
-        G_i, G_k = nodes.size, yk.size
-        cols = np.empty((2, G_i * G_k))
-        cols[i] = np.repeat(nodes, G_k)
-        cols[k] = np.tile(yk, G_i)
-        vals = pot.value_cols(cols).reshape(G_i, G_k)
-        return vals @ wk
-    if m == 3:
-        k1, k2 = others
-        w = np.outer(
-            _quadrature_weights(q.marginals[k1]), _quadrature_weights(q.marginals[k2])
-        ).ravel()
-        y1 = np.repeat(q.marginals[k1].nodes, q.marginals[k2].nodes.size)
-        y2 = np.tile(q.marginals[k2].nodes, q.marginals[k1].nodes.size)
-        P = y1.size
-        out = np.empty(nodes.size)
-        chunk = max(1, _CHUNK_BUDGET // P)
-        cols = np.empty((3, chunk * P))
-        for start in range(0, nodes.size, chunk):
-            sl = slice(start, min(start + chunk, nodes.size))
-            n_nodes = sl.stop - sl.start
-            c = cols[:, : n_nodes * P]
-            c[i] = np.repeat(nodes[sl], P)
-            c[k1] = np.tile(y1, n_nodes)
-            c[k2] = np.tile(y2, n_nodes)
-            out[sl] = pot.value_cols(c).reshape(n_nodes, P) @ w
-        return out
     if pot.affine_coupling:
-        cols = np.empty((m, nodes.size))
-        for k in others:
-            cols[k] = q.marginals[k].mean()
+        cols = np.repeat([[d.mean()] for d in q.marginals], nodes.size, axis=1)
         cols[i] = nodes
-        grad = np.asarray(pot.partial_cols(i, cols), dtype=float)
-        return cumulative_trapezoid(grad, nodes, initial=0.0)
-    raise ScaleError(
-        f"dimension {m} exceeds the tensor-quadrature gate (m <= 3) and the "
-        "potential has no affine coupling"
-    )
+        return np.asarray(pot.value_cols(cols), dtype=float)
+    if m > 3:
+        raise ScaleError(
+            f"dimension {m} exceeds the tensor-quadrature gate (m <= 3) and the "
+            "potential has no affine coupling"
+        )
+    # context points of the other grids' product, one per column, and their weights
+    others = [k for k in range(m) if k != i]
+    ctx = np.empty((0, 1))
+    w = np.ones(1)
+    for k in others:
+        d = q.marginals[k]
+        ctx = np.vstack([np.repeat(ctx, d.nodes.size, axis=1), np.tile(d.nodes, w.size)])
+        w = np.outer(w, _quadrature_weights(d)).ravel()
+    P = w.size
+    chunk = max(1, _CHUNK_BUDGET // P)
+    cols = np.empty((m, min(chunk, nodes.size) * P))
+    out = np.empty(nodes.size)
+    for start in range(0, nodes.size, chunk):
+        sl = slice(start, min(start + chunk, nodes.size))
+        n_nodes = sl.stop - sl.start
+        c = cols[:, : n_nodes * P]
+        c[i] = np.repeat(nodes[sl], P)
+        c[others] = np.tile(ctx, n_nodes)
+        out[sl] = pot.value_cols(c).reshape(n_nodes, P) @ w
+    return out
 
 
 def apply_transform(pot, i, q: GridProduct) -> GridDensity:

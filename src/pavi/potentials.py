@@ -78,7 +78,9 @@ class Potential:
 
     # True only when every partial_i V is affine in the other coordinates:
     # its average over any set of context points then equals its value at
-    # their mean, which the dynamics and the oracle rely on
+    # their mean (the dynamics rely on this), and V is one-coordinate terms
+    # plus bilinear cross terms, so its expectation over the other
+    # coordinates is V at their means up to a constant (the oracle's update)
     affine_coupling = False
 
     def to_config(self) -> dict:

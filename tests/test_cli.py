@@ -123,6 +123,18 @@ class TestRunCommand:
             assert len(warnings) == 1
             assert "h=0.166667" in warnings[0] and "0.0555556" in warnings[0]
 
+    def test_exact_corollary_step_guard_has_no_batch(self, tmp_path, capsys):
+        # the exact step draws no batch, so only h < 2/(alpha+lip) = 0.5 applies
+        # at the h = 0.167 that breaks the batch bound for pavi at N = 16
+        cfg = write_config(tmp_path, dict(RUN_DOC, N=16, T=2, algorithm="exact"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        guard = json.loads((out / "summary.json").read_text())["summary"]["step_guard"]
+        assert guard["h"] == corollary_schedule(3.0, 16)[0]
+        assert guard["B"] is None and guard["bound_batch"] is None
+        assert guard["holds"] is True
+        assert capsys.readouterr().err == ""
+
     def test_resume_truncated_checkpoint_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(RUN_DOC, checkpoint_every=20))
         out = tmp_path / "out"
@@ -221,6 +233,35 @@ class TestExitCodes:
         code = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert code == 4
         assert "widen" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["yaml-syntax", "directory", "not-utf8"])
+    def test_unreadable_config_exit_two(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.yaml"
+        if kind == "yaml-syntax":
+            path.write_text("N: [64\nT: 10\n")
+        elif kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"N: \xff\xfe\n")
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--threads", "2"],
+            ["check", "--out", "x"],
+            ["check", "--threads", "7"],
+        ],
+        ids=["oracle-threads", "check-out", "check-threads"],
+    )
+    def test_ignored_flags_rejected(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, RUN_DOC)
+        with pytest.raises(SystemExit) as err:
+            main([argv[0], "--config", str(cfg), *argv[1:]])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCheckCommand:

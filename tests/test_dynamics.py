@@ -79,6 +79,13 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(gauss21, cfg_bad)
 
+    def test_exact_takes_no_batch(self, gauss21):
+        cfg = RunConfig(N=16, T=10, h=0.3, B=4, algorithm="exact")
+        with pytest.raises(ConfigError, match="the exact algorithm takes no batch size B"):
+            validate_config(gauss21, cfg)
+        cfg = RunConfig(N=16, T=10, schedule="corollary", algorithm="exact")
+        assert validate_config(gauss21, cfg) == (corollary_schedule(gauss21.lip, 16)[0], None)
+
 
 class TestCorollarySchedule:
     def test_examples(self):

@@ -200,7 +200,7 @@ class TestCmdOracle:
         assert json.loads(out.read_text())["provenance"] == "grid-oracle"
 
     def test_m4_separable_grid_path(self, tmp_path):
-        # beyond m=3 the grid solver relies on the conditional-gradient route
+        # beyond m=3 the grid solver relies on the mean route of affine coupling
         precision = (np.eye(4) + 0.1).tolist()
         doc = {
             "potential": {"family": "quadratic", "precision": precision},

@@ -29,7 +29,14 @@ from pavi.errors import (
 )
 from pavi.oracle import coordinate_grids, minimizer
 from pavi.particles import RngStream
+from pavi.potentials import logcosh
 from pavi.reports import encode_f8
+
+
+class TensorOnly(PerturbedQuadraticPotential):
+    """The perturbed family with its affine coupling hidden from the oracle."""
+
+    affine_coupling = False
 
 
 def gaussian_grid(nodes, mean, var):
@@ -138,21 +145,25 @@ class TestVbarOnGrid:
         change = np.max(np.abs(vals[129] - vals[257]))
         assert change <= 10.0 / 129**2
 
-    def test_m3_quadrature_matches_capability(self):
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_tensor_quadrature_matches_mean_route(self, m):
+        # the tensor loop on a non-affine twin gives the same normalized
+        # update as the mean route, on grids of unequal sizes and spans under
+        # skewed densities
         rng = np.random.default_rng(5)
-        A = rng.standard_normal((3, 3))
-        A = A @ A.T + 3 * np.eye(3)
-        pot = QuadraticPotential(A, rng.standard_normal(3))
-        q = initial_grid_product(pot, G=65)
-        # affine coupling: the derivative of the tensor quadrature profile
-        # equals the partial with the other coordinates at their grid means
-        nodes = q.marginals[1].nodes
-        vbar = vbar_on_grid(pot, 1, q)
-        num_grad = np.gradient(vbar, nodes)
-        cols = np.empty((3, nodes.size))
-        cols[0], cols[1], cols[2] = q.marginals[0].mean(), nodes, q.marginals[2].mean()
-        exact = pot.partial_cols(1, cols)
-        assert np.max(np.abs(num_grad[2:-2] - exact[2:-2])) < 1e-3
+        A = rng.standard_normal((m, m))
+        A = A @ A.T + 3 * np.eye(m)
+        args = (A, rng.standard_normal(m), rng.uniform(0.5, 2.0, m))
+        pot, twin = PerturbedQuadraticPotential(*args), TensorOnly(*args)
+        centers = minimizer(pot)
+        grids = [np.linspace(c - 5.0 - k, c + 6.0, 49 + 16 * k) for k, c in enumerate(centers)]
+        q = GridProduct(
+            [GridDensity(g, -0.5 * (g - c) ** 2 + 0.8 * np.tanh(g)) for g, c in zip(grids, centers)]
+        )
+        for i in range(m):
+            a = apply_transform(pot, i, q).log_density
+            b = apply_transform(twin, i, q).log_density
+            assert np.max(np.abs(a - b)) <= 1e-11
 
     def test_scale_gate_without_capability(self):
         class Plain(QuadraticPotential):
@@ -164,14 +175,21 @@ class TestVbarOnGrid:
             vbar_on_grid(pot, 0, q)
 
     def test_separable_route_beyond_m3(self):
-        pot = QuadraticPotential(np.eye(4) + 0.1, np.zeros(4))
-        q = initial_grid_product(pot, G=65)
-        vbar = vbar_on_grid(pot, 0, q)
-        nodes = q.marginals[0].nodes
-        # profile is determined up to a constant; compare the centered shape
-        expected = pot.precision[0, 0] * nodes**2 / 2
-        centered = vbar - vbar[32] - (expected - expected[32])
-        assert np.max(np.abs(centered)) < 1e-6
+        A = np.eye(4) + 0.1
+        for pot in (
+            QuadraticPotential(A, np.zeros(4)),
+            PerturbedQuadraticPotential(A, np.zeros(4), np.ones(4)),
+        ):
+            q = initial_grid_product(pot, G=65)
+            vbar = vbar_on_grid(pot, 0, q)
+            nodes = q.marginals[0].nodes
+            # profile is determined up to a constant; compare the centered shape
+            means = np.array([d.mean() for d in q.marginals])
+            expected = A[0, 0] * nodes**2 / 2 + nodes * (A[0, 1:] @ means[1:])
+            if isinstance(pot, PerturbedQuadraticPotential):
+                expected = expected + logcosh(nodes)
+            centered = vbar - vbar[32] - (expected - expected[32])
+            assert np.max(np.abs(centered)) < 1e-9
 
 
 class TestApplyTransform:
@@ -239,6 +257,18 @@ class TestFixedPointSolve:
         for i in range(2):
             again = apply_transform(perturbed2, i, solved)
             assert again.w2_to(solved.marginals[i]) < tol
+
+    def test_tensor_route_solves_like_mean_route(self):
+        # asymmetric non-Gaussian target: the solve iterates, and the tensor
+        # loop on the non-affine twin follows the mean route sweep for sweep
+        args = ([[2.0, 0.7], [0.7, 1.5]], [0.8, -0.5], [1.5, 0.5])
+        pot, twin = PerturbedQuadraticPotential(*args), TensorOnly(*args)
+        a = fixed_point_solve(pot, initial_grid_product(pot, 129), 1e-10, 100)
+        b = fixed_point_solve(twin, initial_grid_product(twin, 129), 1e-10, 100)
+        assert a.residual.sweeps > 1
+        assert a.residual.sweeps == b.residual.sweeps
+        for da, db in zip(a.marginals, b.marginals):
+            assert da.w2_to(db) <= 1e-12
 
     def test_max_iter_exceeded(self, gauss21):
         grids = coordinate_grids(gauss21, 129)
