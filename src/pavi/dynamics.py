@@ -8,9 +8,12 @@ gradient step plus Gaussian noise:
     X[i, j] <- X[i, j] - h * g_i(X[i, j]) + sqrt(2 h) * xi[i, j]
 
 The exact variant replaces the batch average by the expectation under the
-product of the other coordinates' empirical marginals.  ``stochastic_grad_at``
-is the one average of a partial over contexts; with affine coupling both
-variants pass it a single mean context.  Context and noise draws are
+product of the other coordinates' empirical marginals.  For a family with
+affine coupling either average is the partial at one mean column (the batch's,
+or the coordinate means), so the whole (m, N) drift is one call of the
+potential's ``partials_at_context``.  Any other potential averages each
+coordinate's partial over its contexts with ``stochastic_grad_at``, the one
+average of a partial over contexts.  Context and noise draws are
 addressed by (seed, iteration, role, row), so a rerun reproduces the same
 trajectory.
 """
@@ -220,15 +223,21 @@ def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
 
 
 def _step_parts(pot, X, h, B, rng, n, algorithm):
-    """Advance the particle array one iteration; returns (values, grad_rms)."""
+    """Advance the particle array one iteration; returns (array, grad_rms).
+
+    The new values are checked for finiteness here, once.
+    """
     values = X.values
     m, N = values.shape
     # an overflow anywhere in the update is reported once, as a divergence
     with np.errstate(over="ignore", invalid="ignore"):
         if algorithm == "pavi":
             z = sample_product(X, B, rng.generator(n, "context"))
-            if pot.affine_coupling:
-                z = z.mean(axis=1, keepdims=True)
+        if pot.affine_coupling:
+            # every average over contexts is the partial at their mean column
+            c = z.mean(axis=1) if algorithm == "pavi" else coordinate_means(X)
+            grads = pot.partials_at_context(values, c)
+        elif algorithm == "pavi":
             grads = np.vstack([stochastic_grad_at(pot, z, i, values[i]) for i in range(m)])
         else:
             grads = np.vstack([exact_grad_profile(pot, X, i, values[i]) for i in range(m)])
@@ -237,19 +246,17 @@ def _step_parts(pot, X, h, B, rng, n, algorithm):
     if not np.all(np.isfinite(new)):
         bad_i, bad_j = np.argwhere(~np.isfinite(new))[0]
         raise DivergenceError(n, bad_i, bad_j)
-    return new, float(math.sqrt(np.mean(grads * grads)))
+    return ParticleArray._unchecked(new), float(math.sqrt(np.mean(grads * grads)))
 
 
 def pavi_step(pot, X: ParticleArray, h, B, rng: RngStream, n):
     """One stochastic iteration: contexts drawn once, then one whole-array update."""
-    new, _ = _step_parts(pot, X, float(h), int(B), rng, int(n), "pavi")
-    return ParticleArray(new)
+    return _step_parts(pot, X, float(h), int(B), rng, int(n), "pavi")[0]
 
 
 def exact_step(pot, X: ParticleArray, h, rng: RngStream, n):
     """One exact-gradient iteration; same noise addressing as pavi_step."""
-    new, _ = _step_parts(pot, X, float(h), None, rng, int(n), "exact")
-    return ParticleArray(new)
+    return _step_parts(pot, X, float(h), None, rng, int(n), "exact")[0]
 
 
 # full runs ----------------------------------------------------------------------
@@ -349,12 +356,12 @@ def run(
 
     for n in range(start, cfg.T):
         try:
-            new, grad_rms = _step_parts(pot, X, h, B, rng, n, cfg.algorithm)
+            X, grad_rms = _step_parts(pot, X, h, B, rng, n, cfg.algorithm)
         except DivergenceError:
+            # X is still the last good state: the step raised before assigning
             if checkpoint_path is not None:
                 _write_checkpoint(checkpoint_path, pot, cfg, n, X, rows, wall_times)
             raise
-        X = ParticleArray(new)
         k = n + 1
         if k % me == 0 or k == cfg.T:
             record(k, X, grad_rms)

@@ -151,8 +151,9 @@ def run_replications(pot, base_cfg, reference, seeds, *, init="standard_normal",
 def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     """Replicate runs across particle counts and fit the steady-state slope.
 
-    Each N uses the corollary schedule; the fitted quantity is
-    log(mean steady-state W2) against log N by least squares.
+    Each N uses the corollary schedule, with no batch size for the exact
+    algorithm; the fitted quantity is log(mean steady-state W2) against
+    log N by least squares.
     """
     pot = potential_from_config(doc.get("potential") or _missing("potential"))
     ref_spec = doc.get("reference")
@@ -177,11 +178,12 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
 
     entries = []
     for N in N_list:
-        h, B = dynamics.corollary_schedule(pot.lip, N)
         cfg = dynamics.RunConfig(
             N=N, T=T, schedule="corollary", algorithm=doc.get("algorithm", "pavi"),
             metrics_every=doc.get("metrics_every"),
         )
+        # the (h, B) the runs use: B is None for the exact algorithm
+        h, B = dynamics.validate_config(pot, cfg)
         reports = run_replications(
             pot, cfg, ref, seeds, init=_init_from_doc(doc), threads=threads
         )

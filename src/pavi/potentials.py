@@ -76,11 +76,21 @@ class Potential:
     def gradient_cols(self, cols) -> np.ndarray:
         raise NotImplementedError
 
+    def partials_at_context(self, values, c) -> np.ndarray:
+        """Row i: partial_i V at each point of ``values[i]``, the rest at ``c``.
+
+        ``values`` has shape (m, K) and ``c`` is one context column of length
+        m; only families with affine coupling provide it.
+        """
+        raise NotImplementedError
+
     # True only when every partial_i V is affine in the other coordinates:
     # its average over any set of context points then equals its value at
-    # their mean (the dynamics rely on this), and V is one-coordinate terms
-    # plus bilinear cross terms, so its expectation over the other
-    # coordinates is V at their means up to a constant (the oracle's update)
+    # their mean (the dynamics rely on this, through the whole-array hook
+    # ``partials_at_context`` that every family setting the flag provides),
+    # and V is one-coordinate terms plus bilinear cross terms, so its
+    # expectation over the other coordinates is V at their means up to a
+    # constant (the oracle's update)
     affine_coupling = False
 
     def to_config(self) -> dict:
@@ -133,6 +143,13 @@ class QuadraticPotential(Potential):
     def gradient_cols(self, cols):
         d = np.asarray(cols, dtype=float) - self.mean[:, None]
         return self.precision @ d
+
+    def partials_at_context(self, values, c):
+        # A[i] @ (c - mean) with x_i in place of c_i, for every row at once
+        values = np.asarray(values, dtype=float)
+        c = np.asarray(c, dtype=float)
+        shift = self.precision @ (c - self.mean)
+        return np.diag(self.precision)[:, None] * (values - c[:, None]) + shift[:, None]
 
     # partial_i V = A[i] @ (x - mean); the perturbed family's logcosh bump
     # depends on x_i alone, so it keeps the coupling affine
@@ -188,6 +205,10 @@ class PerturbedQuadraticPotential(QuadraticPotential):
     def gradient_cols(self, cols):
         cols = np.asarray(cols, dtype=float)
         return super().gradient_cols(cols) + self.weights[:, None] * np.tanh(cols)
+
+    def partials_at_context(self, values, c):
+        values = np.asarray(values, dtype=float)
+        return super().partials_at_context(values, c) + self.weights[:, None] * np.tanh(values)
 
     def to_config(self):
         doc = super().to_config()

@@ -274,7 +274,7 @@ class ConvergenceReport:
 class SweepEntry:
     N: int
     h: float
-    B: int
+    B: int | None  # None for the exact algorithm, which draws no batch
     mean_w2: float
     se_w2: float
     per_seed: list

@@ -18,8 +18,9 @@ SCRIPT = textwrap.dedent(
     import tempfile
     from pathlib import Path
 
+    import numpy as np
     import spans
-    from pavi import harness
+    from pavi import dynamics, harness, potential_from_config
 
     tracer = spans.Tracer()
     spans.install(tracer)
@@ -31,6 +32,10 @@ SCRIPT = textwrap.dedent(
                             "half_width": 6.0, "check_inits": False}, out_path=ref)
         harness.cmd_run({"potential": potential, "N": 16, "T": 4, "metrics_every": 1,
                          "checkpoint_every": 2, "reference": str(ref)}, out_dir=tmp)
+    # a run of an affine family takes its whole drift from the potential's
+    # hook, so the per-coordinate average the benchmark wraps is called here
+    dynamics.stochastic_grad_at(potential_from_config(potential), np.zeros((2, 3)), 0,
+                                [0.5, -0.5])
     missing = [k for k in ("dynamics.drift.flops_computed", "dynamics.checkpoint.bytes",
                            "potentials.partial_cols.cols", "oracle.sweeps")
                if not tracer.counts.get(k)]

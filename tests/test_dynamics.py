@@ -123,7 +123,7 @@ def grad_at(pot, z, i, x):
 
 @st.composite
 def affine_cases(draw):
-    """A random potential of either built-in family with contexts and points."""
+    """A random potential of either built-in family, contexts, and points per row."""
     m = draw(st.integers(1, 5))
     B = draw(st.integers(1, 9))
     unit = st.floats(-1.0, 1.0)
@@ -137,8 +137,9 @@ def affine_cases(draw):
     else:
         pot = QuadraticPotential(A, mean)
     z = draw(arrays(np.float64, (m, B), elements=st.floats(-10.0, 10.0)))
-    xs = draw(arrays(np.float64, draw(st.integers(1, 6)), elements=st.floats(-10.0, 10.0)))
-    return pot, z, draw(st.integers(0, m - 1)), xs
+    K = draw(st.integers(1, 6))
+    values = draw(arrays(np.float64, (m, K), elements=st.floats(-10.0, 10.0)))
+    return pot, z, values
 
 
 class TestStochasticGrad:
@@ -186,14 +187,19 @@ class TestStochasticGrad:
     @settings(max_examples=200, deadline=None)
     @given(affine_cases())
     def test_affine_coupling_average_equals_mean_context(self, case):
-        pot, z, i, xs = case
+        pot, z, values = case
         assert pot.affine_coupling
-        full = stochastic_grad_at(pot, z, i, xs)
-        reduced = stochastic_grad_at(pot, mean_context(z), i, xs)
-        # relative to the size of the averaged terms, so that a near-zero
-        # average of large partials is held to the rounding of those partials
-        scale = max(1.0, max(np.max(np.abs(per_context(pot, z, i, x))) for x in xs))
-        np.testing.assert_allclose(reduced, full, rtol=1e-12, atol=1e-12 * scale)
+        # the whole-array hook at the mean column, checked row by row
+        hook = pot.partials_at_context(values, z.mean(axis=1))
+        assert hook.shape == values.shape
+        for i, xs in enumerate(values):
+            full = stochastic_grad_at(pot, z, i, xs)
+            reduced = stochastic_grad_at(pot, mean_context(z), i, xs)
+            # relative to the size of the averaged terms, so that a near-zero
+            # average of large partials is held to the rounding of those partials
+            scale = max(1.0, max(np.max(np.abs(per_context(pot, z, i, x))) for x in xs))
+            np.testing.assert_allclose(reduced, full, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(hook[i], full, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestExactMeanFieldGrad:
@@ -302,12 +308,14 @@ class TestSteps:
     def reconstruct_pavi_step(self, pot, X, h, B, rng, n, reduce):
         z = sample_product(X, B, rng.generator(n, "context"))
         if reduce:
-            z = mean_context(z)
+            # one whole-array call of the hook at the batch's mean column
+            grads = pot.partials_at_context(X.values, z.mean(axis=1))
+        else:
+            grads = [stochastic_grad_at(pot, z, i, X.values[i]) for i in range(X.m)]
         manual = np.empty_like(X.values)
         for i in range(X.m):
-            g = stochastic_grad_at(pot, z, i, X.values[i])
             xi = rng.generator(n, "noise", i).standard_normal(X.N)
-            manual[i] = X.values[i] - h * g + np.sqrt(2 * h) * xi
+            manual[i] = X.values[i] - h * grads[i] + np.sqrt(2 * h) * xi
         return manual
 
     def test_step_matches_manual_reconstruction(self, gauss21):
@@ -339,18 +347,17 @@ class TestSteps:
         a = pavi_step(pot, X, h, B, rng, n)
         b = exact_step(pot, X, h, rng, n)
         z = sample_product(X, B, rng.generator(n, "context"))
-        # the exact variant's reduced context is the column of coordinate means
-        exact = (
-            (lambda i, xs: stochastic_grad_at(pot, mean_context(X.values), i, xs))
-            if reduce
-            else (lambda i, xs: exact_grad_profile(pot, X, i, xs))
-        )
         if reduce:
-            z = mean_context(z)
+            # the hook at the batch's mean column and at the coordinate means
+            grads_a = pot.partials_at_context(X.values, z.mean(axis=1))
+            grads_b = pot.partials_at_context(X.values, X.values.mean(axis=1))
+        else:
+            grads_a = [stochastic_grad_at(pot, z, i, X.values[i]) for i in range(2)]
+            grads_b = [exact_grad_profile(pot, X, i, X.values[i]) for i in range(2)]
         noise = noise_rows(rng, n, h, 2, 6)
         for i in range(2):
-            drift_a = X.values[i] - h * stochastic_grad_at(pot, z, i, X.values[i])
-            drift_b = X.values[i] - h * exact(i, X.values[i])
+            drift_a = X.values[i] - h * grads_a[i]
+            drift_b = X.values[i] - h * grads_b[i]
             assert np.array_equal(a.values[i], drift_a + noise[i])
             assert np.array_equal(b.values[i], drift_b + noise[i])
 

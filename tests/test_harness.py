@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from pavi import ConfigError, ConvergenceReport, SweepResult, UsageError, rate_fit
+from pavi import (
+    ConfigError,
+    ConvergenceReport,
+    SweepResult,
+    UsageError,
+    corollary_schedule,
+    potential_from_config,
+    rate_fit,
+)
 from pavi.harness import (
     build_reference,
     cmd_check,
@@ -153,6 +161,18 @@ class TestCmdSweep:
         loaded = SweepResult.load(tmp_path / "a" / "sweep.json")
         assert loaded.slope == a.slope
         assert [e.N for e in loaded.entries] == [16, 32, 64]
+
+    def test_exact_sweep_records_no_batch(self, tmp_path):
+        # the exact algorithm draws no batch, so no B is written or printed
+        doc = run_doc(algorithm="exact", N_list=[16, 32, 64], replications=2, T=50)
+        result = cmd_sweep(doc, out_dir=tmp_path)
+        assert [e.B for e in result.entries] == [None, None, None]
+        lip = potential_from_config(BASE_POTENTIAL).lip
+        assert [e.h for e in result.entries] == [
+            corollary_schedule(lip, N)[0] for N in (16, 32, 64)
+        ]
+        saved = json.loads((tmp_path / "sweep.json").read_text())
+        assert [e["B"] for e in saved["entries"]] == [None, None, None]
 
     def test_threaded_matches_serial(self, tmp_path):
         doc = run_doc(N_list=[16, 32, 64], replications=3, T=60, metrics_every=10)
