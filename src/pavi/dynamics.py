@@ -193,15 +193,17 @@ def stochastic_grad_at(pot, z, i, xs) -> np.ndarray:
 def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
     """Exact conditional gradient under the other coordinates' marginals.
 
-    With affine coupling this is the partial at the coordinate means (any
-    scale); otherwise partials are averaged over all N^(m-1) atom
+    With affine coupling this is row i of ``partials_at_context`` at the
+    coordinate means (any scale), the route every affine exact step takes;
+    otherwise partials are averaged over all N^(m-1) atom
     combinations, gated at 10^6 combinations.
     """
     i = int(i)
     if not 0 <= i < X.m:
         raise UsageError(f"coordinate index {i} out of range for dimension {X.m}")
     if pot.affine_coupling:
-        return stochastic_grad_at(pot, coordinate_means(X)[:, None], i, xs)
+        xs = np.asarray(xs, dtype=float).ravel()
+        return pot.partials_at_context(np.broadcast_to(xs, (X.m, xs.size)), coordinate_means(X))[i]
     combos = X.N ** (X.m - 1)
     if combos > _EXHAUSTIVE_MAX:
         raise ScaleError(
@@ -225,7 +227,8 @@ def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
 def _step_parts(pot, X, h, B, rng, n, algorithm):
     """Advance the particle array one iteration; returns (array, grad_rms).
 
-    The new values are checked for finiteness here, once.
+    The new values are checked for finiteness once, by ``ParticleArray``; a
+    non-finite entry is reported as a divergence at its location.
     """
     values = X.values
     m, N = values.shape
@@ -243,10 +246,13 @@ def _step_parts(pot, X, h, B, rng, n, algorithm):
             grads = np.vstack([exact_grad_profile(pot, X, i, values[i]) for i in range(m)])
         noise = np.vstack([rng.generator(n, "noise", i).standard_normal(N) for i in range(m)])
         new = values - h * grads + math.sqrt(2.0 * h) * noise
-    if not np.all(np.isfinite(new)):
+    try:
+        out = ParticleArray(new)
+    except ConfigError:
+        # a step keeps the (m, N) shape, so the only check it can fail is finiteness
         bad_i, bad_j = np.argwhere(~np.isfinite(new))[0]
-        raise DivergenceError(n, bad_i, bad_j)
-    return ParticleArray._unchecked(new), float(math.sqrt(np.mean(grads * grads)))
+        raise DivergenceError(n, bad_i, bad_j) from None
+    return out, float(math.sqrt(np.mean(grads * grads)))
 
 
 def pavi_step(pot, X: ParticleArray, h, B, rng: RngStream, n):

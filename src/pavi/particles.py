@@ -62,13 +62,6 @@ class ParticleArray:
             raise ConfigError("particle values must be finite")
         self.values = v
 
-    @classmethod
-    def _unchecked(cls, values):
-        """Wrap a C-contiguous finite (m, N) float array its producer has checked."""
-        X = object.__new__(cls)
-        X.values = values
-        return X
-
     @property
     def m(self) -> int:
         return self.values.shape[0]

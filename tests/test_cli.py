@@ -286,12 +286,23 @@ class TestCheckCommand:
 
 class TestSweepCommand:
     def test_sweep_runs(self, tmp_path, capsys):
-        doc = dict(RUN_DOC, N_list=[16, 32, 64], replications=2, T=80)
-        cfg = write_config(tmp_path, doc)
-        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")])
-        assert code == 0
-        assert (tmp_path / "sw" / "sweep.json").exists()
-        assert "slope" in capsys.readouterr().out
+        # the exact algorithm draws no batch, so its rows print no B
+        for algorithm in ("pavi", "exact"):
+            doc = dict(RUN_DOC, algorithm=algorithm, N_list=[16, 32, 64], replications=2, T=80)
+            cfg = write_config(tmp_path, doc, name=f"{algorithm}.yaml")
+            out_dir = tmp_path / algorithm
+            code = main(["sweep", "--config", str(cfg), "--out", str(out_dir)])
+            assert code == 0
+            assert (out_dir / "sweep.json").exists()
+            out = capsys.readouterr().out
+            assert "slope" in out
+            rows = [line for line in out.splitlines() if line.startswith("N=")]
+            assert len(rows) == 3
+            for N, row in zip((16, 32, 64), rows):
+                # lip = 3, the largest eigenvalue of the precision
+                h, B = corollary_schedule(3.0, N)
+                batch = f"B={B}  " if algorithm == "pavi" else ""
+                assert row.startswith(f"N={N:>6d}  h={h:.6g}  {batch}steady W2 ")
 
     def test_sweep_usage_error(self, tmp_path, capsys):
         doc = dict(RUN_DOC, N_list=[16, 16, 64], replications=2, T=40)
