@@ -33,9 +33,8 @@ from .metrics import (
     grad_moment_check,
     w2_1d_bruteforce,
     w2_1d_empirical,
-    w2_empirical_vs_reference,
     w2_product_empirical,
-    w2_to_reference,
+    w2_reference_profile,
 )
 from .oracle import (
     GridDensity,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -130,22 +129,13 @@ def _missing(key):
     raise ConfigError(f"config missing key {key!r}")
 
 
-def run_replications(pot, base_cfg, reference, seeds, *, init="standard_normal", threads=1):
-    """Run the same configuration under several seeds.
-
-    Replications are independent jobs; with threads > 1 they execute in a
-    thread pool, each run internally single-threaded.
-    """
-
-    def one(seed):
-        cfg = dynamics.RunConfig(**{**base_cfg.to_dict(), "seed": int(seed)})
-        return dynamics.run(pot, cfg, reference, init=init)
-
-    seeds = [int(s) for s in seeds]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, seeds))
-    return [one(s) for s in seeds]
+def run_replications(pot, base_cfg, reference, seeds, *, init="standard_normal"):
+    """Run the same configuration under each seed, in order, on this thread."""
+    cfg = base_cfg.to_dict()
+    return [
+        dynamics.run(pot, dynamics.RunConfig(**{**cfg, "seed": int(s)}), reference, init=init)
+        for s in seeds
+    ]
 
 
 def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
@@ -153,7 +143,8 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
 
     Each N uses the corollary schedule, with no batch size for the exact
     algorithm; the fitted quantity is log(mean steady-state W2) against
-    log N by least squares.
+    log N by least squares.  Replications run one after another: ``threads``
+    (argument or config key) is accepted and unused, as for :func:`cmd_run`.
     """
     pot = potential_from_config(doc.get("potential") or _missing("potential"))
     ref_spec = doc.get("reference")
@@ -174,7 +165,6 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     T = int(doc.get("T") or _missing("T"))
     base_seed = int(doc.get("seed", 0) if seed is None else seed)
     seeds = [base_seed + r for r in range(R)]
-    threads = int(threads if threads is not None else doc.get("threads", 1))
 
     entries = []
     for N in N_list:
@@ -184,9 +174,7 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
         )
         # the (h, B) the runs use: B is None for the exact algorithm
         h, B = dynamics.validate_config(pot, cfg)
-        reports = run_replications(
-            pot, cfg, ref, seeds, init=_init_from_doc(doc), threads=threads
-        )
+        reports = run_replications(pot, cfg, ref, seeds, init=_init_from_doc(doc))
         per_seed = [r.summary["steady_mean"] for r in reports]
         mean = float(np.mean(per_seed))
         se = float(np.std(per_seed, ddof=1) / math.sqrt(len(per_seed))) if R > 1 else 0.0

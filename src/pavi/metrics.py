@@ -115,23 +115,6 @@ class ReferenceProduct:
         return self._tables[N]
 
 
-def w2_empirical_vs_reference(atoms, marginal) -> float:
-    """W2 between an N-atom empirical measure and a reference marginal.
-
-    Uses the midpoint quantiles (j - 1/2)/N of the reference; the
-    discretization bias versus the exact integral is O(1/N).
-    """
-    atoms = np.asarray(atoms, dtype=float).ravel()
-    if atoms.size == 0:
-        raise UsageError("empirical measure needs at least one atom")
-    u = (np.arange(atoms.size) + 0.5) / atoms.size
-    q = np.asarray(marginal.quantile(u), dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise ReferenceQuantileError("reference quantile evaluation failed")
-    d = np.sort(atoms) - q
-    return float(math.sqrt(np.mean(d * d)))
-
-
 def w2_reference_profile(X: ParticleArray, ref: ReferenceProduct):
     """Per-coordinate W2 to the reference plus the quadrature total."""
     if X.m != ref.m:
@@ -142,11 +125,6 @@ def w2_reference_profile(X: ParticleArray, ref: ReferenceProduct):
         d = np.sort(X.values[i]) - table[i]
         per[i] = math.sqrt(np.mean(d * d))
     return per, float(math.sqrt(np.sum(per * per)))
-
-
-def w2_to_reference(X: ParticleArray, ref: ReferenceProduct) -> float:
-    """W2 between a product empirical measure and a product reference."""
-    return w2_reference_profile(X, ref)[1]
 
 
 @dataclass(frozen=True)

@@ -102,24 +102,15 @@ def init_particles(m, N, init="standard_normal", seed=0) -> ParticleArray:
     return ParticleArray(vals)
 
 
-def _resolve_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator(0, "sample")
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise UsageError("rng must be an RngStream or numpy Generator")
-
-
-def sample_product(X: ParticleArray, B, rng) -> np.ndarray:
+def sample_product(X: ParticleArray, B, gen: np.random.Generator) -> np.ndarray:
     """Draw B i.i.d. columns from the product empirical measure of X.
 
-    For each coordinate i independently a uniform atom index is drawn, so
-    entries are independent across coordinates and across columns.
+    For each coordinate i independently a uniform atom index is drawn from
+    ``gen``, so entries are independent across coordinates and across columns.
     """
     B = int(B)
     if B < 1:
         raise UsageError(f"B must be >= 1, got {B}")
-    gen = _resolve_generator(rng)
     idx = gen.integers(0, X.N, size=(X.m, B))
     return X.values[np.arange(X.m)[:, None], idx]
 

@@ -251,23 +251,40 @@ class ConvergenceReport:
 
     @classmethod
     def load(cls, outdir) -> "ConvergenceReport":
+        """Read a saved report; a missing or malformed file is a ConfigError."""
         outdir = Path(outdir)
-        sidecar = json.loads((outdir / SUMMARY_FILE).read_text())
-        rows = [
-            StepTrace.from_dict(json.loads(line))
-            for line in (outdir / METRICS_FILE).read_text().splitlines()
-            if line.strip()
-        ]
-        return cls(
-            potential_fingerprint=sidecar["potential_fingerprint"],
-            config=sidecar["config"],
-            seed=sidecar["seed"],
-            version=sidecar["version"],
-            rows=rows,
-            summary=sidecar["summary"],
-            wall_times=sidecar["wall_times"],
-            wall_total=sidecar["wall_total"],
-        )
+        sidecar = read_json(outdir / SUMMARY_FILE)
+        rows = _read_rows(outdir / METRICS_FILE)
+        try:
+            return cls(
+                potential_fingerprint=sidecar["potential_fingerprint"],
+                config=sidecar["config"],
+                seed=sidecar["seed"],
+                version=sidecar["version"],
+                rows=rows,
+                summary=sidecar["summary"],
+                wall_times=sidecar["wall_times"],
+                wall_total=sidecar["wall_total"],
+            )
+        except KeyError as missing:
+            raise ConfigError(f"{outdir / SUMMARY_FILE} has no key {missing}") from None
+
+
+def _read_rows(path) -> list:
+    """The StepTrace rows of a metrics file, naming the file and line on failure."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read metrics rows from {path} ({err})") from None
+    rows = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append(StepTrace.from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as err:
+            raise ConfigError(f"{path} line {number} is not a metrics row ({err})") from None
+    return rows
 
 
 @dataclass
@@ -327,7 +344,7 @@ class SweepResult:
 
     @classmethod
     def load(cls, path) -> "SweepResult":
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(path)
         entries = [SweepEntry(**e) for e in doc["entries"]]
         return cls(
             entries=entries,

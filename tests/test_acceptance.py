@@ -32,7 +32,7 @@ from pavi import (
     w2_1d_bruteforce,
     w2_1d_empirical,
     w2_product_empirical,
-    w2_to_reference,
+    w2_reference_profile,
 )
 from pavi.cli import main
 from pavi.dynamics import exact_grad_profile
@@ -272,7 +272,7 @@ def test_criterion_10_empirical_concentration(gauss_target):
         sq = []
         for s in range(seeds):
             Y = sample_reference(ref, N, RngStream(9000 + s).generator(0, "reference"))
-            w2 = w2_to_reference(ParticleArray(Y), ref)
+            w2 = w2_reference_profile(ParticleArray(Y), ref)[1]
             sq.append(w2**2)
         ratios.append(float(np.mean(sq)) * N / (pot.m * math.log(N)))
     spread = max(ratios) / min(ratios)

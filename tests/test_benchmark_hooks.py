@@ -32,6 +32,17 @@ SCRIPT = textwrap.dedent(
                             "half_width": 6.0, "check_inits": False}, out_path=ref)
         harness.cmd_run({"potential": potential, "N": 16, "T": 4, "metrics_every": 1,
                          "checkpoint_every": 2, "reference": str(ref)}, out_dir=tmp)
+        first = len(tracer.spans)
+        harness.cmd_sweep({"potential": potential, "N_list": [16, 32, 64],
+                           "replications": 2, "T": 20, "reference": str(ref)}, threads=2)
+    # harness.replication.s sums the dynamics.run spans nested in
+    # run_replications on its own thread
+    runs = [s for s in tracer.spans[first:] if s[0] == "dynamics.run"]
+    nested = [s for s in runs if s[3] is not None
+              and tracer.spans[s[3]][0] == "harness.run_replications"
+              and tracer.spans[s[3]][4] == s[4]]
+    if len(runs) != 6 or nested != runs:
+        sys.exit(f"{len(nested)} of {len(runs)} sweep runs nest in run_replications")
     # a run of an affine family takes its whole drift from the potential's
     # hook, so the per-coordinate average the benchmark wraps is called here
     dynamics.stochastic_grad_at(potential_from_config(potential), np.zeros((2, 3)), 0,

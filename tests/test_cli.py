@@ -180,6 +180,26 @@ class TestOracleAndCompare:
         other.write_text("{}")
         assert main(["compare", str(other), str(other)]) == 2
 
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("summary.json", lambda path: path.unlink()),
+            ("summary.json", lambda path: path.write_text("{")),
+            ("summary.json", lambda path: path.write_text("{}")),
+            ("metrics.jsonl", truncate),
+        ],
+        ids=["missing-summary", "corrupt-summary", "summary-without-keys", "corrupt-metrics"],
+    )
+    def test_compare_unreadable_report_exit_two(self, tmp_path, capsys, name, damage):
+        cfg = write_config(tmp_path, RUN_DOC)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        damage(out / name)
+        capsys.readouterr()
+        assert main(["compare", str(out), str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+
 
 class TestExitCodes:
     def test_error_class_codes(self):
@@ -286,9 +306,11 @@ class TestCheckCommand:
 
 class TestSweepCommand:
     def test_sweep_runs(self, tmp_path, capsys):
-        # the exact algorithm draws no batch, so its rows print no B
+        # the exact algorithm draws no batch, so its rows print no B; a
+        # threads key is accepted and ignored, whatever its value
         for algorithm in ("pavi", "exact"):
-            doc = dict(RUN_DOC, algorithm=algorithm, N_list=[16, 32, 64], replications=2, T=80)
+            doc = dict(RUN_DOC, algorithm=algorithm, N_list=[16, 32, 64], replications=2, T=80,
+                       threads="x")
             cfg = write_config(tmp_path, doc, name=f"{algorithm}.yaml")
             out_dir = tmp_path / algorithm
             code = main(["sweep", "--config", str(cfg), "--out", str(out_dir)])

@@ -25,6 +25,7 @@ from pavi import (
     run,
     sample_product,
     validate_config,
+    w2_reference_profile,
 )
 from pavi.dynamics import exact_grad_profile, read_checkpoint, stochastic_grad_at
 from pavi.errors import DivergenceError
@@ -446,10 +447,9 @@ class TestEstimatorStatistics:
         rng = np.random.default_rng(2)
         vals = rng.standard_normal((2, 32))
         permuted = np.vstack([rng.permutation(row) for row in vals])
-        from pavi import w2_to_reference
-
-        a = w2_to_reference(ParticleArray(vals), ref)
-        b = w2_to_reference(ParticleArray(permuted), ref)
+        per_a, a = w2_reference_profile(ParticleArray(vals), ref)
+        per_b, b = w2_reference_profile(ParticleArray(permuted), ref)
+        assert np.array_equal(per_a, per_b)
         assert a == b
 
     def test_noise_rows_normality(self):

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pavi import (
     potential_from_config,
     rate_fit,
 )
+from pavi import dynamics
 from pavi.harness import (
     build_reference,
     cmd_check,
@@ -174,10 +176,21 @@ class TestCmdSweep:
         saved = json.loads((tmp_path / "sweep.json").read_text())
         assert [e["B"] for e in saved["entries"]] == [None, None, None]
 
-    def test_threaded_matches_serial(self, tmp_path):
+    def test_threaded_matches_serial(self, monkeypatch):
+        # threads is accepted and ignored: every replication runs on the
+        # calling thread, and the numbers match a serial sweep
         doc = run_doc(N_list=[16, 32, 64], replications=3, T=60, metrics_every=10)
         serial = cmd_sweep(doc, out_dir=None)
+        idents = []
+        real_run = dynamics.run
+
+        def recording_run(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "run", recording_run)
         threaded = cmd_sweep(doc, out_dir=None, threads=4)
+        assert idents == [threading.get_ident()] * 9
         assert serial.slope == threaded.slope
         assert [e.per_seed for e in serial.entries] == [
             e.per_seed for e in threaded.entries

@@ -11,9 +11,8 @@ from pavi import (
     grad_moment_check,
     w2_1d_bruteforce,
     w2_1d_empirical,
-    w2_empirical_vs_reference,
     w2_product_empirical,
-    w2_to_reference,
+    w2_reference_profile,
 )
 from pavi.errors import ReferenceQuantileError
 
@@ -117,23 +116,32 @@ class TestW2Product:
             )
 
 
+def one_marginal(marginal):
+    return ReferenceProduct([marginal], "analytic-gaussian")
+
+
 class TestReferenceDistances:
     def test_atoms_at_quantiles_give_zero(self):
-        ref = GaussianMarginal(0.7, 2.0)
+        mar = GaussianMarginal(0.7, 2.0)
         N = 64
-        atoms = ref.quantile((np.arange(N) + 0.5) / N)
-        assert w2_empirical_vs_reference(atoms, ref) == pytest.approx(0.0, abs=1e-14)
+        atoms = mar.quantile((np.arange(N) + 0.5) / N)
+        _, total = w2_reference_profile(q_of([atoms]), one_marginal(mar))
+        assert total == pytest.approx(0.0, abs=1e-14)
 
-    def test_single_atom_vs_point_mass(self):
-        assert w2_empirical_vs_reference([3.25], GaussianMarginal(0.0, 0.0)) == 3.25
+    def test_equal_atoms_vs_point_mass(self):
+        per, total = w2_reference_profile(
+            q_of([[3.25, 3.25]]), one_marginal(GaussianMarginal(0.0, 0.0))
+        )
+        assert list(per) == [3.25]
+        assert total == 3.25
 
     def test_normal_sample_regression_band(self):
         # frozen calibration constant: 1e4 standard normal atoms sit within
         # 0.05 of the standard normal with high probability
-        ref = GaussianMarginal(0.0, 1.0)
+        ref = one_marginal(GaussianMarginal(0.0, 1.0))
         for seed in (0, 1, 2):
             atoms = np.random.default_rng(seed).standard_normal(10_000)
-            assert w2_empirical_vs_reference(atoms, ref) < 0.05
+            assert w2_reference_profile(q_of([atoms]), ref)[1] < 0.05
 
     def test_quantile_failure_raises(self):
         class Broken:
@@ -141,7 +149,7 @@ class TestReferenceDistances:
                 return np.full_like(np.asarray(u, dtype=float), np.nan)
 
         with pytest.raises(ReferenceQuantileError):
-            w2_empirical_vs_reference([0.0, 1.0], Broken())
+            w2_reference_profile(q_of([[0.0, 1.0]]), one_marginal(Broken()))
 
     def test_product_reference_pythagorean(self):
         # marginal distances 0.3 and 0.4 combine to 0.5
@@ -156,7 +164,9 @@ class TestReferenceDistances:
                 ref.marginals[1].quantile(u) + 0.4,
             ]
         )
-        assert w2_to_reference(q_of(rows), ref) == pytest.approx(0.5, abs=1e-12)
+        per, total = w2_reference_profile(q_of(rows), ref)
+        assert per == pytest.approx([0.3, 0.4], abs=1e-12)
+        assert total == pytest.approx(0.5, abs=1e-12)
 
     def test_exact_coordinate_leaves_total_unchanged(self):
         N = 16
@@ -166,14 +176,14 @@ class TestReferenceDistances:
         ref2 = ReferenceProduct([m1, m2], "analytic-gaussian")
         ref1 = ReferenceProduct([m1], "analytic-gaussian")
         row1 = m1.quantile(u) + 0.7
-        base = w2_to_reference(q_of([row1]), ref1)
-        with_exact = w2_to_reference(q_of([row1, m2.quantile(u)]), ref2)
+        base = w2_reference_profile(q_of([row1]), ref1)[1]
+        with_exact = w2_reference_profile(q_of([row1, m2.quantile(u)]), ref2)[1]
         assert with_exact == pytest.approx(base, abs=1e-12)
 
     def test_dimension_mismatch(self):
         ref = ReferenceProduct([GaussianMarginal(0.0, 1.0)], "analytic-gaussian")
         with pytest.raises(UsageError):
-            w2_to_reference(q_of([[0.0, 1.0], [0.0, 1.0]]), ref)
+            w2_reference_profile(q_of([[0.0, 1.0], [0.0, 1.0]]), ref)
 
     def test_quantile_monotone(self):
         u = np.linspace(0.001, 0.999, 500)
