@@ -18,6 +18,7 @@ from .reports import (
     ConvergenceReport,
     SweepEntry,
     SweepResult,
+    as_integer,
     fit_loglog_slope,
     rate_fit,
     read_json,
@@ -129,6 +130,14 @@ def _missing(key):
     raise ConfigError(f"config missing key {key!r}")
 
 
+def _integer(key, value) -> int:
+    """A config value that must be an integer (an integral float is accepted)."""
+    n = as_integer(value)
+    if n is None:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return n
+
+
 def run_replications(pot, base_cfg, reference, seeds, *, init="standard_normal"):
     """Run the same configuration under each seed, in order, on this thread."""
     cfg = base_cfg.to_dict()
@@ -151,7 +160,10 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     if ref_spec in (None, "none"):
         raise UsageError("sweep needs an analytic or oracle reference for the slope")
     ref = build_reference(ref_spec, pot)
-    N_list = [int(n) for n in doc.get("N_list") or _missing("N_list")]
+    N_list = doc.get("N_list") or _missing("N_list")
+    if not isinstance(N_list, (list, tuple)):
+        raise ConfigError(f"N_list must be a list of integers, got {N_list!r}")
+    N_list = [_integer("N_list", n) for n in N_list]
     if len(N_list) < 3:
         raise UsageError("sweep needs at least 3 particle counts for a slope")
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
@@ -159,11 +171,11 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
             "sweep particle counts must be strictly increasing "
             "(duplicates make the design matrix degenerate)"
         )
-    R = int(doc.get("replications", 16))
+    R = _integer("replications", doc.get("replications", 16))
     if R < 1:
         raise UsageError("replications must be >= 1")
-    T = int(doc.get("T") or _missing("T"))
-    base_seed = int(doc.get("seed", 0) if seed is None else seed)
+    T = _integer("T", doc.get("T") or _missing("T"))
+    base_seed = _integer("seed", doc.get("seed", 0) if seed is None else seed)
     seeds = [base_seed + r for r in range(R)]
 
     entries = []

@@ -4,6 +4,9 @@ One-dimensional distances between equal-size empirical measures use the
 sorted (order-statistics) coupling, which is optimal on the line.  Distances
 between product measures combine the per-coordinate values in quadrature,
 summed in ascending coordinate order so the arithmetic is reproducible.
+Gaussian reference quantiles use Wichura's algorithm AS241 (PPND16, "The
+percentage points of the normal distribution", Applied Statistics 1988),
+accurate to about 1e-16 relative in double precision.
 """
 
 from __future__ import annotations
@@ -13,12 +16,77 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ReferenceQuantileError, ScaleError, UsageError
 from .particles import ParticleArray
 
 _BRUTEFORCE_MAX = 8
+
+# AS241 coefficients, lowest degree first: numerator and denominator of the
+# central region |u - 1/2| <= 0.425, then of the two tail regions in
+# r = sqrt(-log(min(u, 1 - u))), r <= 5 and r > 5
+_CENTRAL = (
+    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+     3.3430575583588128105e4, 2.5090809287301226727e3),
+    (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+     2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+     5.2264952788528545610e3),
+)
+_NEAR_TAIL = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+     1.05075007164441684324e-9),
+)
+_FAR_TAIL = (
+    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+     2.04426310338993978564e-15),
+)
+
+
+def _rational(coefficients, r):
+    """Ratio of the two polynomials in ``coefficients`` at r, by Horner's rule."""
+    num, den = coefficients
+    p = np.full_like(r, num[-1])
+    q = np.full_like(r, den[-1])
+    for a, b in zip(num[-2::-1], den[-2::-1]):
+        p *= r
+        p += a
+        q *= r
+        q += b
+    p /= q
+    return p
+
+
+def _ndtri(u):
+    """Standard normal quantile (AS241).
+
+    u = 0 gives -inf, u = 1 gives +inf, and u outside [0, 1] or NaN gives
+    NaN.
+    """
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1)
+    q = flat - 0.5
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = q * _rational(_CENTRAL, 0.180625 - q * q)
+        # NaN and u outside [0, 1] fall here and stay NaN through the log
+        tail = ~(np.abs(q) <= 0.425)
+        ut = flat[tail]
+        r = np.sqrt(-np.log(np.minimum(ut, 1.0 - ut)))
+        x = _rational(_NEAR_TAIL, r - 1.6)
+        far = r > 5.0
+        x[far] = _rational(_FAR_TAIL, r[far] - 5.0)
+    out[tail] = np.copysign(x, q[tail])
+    out[flat == 0.0] = -np.inf
+    out[flat == 1.0] = np.inf
+    return out.reshape(u.shape)
 
 
 def w2_1d_empirical(a, b) -> float:
@@ -81,7 +149,7 @@ class GaussianMarginal:
         u = np.asarray(u, dtype=float)
         if self.var == 0.0:
             return np.full_like(u, self.mean)
-        return self.mean + math.sqrt(self.var) * ndtri(u)
+        return self.mean + math.sqrt(self.var) * _ndtri(u)
 
 
 @dataclass

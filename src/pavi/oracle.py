@@ -12,6 +12,13 @@ tolerance.  Under affine coupling the expectation is V at the other marginals'
 means up to a constant, at any dimension; other potentials take tensor
 quadrature over the other grids, up to m = 3.  The converged product serves as
 ground truth for the particle dynamics.
+
+A grid density's CDF is the cumulative composite Simpson rule, and its
+quantile function is the monotone piecewise cubic Hermite interpolant (PCHIP)
+of the nodes against the CDF: weighted-harmonic-mean interior slopes, zero
+where the secants change sign, and the three-point end condition (Fritsch &
+Carlson, "Monotone piecewise cubic interpolation", SIAM J. Numer. Anal. 1980,
+with the end condition of Moler's pchiptx).
 """
 
 from __future__ import annotations
@@ -21,9 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
-from scipy.special import logsumexp
 
 from .errors import (
     ConfigError,
@@ -43,13 +47,99 @@ _BOUNDARY_TOL = 1e-8
 _CHUNK_BUDGET = 2_000_000
 
 
+def _log_sum_exp(a) -> float:
+    """log(sum(exp(a))) shifted by the maximum; -inf entries add nothing.
+
+    The maximal entries are taken out of the sum and enter through log1p.
+    """
+    top = np.max(a)
+    at_top = a == top
+    terms = np.exp(a - top)
+    terms[at_top] = 0.0
+    count = np.count_nonzero(at_top)
+    return float(np.log1p(terms.sum() / count) + np.log(count) + top)
+
+
+def _simpson_parts(f1, f2, f3, h21, h32):
+    """Simpson integral over [x1, x2] of the parabola through three points."""
+    a = h21 / (h21 + h32)
+    b = a * (h21 / h32)
+    return h21 / 6 * ((3 - a) * f1 + (3 + b + a) * f2 - b * f3)
+
+
+def _cumulative_simpson(f, x) -> np.ndarray:
+    """Integral of the samples f from x[0] to each node (at least 3 nodes).
+
+    Intervals 0, 2, 4, ... take the parabola through their own nodes and the
+    next one; intervals 1, 3, 5, ... and always the last one take the parabola
+    through the previous node instead, for odd and even node counts alike.
+    """
+    h = np.diff(x)
+    parts = _simpson_parts(f[:-2], f[1:-1], f[2:], h[:-1], h[1:])
+    back = _simpson_parts(f[2:], f[1:-1], f[:-2], h[1:], h[:-1])
+    parts = np.append(parts, 0.0)
+    parts[1::2] = back[::2]
+    parts[-1] = back[-1]
+    return np.concatenate(([0.0], np.cumsum(parts)))
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Three-point end slope, zeroed or capped at 3 m0 to keep the shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(x, y) -> np.ndarray:
+    """PCHIP node slopes of y(x) for strictly ascending x."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if m.size == 1:
+        return np.array([m[0], m[0]])
+    d = np.zeros_like(y)
+    interior = (np.sign(m[:-1]) == np.sign(m[1:])) & (m[1:] != 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    # zero secants divide by zero (masked out below) and tiny ones overflow
+    # (giving the slope 1 / inf = 0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d[1:-1][interior] = 1.0 / whmean[interior]
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _hermite_cubics(x, y, d) -> np.ndarray:
+    """(4, n-1) power-basis coefficients of each interval's Hermite cubic in
+    s = t - x[k], highest degree first."""
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    t = (d[:-1] + d[1:] - 2 * slope) / h
+    return np.stack((t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _eval_cubics(x, c, t) -> np.ndarray:
+    """Piecewise cubic with knots x and coefficients c at t in [x[0], x[-1]]."""
+    k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+    s = t - x[k]
+    s2 = s * s
+    # summed by ascending power rather than by Horner's rule: this order
+    # reproduces earlier pavi versions' quantiles, and so their references,
+    # bit for bit
+    return c[3, k] + c[2, k] * s + c[1, k] * s2 + c[0, k] * (s2 * s)
+
+
 class GridDensity:
     """Normalized probability density on a uniform 1-D grid, kept in log space.
 
     Its quantile function makes it usable directly as a reference marginal.
     """
 
-    __slots__ = ("nodes", "log_density", "_cdf", "_inv")
+    __slots__ = ("nodes", "log_density", "_cdf", "_knots", "_cubics")
 
     def __init__(self, nodes, log_values):
         nodes = np.asarray(nodes, dtype=float)
@@ -70,11 +160,12 @@ class GridDensity:
         step = float(steps[0])
         w = np.full(nodes.size, step)
         w[0] = w[-1] = 0.5 * step
-        log_z = float(logsumexp(log_values + np.log(w)))
+        log_z = _log_sum_exp(log_values + np.log(w))
         self.nodes = nodes
         self.log_density = log_values - log_z
         self._cdf = None
-        self._inv = None
+        self._knots = None
+        self._cubics = None
         total = float(np.trapezoid(np.exp(self.log_density), self.nodes))
         if abs(total - 1.0) > 1e-10:
             raise DegenerateGridError(
@@ -102,25 +193,31 @@ class GridDensity:
 
     def _cdf_values(self) -> np.ndarray:
         if self._cdf is None:
-            cdf = cumulative_simpson(self.density(), x=self.nodes, initial=0.0)
+            cdf = _cumulative_simpson(self.density(), self.nodes)
             cdf = np.maximum.accumulate(np.clip(cdf, 0.0, None))
             cdf /= cdf[-1]
             self._cdf = cdf
         return self._cdf
 
     def quantile(self, u):
-        """Monotone quantile function via a shape-preserving CDF inverse."""
-        if self._inv is None:
+        """Monotone quantile function: the PCHIP of the nodes against the CDF.
+
+        Its knots and cubic coefficients are built on the first call and kept.
+        """
+        if self._knots is None:
             cdf = self._cdf_values()
             # denormal CDF increments in the far tails would overflow the
-            # interpolator's slopes; dropping them discards ~1e-12 of u-mass
+            # interpolant's slopes; dropping them discards ~1e-12 of u-mass
             keep = np.concatenate(([True], np.diff(cdf) > 1e-12))
-            self._inv = PchipInterpolator(cdf[keep], self.nodes[keep], extrapolate=False)
-        u = np.asarray(u, dtype=float)
-        cdf = self._cdf_values()
-        lo, hi = float(self.nodes[0]), float(self.nodes[-1])
-        out = self._inv(np.clip(u, cdf[0], cdf[-1]))
-        return np.clip(out, lo, hi)
+            knots, nodes = cdf[keep], self.nodes[keep]
+            self._cubics = _hermite_cubics(knots, nodes, _pchip_slopes(knots, nodes))
+            self._knots = knots
+        knots = self._knots
+        # u beyond the last knot lies in the dropped tail mass: it maps to the
+        # last kept node rather than off the interpolant
+        u = np.clip(np.asarray(u, dtype=float), knots[0], knots[-1])
+        out = _eval_cubics(knots, self._cubics, u)
+        return np.clip(out, self.nodes[0], self.nodes[-1])
 
     def w2_to(self, other: "GridDensity", K: int = 4096) -> float:
         """W2 between two grid densities through their quantile functions."""
@@ -292,8 +389,9 @@ def fixed_point_solve(
     Sweeps coordinates in order, optionally damping in log space, until every
     per-coordinate W2 residual between successive marginals is below ``tol``;
     a final verification pass re-applies the update at the candidate before
-    declaring convergence.  Raises if mass reaches a grid boundary or the
-    sweep budget runs out.
+    declaring convergence.  The pass's coordinate-0 update is the next sweep's
+    first one, since no marginal changes in between.  Raises if mass reaches a
+    grid boundary or the sweep budget runs out.
     """
     if tol <= 0:
         raise UsageError("tol must be positive")
@@ -301,11 +399,14 @@ def fixed_point_solve(
         raise UsageError("damping must lie in (0, 1]")
     q = init.copy()
     history = []
+    # coordinate 0's update at the committed product, from the last
+    # verification pass: the next sweep starts from that same product
+    first = None
     for sweep in range(1, int(max_iter) + 1):
         max_w2 = 0.0
         max_sup = 0.0
         for i in range(q.m):
-            new_i = apply_transform(pot, i, q)
+            new_i = first if i == 0 and first is not None else apply_transform(pot, i, q)
             if damping < 1.0:
                 mixed = (
                     damping * new_i.log_density
@@ -325,7 +426,8 @@ def fixed_point_solve(
         history.append((sweep, max_w2, max_sup))
         # verification pass: residual of re-applying the update at the
         # committed product, measured without committing
-        resid = [apply_transform(pot, i, q).w2_to(q.marginals[i]) for i in range(q.m)]
+        updates = [apply_transform(pot, i, q) for i in range(q.m)]
+        resid = [d.w2_to(q.marginals[i]) for i, d in enumerate(updates)]
         if max(resid) < tol:
             q.residual = ResidualReport(
                 sweeps=sweep,
@@ -335,6 +437,7 @@ def fixed_point_solve(
                 history=history,
             )
             return q
+        first = updates[0]
     raise OracleConvergenceError(
         f"fixed-point iteration did not reach tol={tol} in {max_iter} sweeps "
         f"(last residual {history[-1][1]:.3e})",

@@ -7,6 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# numpy loads its random module lazily, on first use; every run draws from it,
+# so it is loaded with pavi, as part of start-up, not inside the first step
+from numpy.random import Generator, SeedSequence, default_rng
+
 from .errors import ConfigError, UsageError
 
 _ROLE_CODES = {"init": 0, "context": 1, "noise": 2, "reference": 3, "sample": 4}
@@ -23,7 +27,7 @@ class RngStream:
 
     seed: int
 
-    def generator(self, iteration=0, role="sample", row=0) -> np.random.Generator:
+    def generator(self, iteration=0, role="sample", row=0) -> Generator:
         try:
             code = _ROLE_CODES[role]
         except KeyError:
@@ -34,11 +38,11 @@ class RngStream:
         row = int(row)
         if iteration < 0 or row < 0:
             raise UsageError("iteration and row must be nonnegative")
-        ss = np.random.SeedSequence(
+        ss = SeedSequence(
             entropy=int(self.seed) & 0xFFFFFFFFFFFFFFFF,
             spawn_key=(code, iteration, row),
         )
-        return np.random.default_rng(ss)
+        return default_rng(ss)
 
 
 class ParticleArray:
@@ -102,7 +106,7 @@ def init_particles(m, N, init="standard_normal", seed=0) -> ParticleArray:
     return ParticleArray(vals)
 
 
-def sample_product(X: ParticleArray, B, gen: np.random.Generator) -> np.ndarray:
+def sample_product(X: ParticleArray, B, gen: Generator) -> np.ndarray:
     """Draw B i.i.d. columns from the product empirical measure of X.
 
     For each coordinate i independently a uniform atom index is drawn from

@@ -91,12 +91,37 @@ class StepTrace:
 
     @classmethod
     def from_dict(cls, doc) -> "StepTrace":
+        """Inverse of :meth:`to_dict`; a field of the wrong type is a TypeError."""
+        iteration = as_integer(doc["iteration"])
+        if iteration is None:
+            raise TypeError(f"iteration must be an integer, got {doc['iteration']!r}")
+        for key in ("w2", "grad_rms"):
+            if doc.get(key) is not None and not _is_number(doc[key]):
+                raise TypeError(f"{key} must be a number or null, got {doc[key]!r}")
+        coord = doc.get("w2_coord")
+        if coord is not None and not (
+            isinstance(coord, list) and all(_is_number(v) for v in coord)
+        ):
+            raise TypeError(f"w2_coord must be a list of numbers or null, got {coord!r}")
         return cls(
-            iteration=int(doc["iteration"]),
+            iteration=iteration,
             w2_total=doc.get("w2"),
-            w2_coord=doc.get("w2_coord"),
+            w2_coord=coord,
             grad_rms=doc.get("grad_rms"),
         )
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def as_integer(value) -> int | None:
+    """``value`` as an int when it is an integer or an integral float, else None."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    return None
 
 
 @dataclass(frozen=True)

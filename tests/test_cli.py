@@ -187,8 +187,17 @@ class TestOracleAndCompare:
             ("summary.json", lambda path: path.write_text("{")),
             ("summary.json", lambda path: path.write_text("{}")),
             ("metrics.jsonl", truncate),
+            ("metrics.jsonl", lambda path: path.write_text('{"iteration": 0, "w2": "a"}\n')),
+            ("metrics.jsonl", lambda path: path.write_text('{"iteration": 0, "grad_rms": [1]}\n')),
         ],
-        ids=["missing-summary", "corrupt-summary", "summary-without-keys", "corrupt-metrics"],
+        ids=[
+            "missing-summary",
+            "corrupt-summary",
+            "summary-without-keys",
+            "corrupt-metrics",
+            "mistyped-w2",
+            "mistyped-grad-rms",
+        ],
     )
     def test_compare_unreadable_report_exit_two(self, tmp_path, capsys, name, damage):
         cfg = write_config(tmp_path, RUN_DOC)
@@ -325,6 +334,19 @@ class TestSweepCommand:
                 h, B = corollary_schedule(3.0, N)
                 batch = f"B={B}  " if algorithm == "pavi" else ""
                 assert row.startswith(f"N={N:>6d}  h={h:.6g}  {batch}steady W2 ")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("N_list", [16, "x", 64]), ("replications", "x"), ("T", "x"), ("seed", "x")],
+        ids=["N_list", "replications", "T", "seed"],
+    )
+    def test_sweep_mistyped_key_exit_two(self, tmp_path, capsys, key, value):
+        doc = dict(RUN_DOC, N_list=[16, 32, 64], replications=2, T=40)
+        doc[key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must be an integer")
 
     def test_sweep_usage_error(self, tmp_path, capsys):
         doc = dict(RUN_DOC, N_list=[16, 16, 64], replications=2, T=40)

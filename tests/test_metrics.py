@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pavi import (
     GaussianMarginal,
@@ -55,6 +57,20 @@ class TestW2OneDim:
             a = rng.standard_normal(n) * rng.uniform(0.5, 3)
             b = rng.standard_normal(n) + rng.uniform(-2, 2)
             assert abs(w2_1d_empirical(a, b) - w2_1d_bruteforce(a, b)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sorted_coupling_beats_every_permutation(self, data):
+        n = data.draw(st.integers(1, 40))
+        atoms = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
+        a = np.array(data.draw(atoms))
+        b = np.array(data.draw(atoms))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        coupling = float(np.sqrt(np.mean((a[perm] - b) ** 2)))
+        w2 = w2_1d_empirical(a, b)
+        assert w2 <= coupling * (1 + 1e-12) + 1e-12
+        if n <= 7:
+            assert w2 == pytest.approx(w2_1d_bruteforce(a, b), rel=1e-12, abs=1e-12)
 
 
 class TestW2Product:

@@ -1,0 +1,159 @@
+"""pavi's own numerical kernels against scipy as an independent reference.
+
+The program computes the normal quantile (AS241), the log-sum-exp of its grid
+normalisation, the cumulative Simpson CDF and the PCHIP quantile function
+itself; scipy (a test-only dependency) provides the reference values.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
+from scipy.interpolate import PchipInterpolator
+from scipy.special import logsumexp, ndtri
+
+from pavi.metrics import GaussianMarginal, _ndtri
+from pavi.oracle import (
+    GridDensity,
+    _cumulative_simpson,
+    _eval_cubics,
+    _hermite_cubics,
+    _log_sum_exp,
+    _pchip_slopes,
+)
+
+
+def max_rel(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert np.array_equal(np.isfinite(a), np.isfinite(b))
+    scale = np.where(b == 0.0, 1.0, np.abs(b))
+    return float(np.max(np.abs(a - b) / scale))
+
+
+class TestNormalQuantile:
+    @pytest.mark.parametrize("N", [2048, 4096, 8192, 16384, 32768, 65536])
+    def test_midpoints(self, N):
+        u = (np.arange(N) + 0.5) / N
+        assert max_rel(_ndtri(u), ndtri(u)) <= 2e-15
+
+    def test_uniform_points(self):
+        u = np.random.default_rng(7).uniform(1e-12, 1.0 - 1e-12, 10**6)
+        assert max_rel(_ndtri(u), ndtri(u)) <= 2e-15
+
+    def test_edges(self):
+        out = _ndtri([0.0, 1.0, -0.5, 1.5, np.nan, 0.5])
+        np.testing.assert_array_equal(out, [-np.inf, np.inf, np.nan, np.nan, np.nan, 0.0])
+
+    def test_shapes(self):
+        assert _ndtri(0.975).shape == ()
+        assert _ndtri(np.full((2, 3), 0.25)).shape == (2, 3)
+        assert GaussianMarginal(1.0, 4.0).quantile(0.5) == 1.0
+
+
+@st.composite
+def grid_log_densities(draw):
+    """Uniform grids of odd or even size with log densities that are flat
+    (underflowing) in the tails and may hold -inf runs at either end."""
+    G = draw(st.integers(9, 160))
+    lo = draw(st.floats(-20.0, 5.0))
+    nodes = np.linspace(lo, lo + draw(st.floats(0.5, 40.0)), G)
+    center = draw(st.floats(float(nodes[0]), float(nodes[-1])))
+    width = draw(st.floats(0.02, 10.0)) * (nodes[-1] - nodes[0])
+    tilt = draw(st.floats(-3.0, 3.0))
+    logd = -0.5 * ((nodes - center) / width) ** 2 + tilt * np.tanh(nodes - center)
+    logd = logd + draw(st.floats(-500.0, 500.0))
+    head, tail = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    logd[:head] = -np.inf
+    logd[G - tail:] = -np.inf
+    return nodes, logd
+
+
+def parent_quantile(d, u):
+    """The quantile function as built from scipy's PchipInterpolator."""
+    cdf = cumulative_simpson(d.density(), x=d.nodes, initial=0.0)
+    cdf = np.maximum.accumulate(np.clip(cdf, 0.0, None))
+    cdf /= cdf[-1]
+    keep = np.concatenate(([True], np.diff(cdf) > 1e-12))
+    inv = PchipInterpolator(cdf[keep], d.nodes[keep], extrapolate=False)
+    return np.clip(inv(np.clip(u, cdf[0], cdf[-1])), d.nodes[0], d.nodes[-1]), cdf[keep][-1]
+
+
+class TestGridKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(grid_log_densities())
+    def test_log_sum_exp(self, case):
+        nodes, logd = case
+        assert abs(_log_sum_exp(logd) - float(logsumexp(logd))) <= 1e-13 * max(
+            1.0, float(np.max(logd))
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_log_densities())
+    def test_cumulative_simpson(self, case):
+        nodes, logd = case
+        f = GridDensity(nodes, logd).density()
+        reference = cumulative_simpson(f, x=nodes, initial=0.0)
+        assert np.max(np.abs(_cumulative_simpson(f, nodes) - reference)) <= 1e-13
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_log_densities(), st.integers(1, 4096))
+    def test_quantile(self, case, K):
+        d = GridDensity(*case)
+        u = np.concatenate(([0.0, -0.25], (np.arange(K) + 0.5) / K))
+        reference, last_knot = parent_quantile(d, u)
+        inside = u <= last_knot
+        span = d.nodes[-1] - d.nodes[0]
+        assert np.max(np.abs(d.quantile(u[inside]) - reference[inside])) <= 1e-13 * span
+        # past the last knot lies only the dropped tail mass (< 1e-12 per
+        # node): the quantile stays at the last kept node instead of NaN
+        beyond = d.quantile(np.concatenate((u[~inside], [1.0])))
+        assert np.all(beyond == d.quantile(last_knot))
+
+    @pytest.mark.parametrize("G", [9, 10])
+    @pytest.mark.parametrize("where", [0, 4, -1])
+    def test_quantile_of_one_node(self, G, where):
+        # all mass at one node: the CDF rises on one or two intervals, so the
+        # interpolant may have just two knots
+        logd = np.full(G, -np.inf)
+        logd[where] = 0.0
+        d = GridDensity(np.linspace(-1.0, 1.0, G), logd)
+        u = np.linspace(0.0, 1.0, 101)
+        reference, last_knot = parent_quantile(d, u)
+        assert last_knot == 1.0
+        assert np.max(np.abs(d.quantile(u) - reference)) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_pchip_general(self, steps, data):
+        # non-monotone data exercises the zero slopes at sign changes of the
+        # secants and both cases of the three-point end rule
+        x = np.concatenate(([0.0], np.cumsum(steps)))
+        y = np.array(data.draw(st.lists(
+            st.floats(-10.0, 10.0), min_size=x.size, max_size=x.size)))
+        t = np.linspace(x[0], x[-1], 257)
+        ours = _eval_cubics(x, _hermite_cubics(x, y, _pchip_slopes(x, y)), t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = PchipInterpolator(x, y)
+        np.testing.assert_allclose(_pchip_slopes(x, y), reference.derivative()(x),
+                                   rtol=1e-13, atol=1e-13)
+        assert np.max(np.abs(ours - reference(t))) <= 1e-13 * max(1.0, np.max(np.abs(y)))
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    code = "import sys, pavi.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -258,6 +258,37 @@ class TestFixedPointSolve:
             again = apply_transform(perturbed2, i, solved)
             assert again.w2_to(solved.marginals[i]) < tol
 
+    @pytest.mark.parametrize("damping", [1.0, 0.7])
+    def test_verification_update_reused(self, monkeypatch, damping):
+        # the verification pass's coordinate-0 update starts the next sweep:
+        # each sweep after the first applies one transform fewer, and the
+        # marginals are those of recomputing it every time
+        from pavi import oracle
+
+        pot = PerturbedQuadraticPotential([[2.0, 0.7], [0.7, 1.5]], [0.8, -0.5], [1.5, 0.5])
+        init = initial_grid_product(pot, 129)
+        q, sweeps = init.copy(), 0
+        while True:
+            sweeps += 1
+            for i in range(2):
+                new = apply_transform(pot, i, q)
+                mixed = damping * new.log_density + (1.0 - damping) * q.marginals[i].log_density
+                q.marginals[i] = new if damping == 1.0 else GridDensity(new.nodes, mixed)
+            if max(apply_transform(pot, i, q).w2_to(q.marginals[i]) for i in range(2)) < 1e-8:
+                break
+        calls = []
+
+        def counted(pot, i, q):
+            calls.append(i)
+            return apply_transform(pot, i, q)
+
+        monkeypatch.setattr(oracle, "apply_transform", counted)
+        solved = fixed_point_solve(pot, init, 1e-8, 100, damping)
+        assert solved.residual.sweeps == sweeps > 2
+        assert len(calls) == 2 * 2 * sweeps - (sweeps - 1)
+        for a, b in zip(solved.marginals, q.marginals):
+            assert np.array_equal(a.log_density, b.log_density)
+
     def test_tensor_route_solves_like_mean_route(self):
         # asymmetric non-Gaussian target: the solve iterates, and the tensor
         # loop on the non-affine twin follows the mean route sweep for sweep
