@@ -16,6 +16,15 @@ coordinate's partial over its contexts with ``stochastic_grad_at``, the one
 average of a partial over contexts.  Context and noise draws are
 addressed by (seed, iteration, role, row), so a rerun reproduces the same
 trajectory.
+
+A step writes only into (m, N) work arrays it is given: the drift, the noise,
+and the array that receives the new state.  ``run`` allocates four once, the
+drift, the noise and two state arrays, and swaps the state arrays after each
+step, so no step writes into the state it reads or into the caller's initial
+array, and a divergence leaves the last good state intact.  Between steps the
+noise array is the W2 record's scratch space.  ``pavi_step`` and
+``exact_step`` give each call fresh work arrays, so their results are
+independent arrays.
 """
 
 from __future__ import annotations
@@ -42,8 +51,10 @@ from .potentials import potential_fingerprint
 from .reports import (
     ConvergenceReport,
     StepTrace,
+    as_integer,
     decode_f8,
     encode_f8,
+    is_number,
     read_json,
     summarize_rows,
     write_atomic,
@@ -224,14 +235,17 @@ def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
 # stepping -----------------------------------------------------------------------
 
 
-def _step_parts(pot, X, h, B, rng, n, algorithm):
+def _step_parts(pot, X, h, B, rng, n, algorithm, new, drift, noise):
     """Advance the particle array one iteration; returns (array, grad_rms).
 
-    The new values are checked for finiteness once, by ``ParticleArray``; a
-    non-finite entry is reported as a divergence at its location.
+    The step writes only into its three (m, N) work arrays, none of which may
+    share memory with ``X``: ``drift``, ``noise``, and ``new``, which becomes
+    the returned array's values.  The new values are checked for finiteness
+    once, by ``ParticleArray``; a non-finite entry is reported as a divergence
+    at its location.
     """
     values = X.values
-    m, N = values.shape
+    m = values.shape[0]
     # an overflow anywhere in the update is reported once, as a divergence
     with np.errstate(over="ignore", invalid="ignore"):
         if algorithm == "pavi":
@@ -239,30 +253,45 @@ def _step_parts(pot, X, h, B, rng, n, algorithm):
         if pot.affine_coupling:
             # every average over contexts is the partial at their mean column
             c = z.mean(axis=1) if algorithm == "pavi" else coordinate_means(X)
-            grads = pot.partials_at_context(values, c)
+            pot.partials_at_context(values, c, out=drift)
         elif algorithm == "pavi":
-            grads = np.vstack([stochastic_grad_at(pot, z, i, values[i]) for i in range(m)])
+            for i in range(m):
+                drift[i] = stochastic_grad_at(pot, z, i, values[i])
         else:
-            grads = np.vstack([exact_grad_profile(pot, X, i, values[i]) for i in range(m)])
-        noise = np.vstack([rng.generator(n, "noise", i).standard_normal(N) for i in range(m)])
-        new = values - h * grads + math.sqrt(2.0 * h) * noise
+            for i in range(m):
+                drift[i] = exact_grad_profile(pot, X, i, values[i])
+        for i in range(m):
+            rng.generator(n, "noise", i).standard_normal(out=noise[i])
+        # new holds the squared drift until the update overwrites it
+        np.multiply(drift, drift, out=new)
+        grad_rms = float(math.sqrt(np.mean(new)))
+        # new = values - h * drift + sqrt(2 h) * noise, in that order
+        np.multiply(h, drift, out=drift)
+        np.subtract(values, drift, out=new)
+        np.multiply(math.sqrt(2.0 * h), noise, out=noise)
+        np.add(new, noise, out=new)
     try:
         out = ParticleArray(new)
     except ConfigError:
         # a step keeps the (m, N) shape, so the only check it can fail is finiteness
         bad_i, bad_j = np.argwhere(~np.isfinite(new))[0]
         raise DivergenceError(n, bad_i, bad_j) from None
-    return out, float(math.sqrt(np.mean(grads * grads)))
+    return out, grad_rms
+
+
+def _fresh_work(X):
+    """Three new (m, N) work arrays for one step outside a run."""
+    return [np.empty((X.m, X.N)) for _ in range(3)]
 
 
 def pavi_step(pot, X: ParticleArray, h, B, rng: RngStream, n):
     """One stochastic iteration: contexts drawn once, then one whole-array update."""
-    return _step_parts(pot, X, float(h), int(B), rng, int(n), "pavi")[0]
+    return _step_parts(pot, X, float(h), int(B), rng, int(n), "pavi", *_fresh_work(X))[0]
 
 
 def exact_step(pot, X: ParticleArray, h, rng: RngStream, n):
     """One exact-gradient iteration; same noise addressing as pavi_step."""
-    return _step_parts(pot, X, float(h), None, rng, int(n), "exact")[0]
+    return _step_parts(pot, X, float(h), None, rng, int(n), "exact", *_fresh_work(X))[0]
 
 
 # full runs ----------------------------------------------------------------------
@@ -307,8 +336,21 @@ def _load_checkpoint(path, pot, cfg):
         raise ConfigError("checkpoint was produced with a different potential")
     if doc.get("config") != cfg.to_dict():
         raise ConfigError("checkpoint was produced with a different run configuration")
-    rows = [StepTrace.from_dict(r) for r in doc["rows"]]
-    return X, rows, list(doc["wall_times"]), int(doc["next_iteration"])
+    try:
+        if (X.m, X.N) != (pot.m, cfg.N):
+            raise ValueError(f"shape {[X.m, X.N]} for m={pot.m}, N={cfg.N}")
+        rows, wall_times = doc["rows"], doc["wall_times"]
+        if not isinstance(rows, list):
+            raise TypeError(f"rows must be a list, got {rows!r}")
+        rows = [StepTrace.from_dict(r) for r in rows]
+        if not (isinstance(wall_times, list) and all(map(is_number, wall_times))):
+            raise TypeError(f"wall_times must be a list of numbers, got {wall_times!r}")
+        start = as_integer(doc["next_iteration"])
+        if start is None or not 0 <= start <= cfg.T:
+            raise ValueError(f"next_iteration {doc['next_iteration']!r} is not in [0, {cfg.T}]")
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path} is a malformed checkpoint ({err!r})") from None
+    return X, rows, wall_times, start
 
 
 def run(
@@ -337,12 +379,17 @@ def run(
     rows: list[StepTrace] = []
     wall_times: list[float] = []
     t0 = time.perf_counter()
+    # the run's only (m, N) arrays besides its initial state: the state
+    # alternates between ``target`` and ``spare``, so a step never writes into
+    # the state it reads, and the noise array is free for W2's scratch between
+    # steps
+    target, spare, drift, noise = (np.empty((pot.m, cfg.N)) for _ in range(4))
 
     def record(iteration, X, grad_rms=None):
         w2_total = None
         w2_coord = None
         if reference is not None:
-            per, w2_total = w2_reference_profile(X, reference)
+            per, w2_total = w2_reference_profile(X, reference, out=noise)
             w2_coord = [float(p) for p in per]
         row = StepTrace(int(iteration), w2_total, w2_coord, grad_rms)
         row.validate()
@@ -362,12 +409,15 @@ def run(
 
     for n in range(start, cfg.T):
         try:
-            X, grad_rms = _step_parts(pot, X, h, B, rng, n, cfg.algorithm)
+            X, grad_rms = _step_parts(
+                pot, X, h, B, rng, n, cfg.algorithm, target, drift, noise
+            )
         except DivergenceError:
-            # X is still the last good state: the step raised before assigning
+            # X is still the last good state: the step wrote only into target
             if checkpoint_path is not None:
                 _write_checkpoint(checkpoint_path, pot, cfg, n, X, rows, wall_times)
             raise
+        target, spare = spare, target
         k = n + 1
         if k % me == 0 or k == cfg.T:
             record(k, X, grad_rms)

@@ -146,10 +146,13 @@ class GaussianMarginal:
         self.var = float(var)
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
+        return self.from_standard(_ndtri(u))
+
+    def from_standard(self, z):
+        """The quantiles at the levels whose standard normal quantiles are z."""
         if self.var == 0.0:
-            return np.full_like(u, self.mean)
-        return self.mean + math.sqrt(self.var) * _ndtri(u)
+            return np.full_like(z, self.mean)
+        return self.mean + math.sqrt(self.var) * z
 
 
 @dataclass
@@ -174,7 +177,16 @@ class ReferenceProduct:
         N = int(N)
         if N not in self._tables:
             u = (np.arange(N) + 0.5) / N
-            table = np.vstack([mar.quantile(u) for mar in self.marginals])
+            # every Gaussian row scales the one standard table
+            z = None
+            rows = []
+            for mar in self.marginals:
+                if isinstance(mar, GaussianMarginal):
+                    z = _ndtri(u) if z is None else z
+                    rows.append(mar.from_standard(z))
+                else:
+                    rows.append(mar.quantile(u))
+            table = np.vstack(rows)
             if not np.all(np.isfinite(table)):
                 raise ReferenceQuantileError(
                     "reference quantiles are non-finite at interior probabilities"
@@ -183,15 +195,21 @@ class ReferenceProduct:
         return self._tables[N]
 
 
-def w2_reference_profile(X: ParticleArray, ref: ReferenceProduct):
-    """Per-coordinate W2 to the reference plus the quadrature total."""
+def w2_reference_profile(X: ParticleArray, ref: ReferenceProduct, out=None):
+    """Per-coordinate W2 to the reference plus the quadrature total.
+
+    The sorted rows and their squared distances to the quantile table are
+    computed in ``out``, an (m, N) scratch array, when one is given.
+    """
     if X.m != ref.m:
         raise UsageError(f"dimension mismatch: particles m={X.m}, reference m={ref.m}")
     table = ref.quantile_table(X.N)
-    per = np.empty(X.m)
-    for i in range(X.m):
-        d = np.sort(X.values[i]) - table[i]
-        per[i] = math.sqrt(np.mean(d * d))
+    d = np.empty_like(X.values) if out is None else out
+    np.copyto(d, X.values)
+    d.sort(axis=1)
+    np.subtract(d, table, out=d)
+    np.multiply(d, d, out=d)
+    per = np.sqrt(d.mean(axis=1))
     return per, float(math.sqrt(np.sum(per * per)))
 
 

@@ -76,11 +76,13 @@ class Potential:
     def gradient_cols(self, cols) -> np.ndarray:
         raise NotImplementedError
 
-    def partials_at_context(self, values, c) -> np.ndarray:
+    def partials_at_context(self, values, c, out=None) -> np.ndarray:
         """Row i: partial_i V at each point of ``values[i]``, the rest at ``c``.
 
         ``values`` has shape (m, K) and ``c`` is one context column of length
-        m; only families with affine coupling provide it.
+        m; only families with affine coupling provide it.  Given an (m, K)
+        array ``out`` that shares no memory with ``values``, the result is
+        written there and ``out`` is returned.
         """
         raise NotImplementedError
 
@@ -144,12 +146,16 @@ class QuadraticPotential(Potential):
         d = np.asarray(cols, dtype=float) - self.mean[:, None]
         return self.precision @ d
 
-    def partials_at_context(self, values, c):
-        # A[i] @ (c - mean) with x_i in place of c_i, for every row at once
+    def partials_at_context(self, values, c, out=None):
+        # A[i] @ (c - mean) with x_i in place of c_i, for every row at once:
+        # diag(A) * (values - c) + shift, each operation written into out
         values = np.asarray(values, dtype=float)
         c = np.asarray(c, dtype=float)
         shift = self.precision @ (c - self.mean)
-        return np.diag(self.precision)[:, None] * (values - c[:, None]) + shift[:, None]
+        out = np.subtract(values, c[:, None], out=out)
+        np.multiply(np.diag(self.precision)[:, None], out, out=out)
+        np.add(out, shift[:, None], out=out)
+        return out
 
     # partial_i V = A[i] @ (x - mean); the perturbed family's logcosh bump
     # depends on x_i alone, so it keeps the coupling affine
@@ -206,9 +212,16 @@ class PerturbedQuadraticPotential(QuadraticPotential):
         cols = np.asarray(cols, dtype=float)
         return super().gradient_cols(cols) + self.weights[:, None] * np.tanh(cols)
 
-    def partials_at_context(self, values, c):
+    def partials_at_context(self, values, c, out=None):
         values = np.asarray(values, dtype=float)
-        return super().partials_at_context(values, c) + self.weights[:, None] * np.tanh(values)
+        out = super().partials_at_context(values, c, out)
+        # the bump one row at a time, so the only temporary is one row long
+        bump = np.empty(values.shape[1])
+        for i, w in enumerate(self.weights):
+            np.tanh(values[i], out=bump)
+            np.multiply(w, bump, out=bump)
+            np.add(out[i], bump, out=out[i])
+        return out
 
     def to_config(self):
         doc = super().to_config()

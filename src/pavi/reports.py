@@ -46,7 +46,8 @@ def read_json(path) -> dict:
 
 def encode_f8(values) -> str:
     """Base64 text of an array's little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(values).astype("<f8").tobytes()).decode("ascii")
+    # a contiguous little-endian float64 array is encoded without a copy
+    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8")).decode("ascii")
 
 
 def decode_f8(text, count, path) -> np.ndarray:
@@ -96,11 +97,11 @@ class StepTrace:
         if iteration is None:
             raise TypeError(f"iteration must be an integer, got {doc['iteration']!r}")
         for key in ("w2", "grad_rms"):
-            if doc.get(key) is not None and not _is_number(doc[key]):
+            if doc.get(key) is not None and not is_number(doc[key]):
                 raise TypeError(f"{key} must be a number or null, got {doc[key]!r}")
         coord = doc.get("w2_coord")
         if coord is not None and not (
-            isinstance(coord, list) and all(_is_number(v) for v in coord)
+            isinstance(coord, list) and all(is_number(v) for v in coord)
         ):
             raise TypeError(f"w2_coord must be a list of numbers or null, got {coord!r}")
         return cls(
@@ -111,7 +112,7 @@ class StepTrace:
         )
 
 
-def _is_number(value) -> bool:
+def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 

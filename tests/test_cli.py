@@ -144,6 +144,42 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out), "--resume"]) == 2
         assert "checkpoint.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["rows"][0].update(w2="a"),
+            lambda doc: doc["rows"].append(["not", "a", "row"]),
+            lambda doc: doc.pop("rows"),
+            lambda doc: doc.update(rows={"iteration": 0}),
+            lambda doc: doc.pop("wall_times"),
+            lambda doc: doc.update(wall_times=["x"]),
+            lambda doc: doc.pop("next_iteration"),
+            lambda doc: doc.update(next_iteration="ten"),
+            lambda doc: doc.update(next_iteration=-1),
+            lambda doc: doc.update(shape=[1, 128]),
+        ],
+        ids=[
+            "row-w2-string", "row-not-mapping", "rows-missing", "rows-mapping",
+            "wall-times-missing", "wall-times-string", "next-iteration-missing",
+            "next-iteration-string", "next-iteration-negative", "shape-mismatch",
+        ],
+    )
+    def test_resume_malformed_checkpoint_exit_two(self, tmp_path, capsys, edit):
+        cfg = write_config(tmp_path, dict(RUN_DOC, checkpoint_every=20))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        ck = out / "checkpoint.json"
+        doc = json.loads(ck.read_text())
+        edit(doc)
+        ck.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--resume"]) == 2
+        # N=64 breaks the corollary's batch bound, so a warning line comes first
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if not line.startswith("warning: ")]
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(ck) in lines[0] and "malformed checkpoint" in lines[0]
+
 
 class TestOracleAndCompare:
     def test_oracle_then_compare(self, tmp_path, capsys):

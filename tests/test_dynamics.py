@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,12 @@ from hypothesis.extra.numpy import arrays
 
 from pavi import (
     ConfigError,
+    GaussianMarginal,
+    GridDensity,
     ParticleArray,
     PerturbedQuadraticPotential,
     QuadraticPotential,
+    ReferenceProduct,
     RngStream,
     RunConfig,
     ScaleError,
@@ -562,7 +566,8 @@ class TestRun:
 
     def test_divergence_keeps_last_checkpoint(self, tmp_path):
         # a potential whose declared constants hide an expanding field; the
-        # iterates grow geometrically until the update overflows
+        # iterates grow faster than exponentially until the drift overflows,
+        # while every drift before that one stays finite when squared
         import pavi
 
         class Lying(pavi.Potential):
@@ -572,7 +577,7 @@ class TestRun:
             third_bound = 0.0
 
             def partial_cols(self, i, cols):
-                return -np.asarray(cols, dtype=float)[i]
+                return -np.exp(np.asarray(cols, dtype=float)[i])
 
             def to_config(self):
                 return {"family": "test-lying"}
@@ -580,11 +585,21 @@ class TestRun:
         pot = Lying()
         cfg = RunConfig(N=4, T=2000, h=0.2, B=2, seed=0, metrics_every=1000)
         ck = tmp_path / "ck.json"
-        init = np.full((1, 4), 1e300)
+        init = np.full((1, 4), 1.0)
         with np.errstate(over="ignore"):
-            with pytest.raises(DivergenceError):
+            with pytest.raises(DivergenceError) as err:
                 run(pot, cfg, init=init, checkpoint_path=ck)
-        assert ck.exists()
+        diverged = err.value.iteration
+        assert diverged > 2  # both of the run's state arrays were in use
+        doc, kept = read_checkpoint(ck)
+        assert np.all(np.isfinite(kept.values))
+        assert doc["next_iteration"] == diverged
+        # the kept state is the one the same run reaches when it stops there
+        stopped = tmp_path / "stopped.json"
+        cfg_stop = RunConfig(N=4, T=diverged, h=0.2, B=2, seed=0, metrics_every=1000)
+        run(pot, cfg_stop, init=init, checkpoint_path=stopped)
+        assert np.array_equal(read_checkpoint(stopped)[1].values, kept.values)
+        assert np.all(init == 1.0)
 
     def test_sink_receives_rows(self, gauss21):
         ref = gaussian_mfvi_solution(gauss21)
@@ -592,6 +607,67 @@ class TestRun:
         cfg = RunConfig(N=16, T=20, schedule="corollary", seed=0, metrics_every=5)
         run(gauss21, cfg, ref, sink=seen.append)
         assert [r.iteration for r in seen] == [0, 5, 10, 15, 20]
+
+    @pytest.mark.parametrize("algorithm", ["pavi", "exact"])
+    def test_run_leaves_init_unchanged(self, gauss21, algorithm):
+        # the run's state arrays are recycled; the caller's init is not one
+        init = np.random.default_rng(4).standard_normal((2, 16))
+        before = init.copy()
+        cfg = RunConfig(N=16, T=5, schedule="corollary", seed=0, algorithm=algorithm)
+        run(gauss21, cfg, gaussian_mfvi_solution(gauss21), init=init)
+        assert np.array_equal(init, before)
+
+
+def equivalence_case(family):
+    """A potential and a reference whose quantile table mixes marginal types."""
+    if family == "quadratic":
+        pot = QuadraticPotential(
+            [[2.0, 0.6, 0.3], [0.6, 2.0, 0.6], [0.3, 0.6, 2.0]], [1.0, -1.0, 0.5]
+        )
+        return pot, gaussian_mfvi_solution(pot)
+    grid = np.linspace(-6.0, 6.0, 129)
+    bumpy = GridDensity(grid, -0.5 * grid**2 - np.log(np.cosh(grid)))
+    ref = ReferenceProduct([bumpy, GaussianMarginal(0.2, 0.5), bumpy], "test")
+    if family == "perturbed_quadratic":
+        pot = PerturbedQuadraticPotential(
+            [[2.0, 0.6, 0.3], [0.6, 2.0, 0.6], [0.3, 0.6, 2.0]],
+            [1.0, -1.0, 0.5],
+            [1.0, 0.8, 1.2],
+        )
+        return pot, ref
+    return TanhCoupled(3), ref
+
+
+class TestInPlaceEquivalence:
+    """``run`` recycles its work arrays; chaining the public steps, each on
+    fresh arrays, must give the same rows and final particles bit for bit."""
+
+    @pytest.mark.parametrize("algorithm", ["pavi", "exact"])
+    @pytest.mark.parametrize("family", ["quadratic", "perturbed_quadratic", "tanh"])
+    def test_run_equals_chained_steps(self, tmp_path, family, algorithm):
+        pot, ref = equivalence_case(family)
+        cfg = RunConfig(
+            N=24, T=9, schedule="corollary", seed=5, algorithm=algorithm, metrics_every=2
+        )
+        ck = tmp_path / "ck.json"
+        report = run(pot, cfg, ref, checkpoint_path=ck)
+
+        h, B = validate_config(pot, cfg)
+        rng = RngStream(cfg.seed)
+        X = init_particles(pot.m, cfg.N, "standard_normal", cfg.seed)
+        rebuilt = {0: w2_reference_profile(X, ref)}
+        for n in range(cfg.T):
+            if algorithm == "pavi":
+                X = pavi_step(pot, X, h, B, rng, n)
+            else:
+                X = exact_step(pot, X, h, rng, n)
+            rebuilt[n + 1] = w2_reference_profile(X, ref)
+        assert [r.iteration for r in report.rows] == [0, 2, 4, 6, 8, 9]
+        for row in report.rows:
+            per, total = rebuilt[row.iteration]
+            assert row.w2_total == total
+            assert row.w2_coord == [float(p) for p in per]
+        assert np.array_equal(read_checkpoint(ck)[1].values, X.values)
 
 
 CORRUPTIONS = {
@@ -619,3 +695,34 @@ class TestCheckpointDecoding:
         assert str(ck) in str(err.value)
         with pytest.raises(ConfigError):
             run(gauss21, cfg, checkpoint_path=ck, resume=True)
+
+
+class TestAllocation:
+    def test_steady_iteration_allocates_no_particle_array(self):
+        # an allocation guard free of timing noise: the peak of traced memory
+        # between two metrics rows (one step and one W2 record) above the
+        # memory held at the first of them
+        m, N = 8, 4096
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((m, m))
+        pot = QuadraticPotential(A @ A.T / m + 2.0 * np.eye(m))
+        ref = gaussian_mfvi_solution(pot)
+        cfg = RunConfig(N=N, T=8, schedule="corollary", seed=1, metrics_every=1)
+        transient = {}
+
+        def sink(row):
+            current, peak = tracemalloc.get_traced_memory()
+            transient[row.iteration] = peak - sink.held
+            tracemalloc.reset_peak()
+            sink.held = current
+
+        sink.held = 0
+        tracemalloc.start()
+        try:
+            run(pot, cfg, ref, sink=sink)
+        finally:
+            tracemalloc.stop()
+        one_array = 8 * m * N
+        steady = {k: v / one_array for k, v in transient.items() if k >= 2}
+        assert len(steady) == cfg.T - 1
+        assert max(steady.values()) < 0.5, steady

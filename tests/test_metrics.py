@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,56 @@ class TestReferenceDistances:
         ref = ReferenceProduct([GaussianMarginal(0.0, 1.0)], "analytic-gaussian")
         with pytest.raises(UsageError):
             w2_reference_profile(q_of([[0.0, 1.0], [0.0, 1.0]]), ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        half=st.integers(1, 300),
+        odd=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_whole_array_profile_equals_per_row(self, m, half, odd, seed):
+        # the sort, subtract, square and row mean over the whole array give
+        # the bits of one sorted row at a time, with or without a scratch array
+        N = 2 * half + int(odd)
+        rng = np.random.default_rng(seed)
+        ref = ReferenceProduct(
+            [GaussianMarginal(rng.normal(), rng.choice([0.0, rng.uniform(0.1, 4.0)]))
+             for _ in range(m)],
+            "analytic-gaussian",
+        )
+        X = q_of(rng.standard_normal((m, N)) * rng.uniform(0.1, 10.0))
+        table = ref.quantile_table(N)
+        per_row = []
+        for i in range(m):
+            d = np.sort(X.values[i]) - table[i]
+            per_row.append(math.sqrt(np.mean(d * d)))
+        total = math.sqrt(np.sum(np.array(per_row) ** 2))
+        before = X.values.copy()
+        scratch = np.empty((m, N))
+        for out in (None, scratch):
+            per, got = w2_reference_profile(X, ref, out=out)
+            assert per.tolist() == per_row
+            assert got == total
+        assert np.array_equal(X.values, before)
+
+    def test_quantile_table_scales_one_standard_table(self, monkeypatch):
+        # each Gaussian row is mean + sqrt(var) * z for one AS241 table z,
+        # the bits of its own quantile; a grid row keeps its own quantile
+        from pavi import GridDensity, metrics
+
+        grid = np.linspace(-5.0, 5.0, 65)
+        marginals = [GaussianMarginal(0.3, 2.0), GridDensity(grid, -0.5 * grid**2),
+                     GaussianMarginal(-1.0, 0.0), GaussianMarginal(2.0, 0.5)]
+        N = 101
+        u = (np.arange(N) + 0.5) / N
+        expected = np.vstack([mar.quantile(u) for mar in marginals])
+        calls = []
+        ndtri = metrics._ndtri
+        monkeypatch.setattr(metrics, "_ndtri", lambda x: calls.append(x) or ndtri(x))
+        table = ReferenceProduct(marginals, "test").quantile_table(N)
+        assert np.array_equal(table, expected)
+        assert len(calls) == 1
 
     def test_quantile_monotone(self):
         u = np.linspace(0.001, 0.999, 500)
