@@ -15,7 +15,9 @@ potential's ``partials_at_context``.  Any other potential averages each
 coordinate's partial over its contexts with ``stochastic_grad_at``, the one
 average of a partial over contexts.  Context and noise draws are
 addressed by (seed, iteration, role, row), so a rerun reproduces the same
-trajectory.
+trajectory.  ``run`` derives the generator states of those keys
+``_RNG_BLOCK`` iterations at a time and seats one generator at each key in
+turn (``SeatedDraws``); where a block starts does not change a draw.
 
 A step writes only into (m, N) work arrays it is given: the drift, the noise,
 and the array that receives the new state.  ``run`` allocates four once, the
@@ -43,6 +45,7 @@ from .metrics import w2_reference_profile
 from .particles import (
     ParticleArray,
     RngStream,
+    SeatedDraws,
     coordinate_means,
     init_particles,
     sample_product,
@@ -53,7 +56,7 @@ from .reports import (
     StepTrace,
     as_integer,
     decode_f8,
-    encode_f8,
+    f8_base64,
     is_number,
     read_json,
     summarize_rows,
@@ -61,6 +64,9 @@ from .reports import (
 )
 
 _EXHAUSTIVE_MAX = 1_000_000
+# iterations whose context and noise states a run derives at once: a block
+# holds block * (m + 1) states, and amortizes the derivation's fixed cost
+_RNG_BLOCK = 128
 _CHECKPOINT_FORMAT = "pavi-checkpoint-v1"
 
 
@@ -235,8 +241,11 @@ def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
 # stepping -----------------------------------------------------------------------
 
 
-def _step_parts(pot, X, h, B, rng, n, algorithm, new, drift, noise):
+def _step_parts(pot, X, h, B, draws, n, algorithm, new, drift, noise):
     """Advance the particle array one iteration; returns (array, grad_rms).
+
+    Each draw goes through ``draws`` (a :class:`SeatedDraws`), which seats
+    its one generator at the draw's (iteration, role, row) key.
 
     The step writes only into its three (m, N) work arrays, none of which may
     share memory with ``X``: ``drift``, ``noise``, and ``new``, which becomes
@@ -249,7 +258,7 @@ def _step_parts(pot, X, h, B, rng, n, algorithm, new, drift, noise):
     # an overflow anywhere in the update is reported once, as a divergence
     with np.errstate(over="ignore", invalid="ignore"):
         if algorithm == "pavi":
-            z = sample_product(X, B, rng.generator(n, "context"))
+            z = sample_product(X, B, draws.generator(n, "context"))
         if pot.affine_coupling:
             # every average over contexts is the partial at their mean column
             c = z.mean(axis=1) if algorithm == "pavi" else coordinate_means(X)
@@ -261,10 +270,17 @@ def _step_parts(pot, X, h, B, rng, n, algorithm, new, drift, noise):
             for i in range(m):
                 drift[i] = exact_grad_profile(pot, X, i, values[i])
         for i in range(m):
-            rng.generator(n, "noise", i).standard_normal(out=noise[i])
+            draws.generator(n, "noise", i).standard_normal(out=noise[i])
         # new holds the squared drift until the update overwrites it
         np.multiply(drift, drift, out=new)
         grad_rms = float(math.sqrt(np.mean(new)))
+        if math.isinf(grad_rms) and np.isfinite(drift).all():
+            # the squares overflowed, not the drift: scale it by its largest
+            # magnitude first (rows that do not overflow keep their bits)
+            scale = float(np.abs(drift, out=new).max())
+            np.divide(drift, scale, out=new)
+            np.multiply(new, new, out=new)
+            grad_rms = scale * math.sqrt(np.mean(new))
         # new = values - h * drift + sqrt(2 h) * noise, in that order
         np.multiply(h, drift, out=drift)
         np.subtract(values, drift, out=new)
@@ -279,25 +295,43 @@ def _step_parts(pot, X, h, B, rng, n, algorithm, new, drift, noise):
     return out, grad_rms
 
 
+def _draws(rng: RngStream, m, algorithm, block, stop):
+    """The seated generator a step draws through: a context row for the
+    stochastic algorithm, and m noise rows."""
+    rows = {"context": 1, "noise": m} if algorithm == "pavi" else {"noise": m}
+    return SeatedDraws(rng, rows, block, stop)
+
+
 def _fresh_work(X):
     """Three new (m, N) work arrays for one step outside a run."""
     return [np.empty((X.m, X.N)) for _ in range(3)]
 
 
+def _one_step(pot, X, h, B, rng, n, algorithm):
+    draws = _draws(rng, X.m, algorithm, 1, n + 1)
+    return _step_parts(pot, X, h, B, draws, n, algorithm, *_fresh_work(X))[0]
+
+
 def pavi_step(pot, X: ParticleArray, h, B, rng: RngStream, n):
     """One stochastic iteration: contexts drawn once, then one whole-array update."""
-    return _step_parts(pot, X, float(h), int(B), rng, int(n), "pavi", *_fresh_work(X))[0]
+    return _one_step(pot, X, float(h), int(B), rng, int(n), "pavi")
 
 
 def exact_step(pot, X: ParticleArray, h, rng: RngStream, n):
     """One exact-gradient iteration; same noise addressing as pavi_step."""
-    return _step_parts(pot, X, float(h), None, rng, int(n), "exact", *_fresh_work(X))[0]
+    return _one_step(pot, X, float(h), None, rng, int(n), "exact")
 
 
 # full runs ----------------------------------------------------------------------
 
 
 def _write_checkpoint(path, pot, cfg, next_iteration, X, rows, wall_times):
+    """Write the checkpoint document, the text ``json.dumps(doc, sort_keys=True)``.
+
+    The particles' base64 bytes go to the file as they are, between the JSON
+    text before and after them, so the largest value is never copied into a
+    string.
+    """
     doc = {
         "format": _CHECKPOINT_FORMAT,
         "fingerprint": potential_fingerprint(pot),
@@ -305,10 +339,18 @@ def _write_checkpoint(path, pot, cfg, next_iteration, X, rows, wall_times):
         "next_iteration": int(next_iteration),
         "rows": [r.to_dict() for r in rows],
         "wall_times": list(wall_times),
-        "particles": encode_f8(X.values),
+        "particles": "",
         "shape": [X.m, X.N],
     }
-    write_atomic(path, json.dumps(doc, sort_keys=True))
+    # base64 needs no JSON escaping; no other value holds this key, so the
+    # split has exactly two parts
+    head, tail = json.dumps(doc, sort_keys=True).split('"particles": ""')
+    write_atomic(
+        path,
+        (head + '"particles": "').encode(),
+        f8_base64(X.values),
+        ('"' + tail).encode(),
+    )
 
 
 def read_checkpoint(path):
@@ -375,7 +417,7 @@ def run(
     """
     h, B = validate_config(pot, cfg)
     me = cfg.resolved_metrics_every()
-    rng = RngStream(cfg.seed)
+    draws = _draws(RngStream(cfg.seed), pot.m, cfg.algorithm, _RNG_BLOCK, cfg.T)
     rows: list[StepTrace] = []
     wall_times: list[float] = []
     t0 = time.perf_counter()
@@ -410,7 +452,7 @@ def run(
     for n in range(start, cfg.T):
         try:
             X, grad_rms = _step_parts(
-                pot, X, h, B, rng, n, cfg.algorithm, target, drift, noise
+                pot, X, h, B, draws, n, cfg.algorithm, target, drift, noise
             )
         except DivergenceError:
             # X is still the last good state: the step wrote only into target

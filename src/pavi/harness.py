@@ -20,6 +20,7 @@ from .reports import (
     SweepResult,
     as_integer,
     fit_loglog_slope,
+    is_number,
     rate_fit,
     read_json,
 )
@@ -72,22 +73,30 @@ def build_reference(spec, pot):
 
 
 def run_config_from_doc(doc, seed=None) -> dynamics.RunConfig:
-    try:
-        N = int(doc["N"])
-        T = int(doc["T"])
-    except KeyError as missing:
-        raise ConfigError(f"run config missing key {missing}") from None
-    cfg = dynamics.RunConfig(
-        N=N,
-        T=T,
-        h=doc.get("h"),
-        B=doc.get("B"),
+    """The run keys of a config document, each read with its type.
+
+    ``N`` and ``T`` are required integers; ``seed``, ``B``, ``metrics_every``
+    and ``checkpoint_every`` are optional integers, and ``h`` an optional
+    finite number.  A key of the wrong type is a ConfigError naming it.
+    """
+    for key in ("N", "T"):
+        if key not in doc:
+            raise ConfigError(f"run config missing key {key!r}")
+    h = doc.get("h")
+    if h is not None and not (is_number(h) and math.isfinite(h)):
+        raise ConfigError(f"h must be a finite number, got {h!r}")
+    # checked here, before any output exists; cmd_run passes it to the run
+    _optional_integer(doc, "checkpoint_every")
+    return dynamics.RunConfig(
+        N=_integer("N", doc["N"]),
+        T=_integer("T", doc["T"]),
+        h=h,
+        B=_optional_integer(doc, "B"),
         schedule=doc.get("schedule", "corollary"),
         algorithm=doc.get("algorithm", "pavi"),
-        seed=int(doc.get("seed", 0) if seed is None else seed),
-        metrics_every=doc.get("metrics_every"),
+        seed=_integer("seed", doc.get("seed", 0) if seed is None else seed),
+        metrics_every=_optional_integer(doc, "metrics_every"),
     )
-    return cfg
 
 
 def _init_from_doc(doc):
@@ -138,6 +147,11 @@ def _integer(key, value) -> int:
     return n
 
 
+def _optional_integer(doc, key) -> int | None:
+    value = doc.get(key)
+    return None if value is None else _integer(key, value)
+
+
 def run_replications(pot, base_cfg, reference, seeds, *, init="standard_normal"):
     """Run the same configuration under each seed, in order, on this thread."""
     cfg = base_cfg.to_dict()
@@ -182,7 +196,7 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     for N in N_list:
         cfg = dynamics.RunConfig(
             N=N, T=T, schedule="corollary", algorithm=doc.get("algorithm", "pavi"),
-            metrics_every=doc.get("metrics_every"),
+            metrics_every=_optional_integer(doc, "metrics_every"),
         )
         # the (h, B) the runs use: B is None for the exact algorithm
         h, B = dynamics.validate_config(pot, cfg)

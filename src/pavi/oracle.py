@@ -508,7 +508,7 @@ def save_reference(path, ref: ReferenceProduct) -> None:
         "marginals": marginals,
         "residual": ref.residual,
     }
-    write_atomic(path, json.dumps(doc, sort_keys=True))
+    write_atomic(path, json.dumps(doc, sort_keys=True).encode())
 
 
 def _finite_fields(path, entry, *keys):

@@ -18,10 +18,10 @@ METRICS_FILE = "metrics.jsonl"
 SUMMARY_FILE = "summary.json"
 
 
-def write_atomic(path, text) -> None:
-    """Replace the file at ``path`` with ``text`` in one step.
+def write_atomic(path, *chunks) -> None:
+    """Replace the file at ``path`` with the bytes ``chunks``, in one step.
 
-    The text goes to a temporary file in the same directory, which
+    The chunks go, in order, to a temporary file in the same directory, which
     ``os.replace`` then renames over the target, so a reader finds either the
     previous file or the complete new one.  This guards against a process
     crash during the write; there is no fsync, so it does not guard against
@@ -29,7 +29,9 @@ def write_atomic(path, text) -> None:
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
     os.replace(tmp, path)
 
 
@@ -44,10 +46,15 @@ def read_json(path) -> dict:
     return doc
 
 
+def f8_base64(values) -> bytes:
+    """Base64 of an array's little-endian float64 bytes, as ASCII bytes."""
+    # a contiguous little-endian float64 array is encoded without a copy
+    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8"))
+
+
 def encode_f8(values) -> str:
     """Base64 text of an array's little-endian float64 bytes."""
-    # a contiguous little-endian float64 array is encoded without a copy
-    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8")).decode("ascii")
+    return f8_base64(values).decode("ascii")
 
 
 def decode_f8(text, count, path) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 import yaml
@@ -102,6 +103,56 @@ class TestRunCommand:
         assert "non-finite particle update at iteration 0" in err
         assert "RuntimeWarning" not in err
         assert json.loads((out / "checkpoint.json").read_text())["next_iteration"] == 0
+
+    def test_huge_finite_drift_records_finite_grad_rms(self, tmp_path, capsys):
+        # at a point mass at 1e200 every drift is finite but its square is
+        # not; grad_rms is still the root mean square, about 1.46e200 at first
+        doc = dict(
+            RUN_DOC,
+            potential={"family": "quadratic", "precision": [[2.0, 0.5], [0.5, 2.0]]},
+            init={"point": [1e200, 0.0]},
+            N=64,
+            T=3,
+            metrics_every=1,
+            reference="none",
+        )
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        grad_rms = [r["grad_rms"] for r in rows[1:]]
+        assert len(grad_rms) == 3 and all(math.isfinite(g) and g > 1e199 for g in grad_rms)
+        # the drift at the start is P x = (2e200, 0.5e200)
+        assert grad_rms[0] == pytest.approx(math.sqrt((4.0 + 0.25) / 2.0) * 1e200, rel=1e-12)
+        assert json.loads((out / "checkpoint.json").read_text())["next_iteration"] == 3
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("N", "abc", "N must be an integer"),
+            ("N", 64.5, "N must be an integer"),
+            ("T", [60], "T must be an integer"),
+            ("seed", "x", "seed must be an integer"),
+            ("B", "x", "B must be an integer"),
+            ("metrics_every", True, "metrics_every must be an integer"),
+            ("checkpoint_every", "z", "checkpoint_every must be an integer"),
+            ("h", "x", "h must be a finite number"),
+            ("h", float("inf"), "h must be a finite number"),
+            ("h", float("nan"), "h must be a finite number"),
+        ],
+        ids=[
+            "N-string", "N-fraction", "T-list", "seed-string", "B-string",
+            "metrics_every-bool", "checkpoint_every-string", "h-string", "h-inf", "h-nan",
+        ],
+    )
+    def test_mistyped_run_key_exit_two(self, tmp_path, capsys, key, value, message):
+        doc = dict(RUN_DOC, schedule="explicit", h=0.01, B=4)
+        doc[key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.splitlines()[0]]
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
 
     @pytest.mark.parametrize("N, holds", [(16, False), (2048, True)])
     def test_corollary_step_guard_recorded(self, tmp_path, capsys, N, holds):
@@ -373,8 +424,11 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("N_list", [16, "x", 64]), ("replications", "x"), ("T", "x"), ("seed", "x")],
-        ids=["N_list", "replications", "T", "seed"],
+        [
+            ("N_list", [16, "x", 64]), ("replications", "x"), ("T", "x"), ("seed", "x"),
+            ("metrics_every", "x"),
+        ],
+        ids=["N_list", "replications", "T", "seed", "metrics_every"],
     )
     def test_sweep_mistyped_key_exit_two(self, tmp_path, capsys, key, value):
         doc = dict(RUN_DOC, N_list=[16, 32, 64], replications=2, T=40)

@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import pavi.dynamics
+import pavi.reports
 from pavi import (
     ConfigError,
     GaussianMarginal,
@@ -536,17 +537,30 @@ class TestRun:
         cfg = RunConfig(N=24, T=40, schedule="corollary", seed=9, metrics_every=5)
         full = run(gauss21, cfg, ref)
         ck = tmp_path / "ck.json"
-        real_write = Path.write_text
         calls = []
 
-        def crash_mid_second_write(path, text, *args, **kwargs):
-            calls.append(path)
-            if len(calls) == 2:
-                real_write(path, text[: len(text) // 2])
-                raise OSError("simulated crash during the write")
-            return real_write(path, text, *args, **kwargs)
+        class HalfWrite:
+            """The file of the second write: half its first chunk, then a crash."""
 
-        monkeypatch.setattr(Path, "write_text", crash_mid_second_write)
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, chunk):
+                self.f.write(chunk[: len(chunk) // 2])
+                raise OSError("simulated crash during the write")
+
+        def crash_mid_second_write(path, mode="r", *args, **kwargs):
+            f = open(path, mode, *args, **kwargs)
+            calls.append(path)
+            return HalfWrite(f) if len(calls) == 2 else f
+
+        monkeypatch.setattr(pavi.reports, "open", crash_mid_second_write, raising=False)
         with pytest.raises(OSError, match="simulated"):
             run(gauss21, cfg, ref, checkpoint_path=ck, checkpoint_every=10)
         monkeypatch.undo()
@@ -726,3 +740,73 @@ class TestAllocation:
         steady = {k: v / one_array for k, v in transient.items() if k >= 2}
         assert len(steady) == cfg.T - 1
         assert max(steady.values()) < 0.5, steady
+
+
+class TestDrawBlocks:
+    """``run`` derives the states of its draws a block of iterations at a
+    time and re-seats one generator per draw; neither may show in a run."""
+
+    @pytest.mark.parametrize("algorithm", ["pavi", "exact"])
+    def test_resume_inside_a_block(self, gauss21, tmp_path, algorithm):
+        ref = gaussian_mfvi_solution(gauss21)
+        block = pavi.dynamics._RNG_BLOCK
+        cfg = RunConfig(
+            N=16, T=2 * block + 20, schedule="corollary", seed=4, algorithm=algorithm,
+            metrics_every=9,
+        )
+        full_ck, ck = tmp_path / "full.json", tmp_path / "ck.json"
+        full = run(gauss21, cfg, ref, checkpoint_path=full_ck)
+        # the first checkpoint lands 13 iterations into the second block, and
+        # the crash comes at the next metrics row
+        every = block + 13
+        with pytest.raises(Crash):
+            run(gauss21, cfg, ref, crash_at(9 * (every // 9 + 1)), checkpoint_path=ck,
+                checkpoint_every=every)
+        assert read_checkpoint(ck)[0]["next_iteration"] == every
+        resumed = run(gauss21, cfg, ref, checkpoint_path=ck, resume=True)
+        assert resumed.metrics_lines() == full.metrics_lines()
+        assert read_checkpoint(ck)[1].values.tobytes() == read_checkpoint(full_ck)[1].values.tobytes()
+
+    @pytest.mark.parametrize("algorithm", ["pavi", "exact"])
+    def test_block_size_does_not_change_the_run(self, gauss21, monkeypatch, algorithm):
+        ref = gaussian_mfvi_solution(gauss21)
+        cfg = RunConfig(
+            N=16, T=30, schedule="corollary", seed=6, algorithm=algorithm, metrics_every=1
+        )
+        lines = run(gauss21, cfg, ref).metrics_lines()
+        for block in (1, 7, 30, 1000):
+            monkeypatch.setattr(pavi.dynamics, "_RNG_BLOCK", block)
+            assert run(gauss21, cfg, ref).metrics_lines() == lines
+
+    def test_run_seeds_no_generator_per_draw(self, monkeypatch):
+        # count every SeedSequence, default_rng and Generator that pavi builds
+        # by name; a run's count must not grow with its length
+        import sys
+
+        import numpy.random
+
+        built = []
+
+        def counting(real):
+            def build(*args, **kwargs):
+                built.append(real)
+                return real(*args, **kwargs)
+
+            return build
+
+        pavi_modules = [m for name, m in sys.modules.items() if name.startswith("pavi")]
+        targets = [(numpy.random, "SeedSequence"), (numpy.random, "default_rng")] + [
+            (module, name)
+            for module in pavi_modules
+            for name in ("SeedSequence", "default_rng", "Generator")
+            if hasattr(module, name)
+        ]
+        for module, name in targets:
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        pot = QuadraticPotential(np.eye(3) + 0.2)
+        counts = {}
+        for T in (20, 200):
+            built.clear()
+            run(pot, RunConfig(N=32, T=T, schedule="corollary", seed=1))
+            counts[T] = len(built)
+        assert counts[20] == counts[200] <= 2, counts

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -16,11 +17,16 @@ from pavi import (
     RunConfig,
     UsageError,
     coordinate_means,
+    gaussian_mfvi_solution,
     init_particles,
+    run,
     sample_product,
     sorted_marginal,
 )
+from numpy.random import SeedSequence, default_rng
 from pavi.dynamics import _write_checkpoint, read_checkpoint
+from pavi.particles import _ROLE_CODES, SeatedDraws
+from pavi.reports import encode_f8
 
 
 class TestInitParticles:
@@ -74,6 +80,92 @@ class TestRngStream:
     def test_unknown_role(self):
         with pytest.raises(UsageError, match="role"):
             RngStream(0).generator(0, "bogus")
+
+    @pytest.mark.parametrize("iteration, row", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
+    def test_key_out_of_range(self, iteration, row):
+        with pytest.raises(UsageError, match="nonnegative and below 2"):
+            RngStream(0).generator(iteration, "noise", row)
+
+
+# key elements around the one-word/two-word boundary and the range's ends,
+# and anywhere in between
+KEY_ELEMENT = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]),
+    st.integers(0, 2**16),
+    st.integers(0, 2**64 - 1),
+)
+
+
+def numpy_generator(seed, role, iteration, row):
+    """The independent reference: numpy's own seeding at the key."""
+    ss = SeedSequence(seed & (2**64 - 1), spawn_key=(_ROLE_CODES[role], iteration, row))
+    return default_rng(ss)
+
+
+class TestStateDerivation:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.integers(-(2**63), 2**64 - 1), st.sampled_from([0, -1, 2**32, 2**64 - 1])
+        ),
+        role=st.sampled_from(sorted(_ROLE_CODES)),
+        iteration=KEY_ELEMENT,
+        row=KEY_ELEMENT,
+    )
+    def test_matches_numpy_seeding(self, seed, role, iteration, row):
+        (state,), (inc,) = RngStream(seed).states(role, iteration, row)
+        ref = numpy_generator(seed, role, iteration, row)
+        assert ref.bit_generator.state["state"] == {"state": state, "inc": inc}
+        gen = RngStream(seed).generator(iteration, role, row)
+        # 32-bit draws first: PCG64 buffers them in halves of a 64-bit output,
+        # and a seated generator must start with an empty buffer
+        assert np.array_equal(gen.integers(0, 2**20, 7), ref.integers(0, 2**20, 7))
+        assert np.array_equal(gen.standard_normal(5), ref.standard_normal(5))
+        assert np.array_equal(gen.integers(0, 1000, 7), ref.integers(0, 1000, 7))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(-(2**63), 2**64 - 1),
+        keys=st.lists(
+            st.tuples(st.sampled_from(sorted(_ROLE_CODES)), KEY_ELEMENT, KEY_ELEMENT),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_batch_of_mixed_key_lengths(self, seed, keys):
+        # keys of three, four and five words derived in one pass
+        roles, iterations, rows = zip(*keys)
+        states, incs = RngStream(seed).states(list(roles), list(iterations), list(rows))
+        for key, state, inc in zip(keys, states, incs):
+            ref = numpy_generator(seed, *key).bit_generator.state["state"]
+            assert ref == {"state": state, "inc": inc}
+
+    def test_generators_are_independent(self):
+        # each generator() call owns its state: drawing from one leaves another alone
+        s = RngStream(5)
+        a, b = s.generator(0, "noise", 0), s.generator(0, "noise", 1)
+        first = a.standard_normal(4)
+        b.standard_normal(100)
+        expected = numpy_generator(5, "noise", 0, 0).standard_normal(8)
+        assert np.array_equal(np.concatenate([first, a.standard_normal(4)]), expected)
+
+
+class TestSeatedDraws:
+    def test_same_draws_as_stream_in_any_order(self):
+        stream = RngStream(11)
+        draws = SeatedDraws(stream, {"context": 1, "noise": 3}, block=4, stop=10)
+        # forward through several blocks, then back to an earlier one; each
+        # odd count of 32-bit draws leaves half an output buffered, which the
+        # next seating must drop
+        for n in [0, 3, 4, 9, 5, 2]:
+            for role, row in [("noise", 2), ("context", 0), ("noise", 0)]:
+                got = draws.generator(n, role, row).integers(0, 2**20, 5)
+                assert np.array_equal(got, stream.generator(n, role, row).integers(0, 2**20, 5))
+
+    def test_row_outside_the_derived_rows(self):
+        draws = SeatedDraws(RngStream(0), {"noise": 2}, block=4, stop=10)
+        with pytest.raises(UsageError, match="out of range"):
+            draws.generator(0, "noise", 2)
 
 
 class TestSampleProduct:
@@ -182,6 +274,18 @@ class TestSerialization:
             _, X = read_checkpoint(path)
         assert X.values.tobytes() == np.ascontiguousarray(values).tobytes()
         assert X.values.shape == values.shape
+
+    def test_checkpoint_text_is_sorted_json(self, tmp_path):
+        # the particles are written as bytes between the rest of the document,
+        # and the file is exactly the text json.dumps gives for the whole
+        path = tmp_path / "ck.json"
+        pot = QuadraticPotential([[2.0, 0.5], [0.5, 2.0]])
+        cfg = RunConfig(N=50, T=6, schedule="corollary", seed=3, metrics_every=2)
+        run(pot, cfg, gaussian_mfvi_solution(pot), checkpoint_path=path)
+        doc, X = read_checkpoint(path)
+        assert len(doc["rows"]) == 4 and len(doc["wall_times"]) == 4
+        assert doc["particles"] == encode_f8(X.values)
+        assert path.read_bytes() == json.dumps(doc, sort_keys=True).encode()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.json"
