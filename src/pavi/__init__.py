@@ -20,12 +20,8 @@ from .dynamics import (
 from .errors import (
     ConfigError,
     DivergenceError,
-    EvaluationError,
-    GridTooNarrowError,
     OracleConvergenceError,
     PaviError,
-    ScaleError,
-    UsageError,
 )
 from .metrics import (
     GaussianMarginal,
@@ -61,8 +57,6 @@ from .potentials import (
     PerturbedQuadraticPotential,
     Potential,
     QuadraticPotential,
-    eval_potential,
-    partial_derivative,
     potential_from_config,
 )
 from .reports import ConvergenceReport, RateFit, SweepResult, rate_fit

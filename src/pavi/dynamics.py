@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DivergenceError, ScaleError, UsageError
+from .errors import ConfigError, DivergenceError
 from .metrics import w2_reference_profile
 from .particles import (
     ParticleArray,
@@ -100,7 +100,7 @@ def corollary_schedule(lip, N):
     lip = float(lip)
     N = int(N)
     if lip <= 0:
-        raise UsageError(f"lip must be positive, got {lip}")
+        raise ConfigError(f"lip must be positive, got {lip}")
     if N < 2:
         raise ConfigError(f"N >= 2 required (got N={N})")
     h = 1.0 / (lip * N**0.25)
@@ -195,11 +195,11 @@ def stochastic_grad_at(pot, z, i, xs) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] != pot.m:
-        raise UsageError(f"context array must have shape ({pot.m}, B), got {z.shape}")
+        raise ConfigError(f"context array must have shape ({pot.m}, B), got {z.shape}")
     m, B = z.shape
     i = int(i)
     if not 0 <= i < m:
-        raise UsageError(f"coordinate index {i} out of range for dimension {m}")
+        raise ConfigError(f"coordinate index {i} out of range for dimension {m}")
     xs = np.asarray(xs, dtype=float).ravel()
     K = xs.size
     cols = np.broadcast_to(z[:, :, None], (m, B, K)).reshape(m, B * K).copy()
@@ -217,13 +217,13 @@ def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
     """
     i = int(i)
     if not 0 <= i < X.m:
-        raise UsageError(f"coordinate index {i} out of range for dimension {X.m}")
+        raise ConfigError(f"coordinate index {i} out of range for dimension {X.m}")
     if pot.affine_coupling:
         xs = np.asarray(xs, dtype=float).ravel()
         return pot.partials_at_context(np.broadcast_to(xs, (X.m, xs.size)), coordinate_means(X))[i]
     combos = X.N ** (X.m - 1)
     if combos > _EXHAUSTIVE_MAX:
-        raise ScaleError(
+        raise ConfigError(
             f"exhaustive averaging needs {combos} combinations (> {_EXHAUSTIVE_MAX}); "
             "use the stochastic algorithm instead"
         )

@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the package.
+"""The package's exceptions, one class per process exit code.
 
-Each error class carries the process exit code the CLI maps it to:
-0 success, 2 configuration/usage, 3 divergence, 4 oracle non-convergence.
+The CLI prints ``error: <message>`` on stderr and exits with the class's
+``exit_code``: 2 for any bad config, file, argument or call, 3 for a
+divergence and 4 for an oracle that does not converge.  Exit 1 is the code
+of a failed ``pavi check``; nothing raises the base class itself.
 """
 
 
@@ -10,25 +12,11 @@ class PaviError(Exception):
 
 
 class ConfigError(PaviError):
-    """Invalid configuration: bad constants, violated step-size guard, N < 2."""
+    """Invalid input: a bad config key or file, a violated step-size guard, an
+    out-of-range call, a size beyond its gate, or a reference whose quantiles
+    are non-finite."""
 
     exit_code = 2
-
-
-class UsageError(PaviError):
-    """Invalid call: index out of range, shape mismatch, degenerate inputs."""
-
-    exit_code = 2
-
-
-class ScaleError(PaviError):
-    """Operation requested beyond its feasible size gate."""
-
-    exit_code = 2
-
-
-class EvaluationError(PaviError):
-    """Potential evaluation produced or received a non-finite value."""
 
 
 class DivergenceError(PaviError):
@@ -47,27 +35,11 @@ class DivergenceError(PaviError):
 
 
 class OracleConvergenceError(PaviError):
-    """Fixed-point iteration did not reach tolerance within the sweep budget."""
+    """The oracle found no fixed point: the sweep budget ran out, mass reached
+    a grid's edge, or a grid density could not be normalized."""
 
     exit_code = 4
 
     def __init__(self, message, history=None):
         super().__init__(message)
         self.history = list(history) if history is not None else []
-
-
-class GridTooNarrowError(OracleConvergenceError):
-    """Probability mass reached the edge of a marginal grid."""
-
-    def __init__(self, message):
-        super().__init__(message)
-
-
-class DegenerateGridError(PaviError):
-    """All log-density values on a grid are -inf."""
-
-    exit_code = 4
-
-
-class ReferenceQuantileError(PaviError):
-    """A reference marginal failed to produce finite quantiles."""

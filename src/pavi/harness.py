@@ -10,7 +10,7 @@ import numpy as np
 import yaml
 
 from . import dynamics, oracle
-from .errors import ConfigError, UsageError
+from .errors import ConfigError
 from .metrics import grad_moment_check, w2_reference_profile
 from .particles import RngStream
 from .potentials import potential_from_config
@@ -20,7 +20,8 @@ from .reports import (
     SweepResult,
     as_integer,
     fit_loglog_slope,
-    is_number,
+    finite_number,
+    number_array,
     rate_fit,
     read_json,
 )
@@ -65,10 +66,9 @@ def build_reference(spec, pot):
     if spec is None or spec == "none":
         return None
     if spec == "analytic":
-        try:
-            return oracle.gaussian_mfvi_solution(pot)
-        except UsageError as err:
-            raise ConfigError(str(err)) from None
+        return oracle.gaussian_mfvi_solution(pot)
+    if not isinstance(spec, str):
+        raise ConfigError(f"reference must be analytic, none or a file path, got {spec!r}")
     return oracle.load_reference(spec)
 
 
@@ -76,21 +76,19 @@ def run_config_from_doc(doc, seed=None) -> dynamics.RunConfig:
     """The run keys of a config document, each read with its type.
 
     ``N`` and ``T`` are required integers; ``seed``, ``B``, ``metrics_every``
-    and ``checkpoint_every`` are optional integers, and ``h`` an optional
-    finite number.  A key of the wrong type is a ConfigError naming it.
+    and ``checkpoint_every`` (at least 0) are optional integers, and ``h`` an
+    optional finite number.  A key of the wrong type is a ConfigError naming it.
     """
     for key in ("N", "T"):
         if key not in doc:
             raise ConfigError(f"run config missing key {key!r}")
-    h = doc.get("h")
-    if h is not None and not (is_number(h) and math.isfinite(h)):
-        raise ConfigError(f"h must be a finite number, got {h!r}")
     # checked here, before any output exists; cmd_run passes it to the run
-    _optional_integer(doc, "checkpoint_every")
+    if (_optional_integer(doc, "checkpoint_every") or 0) < 0:
+        raise ConfigError("checkpoint_every must be >= 0 (0 = off)")
     return dynamics.RunConfig(
         N=_integer("N", doc["N"]),
         T=_integer("T", doc["T"]),
-        h=h,
+        h=None if doc.get("h") is None else finite_number("h", doc["h"]),
         B=_optional_integer(doc, "B"),
         schedule=doc.get("schedule", "corollary"),
         algorithm=doc.get("algorithm", "pavi"),
@@ -102,7 +100,7 @@ def run_config_from_doc(doc, seed=None) -> dynamics.RunConfig:
 def _init_from_doc(doc):
     init = doc.get("init", "standard_normal")
     if isinstance(init, dict) and "point" in init:
-        return ("point", np.asarray(init["point"], dtype=float))
+        return ("point", number_array("init.point", init["point"]))
     return init
 
 
@@ -120,13 +118,14 @@ def cmd_run(doc, out_dir=None, seed=None, threads=None, resume=False) -> Converg
     if not guard["holds"]:
         print(f"warning: {dynamics.guard_violation(guard)}; running anyway", file=sys.stderr)
     ref = build_reference(doc.get("reference"), pot)
+    init = _init_from_doc(doc)
     out = Path(out_dir or doc.get("output") or "pavi_out")
     out.mkdir(parents=True, exist_ok=True)
     report = dynamics.run(
         pot,
         cfg,
         ref,
-        init=_init_from_doc(doc),
+        init=init,
         checkpoint_path=out / CHECKPOINT_FILE,
         checkpoint_every=doc.get("checkpoint_every"),
         resume=resume,
@@ -172,22 +171,22 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     pot = potential_from_config(doc.get("potential") or _missing("potential"))
     ref_spec = doc.get("reference")
     if ref_spec in (None, "none"):
-        raise UsageError("sweep needs an analytic or oracle reference for the slope")
+        raise ConfigError("sweep needs an analytic or oracle reference for the slope")
     ref = build_reference(ref_spec, pot)
     N_list = doc.get("N_list") or _missing("N_list")
     if not isinstance(N_list, (list, tuple)):
         raise ConfigError(f"N_list must be a list of integers, got {N_list!r}")
     N_list = [_integer("N_list", n) for n in N_list]
     if len(N_list) < 3:
-        raise UsageError("sweep needs at least 3 particle counts for a slope")
+        raise ConfigError("sweep needs at least 3 particle counts for a slope")
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise UsageError(
+        raise ConfigError(
             "sweep particle counts must be strictly increasing "
             "(duplicates make the design matrix degenerate)"
         )
     R = _integer("replications", doc.get("replications", 16))
     if R < 1:
-        raise UsageError("replications must be >= 1")
+        raise ConfigError("replications must be >= 1")
     T = _integer("T", doc.get("T") or _missing("T"))
     base_seed = _integer("seed", doc.get("seed", 0) if seed is None else seed)
     seeds = [base_seed + r for r in range(R)]
@@ -239,29 +238,21 @@ def cmd_oracle(doc, out_path=None):
             raise ConfigError("analytic oracle is only available for the quadratic family")
         ref = oracle.gaussian_mfvi_solution(pot)
     elif method == "grid":
-        G = int(doc.get("grid_size", oracle.DEFAULT_GRID_SIZE))
-        tol = float(doc.get("tol", 1e-8))
-        max_iter = int(doc.get("max_iter", 300))
-        damping = float(doc.get("damping", 1.0))
+        G = _integer("grid_size", doc.get("grid_size", oracle.DEFAULT_GRID_SIZE))
+        tol = float(finite_number("tol", doc.get("tol", 1e-8)))
+        max_iter = _integer("max_iter", doc.get("max_iter", 300))
+        damping = float(finite_number("damping", doc.get("damping", 1.0)))
         half_width = doc.get("half_width")
-        solved = oracle.fixed_point_solve(
-            pot,
-            oracle.initial_grid_product(pot, G, "uniform", half_width),
-            tol,
-            max_iter,
-            damping,
-        )
+        half_width = None if half_width is None else finite_number("half_width", half_width)
+
+        def solve(kind):
+            start = oracle.initial_grid_product(pot, G, kind, half_width)
+            return oracle.fixed_point_solve(pot, start, tol, max_iter, damping)
+
+        solved = solve("uniform")
         if doc.get("check_inits", True):
-            other = oracle.fixed_point_solve(
-                pot,
-                oracle.initial_grid_product(pot, G, "narrow", half_width),
-                tol,
-                max_iter,
-                damping,
-            )
-            agreement = max(
-                a.w2_to(b) for a, b in zip(solved.marginals, other.marginals)
-            )
+            other = solve("narrow")
+            agreement = max(a.w2_to(b) for a, b in zip(solved.marginals, other.marginals))
             solved.residual.init_agreement_w2 = float(agreement)
         ref = oracle.grid_reference(solved)
     else:
@@ -275,15 +266,18 @@ def _check_line(lines, name, passed, detail):
     lines.append((name, bool(passed), detail))
 
 
-def cmd_check(doc, trials=None, seed=None):
+def cmd_check(doc, seed=None):
     """Validate the potential's declared constants and gradient by sampling.
 
     Returns (all_passed, lines) where each line is (name, passed, detail);
     the CLI prints one line per check.
     """
     pot = potential_from_config(doc.get("potential") or _missing("potential"))
-    trials = int(trials if trials is not None else doc.get("trials", 1000))
-    gen = RngStream(int(doc.get("seed", 0) if seed is None else seed)).generator(0, "sample")
+    trials = _integer("trials", doc.get("trials", 1000))
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    seed = _integer("seed", doc.get("seed", 0) if seed is None else seed)
+    gen = RngStream(seed).generator(0, "sample")
     center = oracle.minimizer(pot)
     scale = 2.0 / math.sqrt(pot.alpha)
     m = pot.m
@@ -340,7 +334,7 @@ def cmd_check(doc, trials=None, seed=None):
     ref_spec = doc.get("reference")
     if ref_spec not in (None, "none"):
         ref = build_reference(ref_spec, pot)
-        K = int(doc.get("samples", 20000))
+        K = _integer("samples", doc.get("samples", 20000))
         samples = oracle.sample_reference(ref, K, gen)
         moments = grad_moment_check(pot, samples)
         mean_bound = 4.0 * math.sqrt(m * pot.lip**2 / pot.alpha / K)
@@ -367,7 +361,7 @@ def _load_compare_side(path):
         return ("report", ConvergenceReport.load(path), path)
     if read_json(path).get("format") == "pavi-reference-v1":
         return ("reference", oracle.load_reference(path), path)
-    raise UsageError(f"{path} is neither a report directory nor a reference document")
+    raise ConfigError(f"{path} is neither a report directory nor a reference document")
 
 
 def cmd_compare(path_a, path_b) -> dict:
@@ -379,7 +373,7 @@ def cmd_compare(path_a, path_b) -> dict:
         rows_b = {r.iteration: r.w2_total for r in b.rows if r.w2_total is not None}
         shared = sorted(set(rows_a) & set(rows_b))
         if not shared:
-            raise UsageError("reports share no recorded iterations with W2 values")
+            raise ConfigError("reports share no recorded iterations with W2 values")
         deltas = [rows_a[n] - rows_b[n] for n in shared]
         return {
             "mode": "report-report",
@@ -394,12 +388,12 @@ def cmd_compare(path_a, path_b) -> dict:
             ),
         }
     if kind_a == kind_b:
-        raise UsageError("compare takes two reports, or one report and one reference")
+        raise ConfigError("compare takes two reports, or one report and one reference")
     report, rep_dir = (a, dir_a) if kind_a == "report" else (b, dir_b)
     ref = b if kind_b == "reference" else a
     ckpt = rep_dir / CHECKPOINT_FILE
     if not ckpt.exists():
-        raise UsageError(
+        raise ConfigError(
             f"report at {rep_dir} has no {CHECKPOINT_FILE}; rerun with checkpointing "
             "to compare final particles against a reference"
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ReferenceQuantileError, ScaleError, UsageError
+from .errors import ConfigError
 from .particles import ParticleArray
 
 _BRUTEFORCE_MAX = 8
@@ -94,9 +94,9 @@ def w2_1d_empirical(a, b) -> float:
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.size != b.size:
-        raise UsageError(f"supports must have equal size, got {a.size} and {b.size}")
+        raise ConfigError(f"supports must have equal size, got {a.size} and {b.size}")
     if a.size == 0:
-        raise UsageError("empirical measures need at least one atom")
+        raise ConfigError("empirical measures need at least one atom")
     d = np.sort(a) - np.sort(b)
     return float(math.sqrt(np.mean(d * d)))
 
@@ -106,9 +106,9 @@ def w2_1d_bruteforce(a, b) -> float:
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.size != b.size:
-        raise UsageError(f"supports must have equal size, got {a.size} and {b.size}")
+        raise ConfigError(f"supports must have equal size, got {a.size} and {b.size}")
     if a.size > _BRUTEFORCE_MAX:
-        raise ScaleError(
+        raise ConfigError(
             f"brute-force matching is limited to {_BRUTEFORCE_MAX} atoms, got {a.size}"
         )
     n = a.size
@@ -125,7 +125,7 @@ def w2_1d_bruteforce(a, b) -> float:
 def w2_product_empirical(X: ParticleArray, Y: ParticleArray) -> float:
     """W2 between two product empirical measures (additive across coordinates)."""
     if X.m != Y.m or X.N != Y.N:
-        raise UsageError(
+        raise ConfigError(
             f"shape mismatch: ({X.m}, {X.N}) vs ({Y.m}, {Y.N})"
         )
     total = 0.0
@@ -141,7 +141,7 @@ class GaussianMarginal:
 
     def __init__(self, mean, var):
         if var < 0.0:
-            raise UsageError(f"variance must be nonnegative, got {var}")
+            raise ConfigError(f"variance must be nonnegative, got {var}")
         self.mean = float(mean)
         self.var = float(var)
 
@@ -188,7 +188,7 @@ class ReferenceProduct:
                     rows.append(mar.quantile(u))
             table = np.vstack(rows)
             if not np.all(np.isfinite(table)):
-                raise ReferenceQuantileError(
+                raise ConfigError(
                     "reference quantiles are non-finite at interior probabilities"
                 )
             self._tables[N] = table
@@ -202,7 +202,7 @@ def w2_reference_profile(X: ParticleArray, ref: ReferenceProduct, out=None):
     computed in ``out``, an (m, N) scratch array, when one is given.
     """
     if X.m != ref.m:
-        raise UsageError(f"dimension mismatch: particles m={X.m}, reference m={ref.m}")
+        raise ConfigError(f"dimension mismatch: particles m={X.m}, reference m={ref.m}")
     table = ref.quantile_table(X.N)
     d = np.empty_like(X.values) if out is None else out
     np.copyto(d, X.values)
@@ -229,7 +229,7 @@ def grad_moment_check(pot, samples) -> GradMoments:
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] != pot.m:
-        raise UsageError(
+        raise ConfigError(
             f"samples must have shape ({pot.m}, K), got {samples.shape}"
         )
     grads = pot.gradient_cols(samples)

@@ -29,20 +29,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateGridError,
-    GridTooNarrowError,
-    OracleConvergenceError,
-    ScaleError,
-    UsageError,
-)
+from .errors import ConfigError, OracleConvergenceError
 from .metrics import GaussianMarginal, ReferenceProduct
 from .potentials import PerturbedQuadraticPotential, QuadraticPotential
 from .reports import decode_f8, encode_f8, read_json, write_atomic
 
 DEFAULT_GRID_SIZE = 1025
 _BOUNDARY_TOL = 1e-8
+# midpoint quantile levels of the W2 between two grid densities
+_W2_LEVELS = 4096
+# gradient-norm tolerance and step budget of the minimizer search
+_MINIMIZER_TOL = 1e-10
+_MINIMIZER_STEPS = 50_000
 # quadrature cells handled per vectorized chunk of the tensor pass
 _CHUNK_BUDGET = 2_000_000
 
@@ -145,18 +143,18 @@ class GridDensity:
         nodes = np.asarray(nodes, dtype=float)
         log_values = np.asarray(log_values, dtype=float)
         if nodes.ndim != 1 or nodes.size < 9:
-            raise UsageError("grid needs at least 9 ascending nodes")
+            raise ConfigError("grid needs at least 9 ascending nodes")
         if log_values.shape != nodes.shape:
-            raise UsageError("log-density values must match the grid shape")
+            raise ConfigError("log-density values must match the grid shape")
         steps = np.diff(nodes)
         if np.any(steps <= 0):
-            raise UsageError("grid nodes must be strictly ascending")
+            raise ConfigError("grid nodes must be strictly ascending")
         if np.max(np.abs(steps - steps[0])) > 1e-9 * (nodes[-1] - nodes[0]):
-            raise UsageError("grid nodes must be uniformly spaced")
+            raise ConfigError("grid nodes must be uniformly spaced")
         if np.any(np.isnan(log_values)) or np.any(log_values == np.inf):
-            raise DegenerateGridError("log-density values must be < +inf and not NaN")
+            raise OracleConvergenceError("log-density values must be < +inf and not NaN")
         if np.all(np.isneginf(log_values)):
-            raise DegenerateGridError("all log-density values are -inf on the grid")
+            raise OracleConvergenceError("all log-density values are -inf on the grid")
         step = float(steps[0])
         w = np.full(nodes.size, step)
         w[0] = w[-1] = 0.5 * step
@@ -168,7 +166,7 @@ class GridDensity:
         self._cubics = None
         total = float(np.trapezoid(np.exp(self.log_density), self.nodes))
         if abs(total - 1.0) > 1e-10:
-            raise DegenerateGridError(
+            raise OracleConvergenceError(
                 f"grid density failed to normalize (trapezoid mass {total})"
             )
 
@@ -219,9 +217,9 @@ class GridDensity:
         out = _eval_cubics(knots, self._cubics, u)
         return np.clip(out, self.nodes[0], self.nodes[-1])
 
-    def w2_to(self, other: "GridDensity", K: int = 4096) -> float:
+    def w2_to(self, other: "GridDensity") -> float:
         """W2 between two grid densities through their quantile functions."""
-        u = (np.arange(K) + 0.5) / K
+        u = (np.arange(_W2_LEVELS) + 0.5) / _W2_LEVELS
         d = self.quantile(u) - other.quantile(u)
         return float(math.sqrt(np.mean(d * d)))
 
@@ -256,10 +254,10 @@ class GridProduct:
     def __init__(self, marginals, residual=None):
         marginals = list(marginals)
         if not marginals:
-            raise UsageError("grid product needs at least one marginal")
+            raise ConfigError("grid product needs at least one marginal")
         for d in marginals:
             if not isinstance(d, GridDensity):
-                raise UsageError("grid product marginals must be GridDensity instances")
+                raise ConfigError("grid product marginals must be GridDensity instances")
         self.marginals = marginals
         self.residual = residual
 
@@ -271,13 +269,13 @@ class GridProduct:
         return GridProduct(list(self.marginals), self.residual)
 
 
-def minimizer(pot, tol=1e-10, max_iter=50_000) -> np.ndarray:
+def minimizer(pot) -> np.ndarray:
     """Unique minimizer of V by damped gradient descent with step 1/lip."""
     x = np.zeros(pot.m)
     step = 1.0 / pot.lip
-    for _ in range(max_iter):
+    for _ in range(_MINIMIZER_STEPS):
         g = pot.gradient_cols(x[:, None])[:, 0]
-        if np.linalg.norm(g) < tol:
+        if np.linalg.norm(g) < _MINIMIZER_TOL:
             return x
         x = x - step * g
     raise OracleConvergenceError("minimizer search did not converge")
@@ -292,7 +290,7 @@ def coordinate_grids(pot, G=DEFAULT_GRID_SIZE, half_width=None):
     """
     G = int(G)
     if G < 9:
-        raise UsageError("grid size must be at least 9 nodes")
+        raise ConfigError("grid size must be at least 9 nodes")
     center = minimizer(pot)
     hw = 8.0 / math.sqrt(pot.alpha) if half_width is None else float(half_width)
     return [np.linspace(c - hw, c + hw, G) for c in center]
@@ -315,7 +313,7 @@ def initial_grid_product(pot, G=DEFAULT_GRID_SIZE, kind="uniform", half_width=No
             s = 4.0 * (nodes[1] - nodes[0])
             logd = -0.5 * ((nodes - center[i]) / s) ** 2
         else:
-            raise UsageError(f"unknown init kind {kind!r}")
+            raise ConfigError(f"unknown init kind {kind!r}")
         marginals.append(GridDensity(nodes, logd))
     return GridProduct(marginals)
 
@@ -335,17 +333,17 @@ def vbar_on_grid(pot, i, q: GridProduct) -> np.ndarray:
     """
     m = pot.m
     if q.m != m:
-        raise UsageError(f"grid product has {q.m} marginals, potential expects {m}")
+        raise ConfigError(f"grid product has {q.m} marginals, potential expects {m}")
     i = int(i)
     if not 0 <= i < m:
-        raise UsageError(f"coordinate index {i} out of range for dimension {m}")
+        raise ConfigError(f"coordinate index {i} out of range for dimension {m}")
     nodes = q.marginals[i].nodes
     if pot.affine_coupling:
         cols = np.repeat([[d.mean()] for d in q.marginals], nodes.size, axis=1)
         cols[i] = nodes
         return np.asarray(pot.value_cols(cols), dtype=float)
     if m > 3:
-        raise ScaleError(
+        raise ConfigError(
             f"dimension {m} exceeds the tensor-quadrature gate (m <= 3) and the "
             "potential has no affine coupling"
         )
@@ -394,9 +392,11 @@ def fixed_point_solve(
     grid boundary or the sweep budget runs out.
     """
     if tol <= 0:
-        raise UsageError("tol must be positive")
+        raise ConfigError("tol must be positive")
     if not 0.0 < damping <= 1.0:
-        raise UsageError("damping must lie in (0, 1]")
+        raise ConfigError("damping must lie in (0, 1]")
+    if max_iter < 1:
+        raise ConfigError("max_iter must be >= 1")
     q = init.copy()
     history = []
     # coordinate 0's update at the committed product, from the last
@@ -414,7 +414,7 @@ def fixed_point_solve(
                 )
                 new_i = GridDensity(new_i.nodes, mixed)
             if new_i.boundary_density() > _BOUNDARY_TOL:
-                raise GridTooNarrowError(
+                raise OracleConvergenceError(
                     f"mass reached the boundary of coordinate {i}'s grid "
                     f"(density {new_i.boundary_density():.3e}); widen the grid"
                 )
@@ -454,7 +454,7 @@ def gaussian_mfvi_solution(pot) -> ReferenceProduct:
     if not isinstance(pot, QuadraticPotential) or isinstance(
         pot, PerturbedQuadraticPotential
     ):
-        raise UsageError(
+        raise ConfigError(
             "closed-form product solution is available only for the quadratic family"
         )
     marginals = [
@@ -473,7 +473,7 @@ def sample_reference(ref: ReferenceProduct, K, rng) -> np.ndarray:
     """Inverse-CDF sampling from the product reference, coordinates independent."""
     K = int(K)
     if K < 1:
-        raise UsageError("K must be >= 1")
+        raise ConfigError("K must be >= 1")
     u = rng.random((ref.m, K))
     np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
     return np.vstack([ref.marginals[i].quantile(u[i]) for i in range(ref.m)])
@@ -501,7 +501,7 @@ def save_reference(path, ref: ReferenceProduct) -> None:
                 }
             )
         else:
-            raise UsageError(f"cannot serialize marginal of type {type(mar).__name__}")
+            raise ConfigError(f"cannot serialize marginal of type {type(mar).__name__}")
     doc = {
         "format": _FORMAT,
         "provenance": ref.provenance,
@@ -533,7 +533,10 @@ def load_reference(path) -> ReferenceProduct:
                 lo, hi = _finite_fields(path, entry, "lo", "hi")
                 count = int(entry["count"])
                 logd = decode_f8(entry["log_density"], count, path)
-                marginals.append(GridDensity(np.linspace(lo, hi, count), logd))
+                try:
+                    marginals.append(GridDensity(np.linspace(lo, hi, count), logd))
+                except ConfigError as err:
+                    raise ConfigError(f"{path} holds a malformed grid ({err})") from None
             else:
                 raise ConfigError(f"unknown marginal type {entry['type']!r}")
         return ReferenceProduct(marginals, doc["provenance"], doc.get("residual"))

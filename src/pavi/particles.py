@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError
 
 _ROLE_CODES = {"init": 0, "context": 1, "noise": 2, "reference": 3, "sample": 4}
 
@@ -94,10 +94,10 @@ def _key_array(values):
         # numpy reads a list holding ints past 2**63 as float64
         a = np.array(values, dtype=object)
         if not all(isinstance(v, (int, np.integer)) for v in a.flat):
-            raise UsageError(f"iteration and row must be integers, got {values!r}")
+            raise ConfigError(f"iteration and row must be integers, got {values!r}")
     a = a.ravel()
     if a.size and (a.min() < 0 or a.max() > _MASK64):
-        raise UsageError("iteration and row must be nonnegative and below 2**64")
+        raise ConfigError("iteration and row must be nonnegative and below 2**64")
     return a.astype(np.uint64)
 
 
@@ -178,7 +178,7 @@ class RngStream:
         try:
             codes = [_ROLE_CODES[r] for r in roles]
         except KeyError as err:
-            raise UsageError(
+            raise ConfigError(
                 f"unknown rng role {err.args[0]!r}; expected one of {sorted(_ROLE_CODES)}"
             ) from None
         keys = np.broadcast_arrays(
@@ -283,7 +283,7 @@ class SeatedDraws:
             self._derive(iteration)
         r = self.rows[role]
         if not 0 <= row < r:
-            raise UsageError(f"row {row} out of range for the {r} rows of role {role!r}")
+            raise ConfigError(f"row {row} out of range for the {r} rows of role {role!r}")
         k = self._offsets[role] + (iteration - self._lo) * r + row
         return _seat(self._gen, self._states[k], self._incs[k])
 
@@ -357,7 +357,7 @@ def sample_product(X: ParticleArray, B, gen: Generator) -> np.ndarray:
     """
     B = int(B)
     if B < 1:
-        raise UsageError(f"B must be >= 1, got {B}")
+        raise ConfigError(f"B must be >= 1, got {B}")
     idx = gen.integers(0, X.N, size=(X.m, B))
     return X.values[np.arange(X.m)[:, None], idx]
 
@@ -365,7 +365,7 @@ def sample_product(X: ParticleArray, B, gen: Generator) -> np.ndarray:
 def sorted_marginal(X: ParticleArray, i) -> np.ndarray:
     """Order statistics of marginal i (ascending, ties kept stable)."""
     if not 0 <= int(i) < X.m:
-        raise UsageError(f"coordinate index {i} out of range for dimension {X.m}")
+        raise ConfigError(f"coordinate index {i} out of range for dimension {X.m}")
     return np.sort(X.values[int(i)], kind="stable")
 
 

@@ -15,7 +15,8 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError, UsageError
+from .errors import ConfigError
+from .reports import finite_number, number_array
 
 # sup_t |d^3/dt^3 log(cosh t)|; the exact supremum is 4/(3*sqrt(3)) ~= 0.76980
 # and the declared bound rounds it up.
@@ -28,23 +29,11 @@ def logcosh(t):
     return np.abs(t) + np.log1p(np.exp(-2.0 * np.abs(t))) - np.log(2.0)
 
 
-def _as_vector(x, m, what="x"):
+def _as_vector(x, m, what):
     x = np.asarray(x, dtype=float)
     if x.shape != (m,):
-        raise UsageError(f"{what} must be a length-{m} vector, got shape {x.shape}")
+        raise ConfigError(f"{what} must be a length-{m} vector, got shape {x.shape}")
     return x
-
-
-def _first_nonfinite(x):
-    bad = np.flatnonzero(~np.isfinite(np.asarray(x, dtype=float)))
-    return int(bad[0]) if bad.size else None
-
-
-def _check_index(i, m):
-    i = int(i)
-    if not 0 <= i < m:
-        raise UsageError(f"coordinate index {i} out of range for dimension {m}")
-    return i
 
 
 class Potential:
@@ -229,36 +218,6 @@ class PerturbedQuadraticPotential(QuadraticPotential):
         return doc
 
 
-# operations -----------------------------------------------------------------
-
-
-def eval_potential(pot, x) -> float:
-    """Evaluate V(x), rejecting non-finite input or output."""
-    x = _as_vector(x, pot.m)
-    j = _first_nonfinite(x)
-    if j is not None:
-        raise EvaluationError(f"non-finite input at coordinate {j}")
-    v = float(pot.value_cols(x[:, None])[0])
-    if not np.isfinite(v):
-        raise EvaluationError(f"potential evaluated to a non-finite value at x={x.tolist()}")
-    return v
-
-
-def partial_derivative(pot, i, x) -> float:
-    """Evaluate the i-th partial derivative of V at x."""
-    i = _check_index(i, pot.m)
-    x = _as_vector(x, pot.m)
-    j = _first_nonfinite(x)
-    if j is not None:
-        raise EvaluationError(f"non-finite input at coordinate {j}")
-    g = float(pot.partial_cols(i, x[:, None])[0])
-    if not np.isfinite(g):
-        raise EvaluationError(
-            f"partial derivative {i} evaluated to a non-finite value at x={x.tolist()}"
-        )
-    return g
-
-
 def potential_from_config(doc) -> Potential:
     """Build a potential from a config mapping.
 
@@ -274,26 +233,30 @@ def potential_from_config(doc) -> Potential:
         raw = doc["precision"]
     except KeyError as missing:
         raise ConfigError(f"potential config missing key {missing}") from None
-    A = np.asarray(raw, dtype=float)
-    if A.ndim == 1:
+    A = number_array("potential.precision", raw)
+    if np.ndim(A) == 1:
         m = int(round(A.size ** 0.5))
         if m * m != A.size:
             raise ConfigError(
                 f"flat precision list has length {A.size}, not a perfect square"
             )
         A = A.reshape(m, m)
-    mean = doc.get("mean")
+    mean = number_array("potential.mean", doc.get("mean"))
     if family == "quadratic":
         pot = QuadraticPotential(A, mean)
     elif family == "perturbed_quadratic":
-        pot = PerturbedQuadraticPotential(A, mean, doc.get("weights"))
+        weights = number_array("potential.weights", doc.get("weights"))
+        pot = PerturbedQuadraticPotential(A, mean, weights)
     else:
         raise ConfigError(f"unknown potential family {family!r}")
     claimed = doc.get("claimed")
     if claimed:
+        if not isinstance(claimed, dict):
+            raise ConfigError(f"potential.claimed must be a mapping, got {claimed!r}")
         for name in ("alpha", "lip", "third_bound"):
             if claimed.get(name) is not None:
-                setattr(pot, name, float(claimed[name]))
+                value = finite_number(f"potential.claimed.{name}", claimed[name])
+                setattr(pot, name, float(value))
         pot.claimed = True
         pot._check_constants()
     return pot

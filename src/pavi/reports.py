@@ -1,5 +1,6 @@
-"""Run reports, steady-state summaries, rate fitting, and the file helpers
-shared by the checkpoint and reference documents."""
+"""Run reports, steady-state summaries, rate fitting, the file helpers
+shared by the checkpoint and reference documents, and the typed readers of
+config values."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError
 
 METRICS_FILE = "metrics.jsonl"
 SUMMARY_FILE = "summary.json"
@@ -85,9 +86,9 @@ class StepTrace:
     def validate(self):
         for v in (self.w2_total, self.grad_rms):
             if v is not None and not math.isfinite(v):
-                raise UsageError(f"non-finite diagnostic at iteration {self.iteration}")
+                raise ConfigError(f"non-finite diagnostic at iteration {self.iteration}")
         if self.w2_coord is not None and not all(math.isfinite(v) for v in self.w2_coord):
-            raise UsageError(f"non-finite diagnostic at iteration {self.iteration}")
+            raise ConfigError(f"non-finite diagnostic at iteration {self.iteration}")
 
     def to_dict(self) -> dict:
         return {
@@ -132,6 +133,39 @@ def as_integer(value) -> int | None:
     return None
 
 
+def finite_number(key, value):
+    """``value`` when it is a number that is finite as a float; else a
+    ConfigError naming ``key``.
+
+    A string that reads as such a number is returned as that float: YAML 1.1
+    reads an exponent without a decimal point, such as ``1e-8``, as a string.
+    """
+    try:
+        number = float(value) if isinstance(value, str) or is_number(value) else math.nan
+    except (ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return value if is_number(value) else number
+
+
+def number_array(key, value) -> np.ndarray | None:
+    """``value``, numbers in a list or in equal-length rows, as a float array.
+
+    An unset value (None) stays None; anything else that does not convert is
+    a ConfigError naming ``key``.
+    """
+    if value is None:
+        return None
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{key} must be a list of numbers or of equal-length rows of numbers, "
+            f"got {value!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class RateFit:
     contraction_rate: float | None
@@ -141,7 +175,7 @@ class RateFit:
 def steady_window(n_points: int) -> int:
     """Index where the trailing 25% steady-state window starts."""
     if n_points < 1:
-        raise UsageError("need at least one point")
+        raise ConfigError("need at least one point")
     return max(0, n_points - max(1, n_points // 4))
 
 
@@ -156,9 +190,9 @@ def rate_fit(iterations, values) -> RateFit:
     n = np.asarray(iterations, dtype=float)
     v = np.asarray(values, dtype=float)
     if n.shape != v.shape or n.ndim != 1:
-        raise UsageError("iterations and values must be 1-D and equal length")
+        raise ConfigError("iterations and values must be 1-D and equal length")
     if n.size < 10:
-        raise UsageError("rate fit needs at least 10 points")
+        raise ConfigError("rate fit needs at least 10 points")
     start = steady_window(n.size)
     tail = v[start:]
     level = float(tail.mean())
@@ -186,13 +220,13 @@ def fit_loglog_slope(Ns, values):
     Ns = np.asarray(Ns, dtype=float)
     v = np.asarray(values, dtype=float)
     if Ns.size != v.size:
-        raise UsageError("N values and measurements must have equal length")
+        raise ConfigError("N values and measurements must have equal length")
     if Ns.size < 3:
-        raise UsageError("slope fit needs at least 3 distinct N values")
+        raise ConfigError("slope fit needs at least 3 distinct N values")
     if np.any(np.diff(Ns) <= 0):
-        raise UsageError("N values must be strictly increasing (duplicates make the fit degenerate)")
+        raise ConfigError("N values must be strictly increasing (duplicates make the fit degenerate)")
     if np.any(v <= 0):
-        raise UsageError("measurements must be positive for a log-log fit")
+        raise ConfigError("measurements must be positive for a log-log fit")
     x = np.log(Ns)
     y = np.log(v)
     slope, intercept = np.polyfit(x, y, 1)
@@ -256,7 +290,7 @@ class ConvergenceReport:
         last = -1
         for row in self.rows:
             if row.iteration <= last:
-                raise UsageError("row iterations must be strictly increasing")
+                raise ConfigError("row iterations must be strictly increasing")
             last = row.iteration
             row.validate()
 
@@ -359,9 +393,9 @@ class SweepResult:
     def validate(self):
         Ns = [e.N for e in self.entries]
         if any(b <= a for a, b in zip(Ns, Ns[1:])):
-            raise UsageError("sweep entries must have strictly increasing N")
+            raise ConfigError("sweep entries must have strictly increasing N")
         if not math.isfinite(self.slope):
-            raise UsageError("sweep slope must be finite")
+            raise ConfigError("sweep slope must be finite")
 
     def save(self, path) -> None:
         self.validate()

@@ -139,20 +139,47 @@ class TestRunCommand:
             ("h", "x", "h must be a finite number"),
             ("h", float("inf"), "h must be a finite number"),
             ("h", float("nan"), "h must be a finite number"),
+            ("h", 10**400, "h must be a finite number"),
+            ("checkpoint_every", -3, "checkpoint_every must be >= 0"),
+            ("potential.precision", "abc", "potential.precision must be a list of numbers"),
+            ("potential.precision", [[1, 2], [3]], "potential.precision must be a list of"),
+            ("potential.mean", ["x", 0], "potential.mean must be a list of numbers"),
+            ("potential.weights", [1, "a"], "potential.weights must be a list of numbers"),
+            ("potential.claimed", {"alpha": "q"}, "potential.claimed.alpha must be a finite"),
+            ("potential.claimed", [1], "potential.claimed must be a mapping"),
+            ("init", {"point": ["a", 1]}, "init.point must be a list of numbers"),
+            ("reference", 5, "reference must be analytic, none or a file path"),
         ],
         ids=[
             "N-string", "N-fraction", "T-list", "seed-string", "B-string",
             "metrics_every-bool", "checkpoint_every-string", "h-string", "h-inf", "h-nan",
+            "h-huge-integer", "checkpoint_every-negative", "precision-string", "precision-ragged",
+            "mean-string-entry", "weights-string-entry", "claimed-string", "claimed-list",
+            "init-point-string-entry", "reference-number",
         ],
     )
     def test_mistyped_run_key_exit_two(self, tmp_path, capsys, key, value, message):
-        doc = dict(RUN_DOC, schedule="explicit", h=0.01, B=4)
-        doc[key] = value
+        # a dotted key names an entry of a section, such as potential.mean
+        potential = dict(RUN_DOC["potential"], family="perturbed_quadratic", weights=[1.0, 1.0])
+        doc = dict(
+            RUN_DOC, potential=potential, schedule="explicit", h=0.01, B=4, reference="none"
+        )
+        *sections, name = key.split(".")
+        section = doc
+        for part in sections:
+            section = section[part]
+        section[name] = value
         cfg = write_config(tmp_path, doc)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [err.splitlines()[0]]
         assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    def test_yaml_exponent_reads_as_number(self, tmp_path):
+        # YAML 1.1 reads an exponent without a decimal point as a string
+        cfg = write_config(tmp_path, dict(RUN_DOC, schedule="explicit", B=4))
+        cfg.write_text(cfg.read_text() + "h: 1e-2\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("N, holds", [(16, False), (2048, True)])
     def test_corollary_step_guard_recorded(self, tmp_path, capsys, N, holds):
@@ -299,19 +326,17 @@ class TestOracleAndCompare:
 
 class TestExitCodes:
     def test_error_class_codes(self):
-        from pavi.errors import (
-            ConfigError,
-            DivergenceError,
-            GridTooNarrowError,
-            OracleConvergenceError,
-            UsageError,
-        )
+        # one class per exit code; 1 is also the code of a failed check
+        import pavi.errors
 
-        assert ConfigError.exit_code == 2
-        assert UsageError.exit_code == 2
-        assert DivergenceError.exit_code == 3
-        assert OracleConvergenceError.exit_code == 4
-        assert GridTooNarrowError.exit_code == 4
+        codes = {
+            name: cls.exit_code
+            for name, cls in vars(pavi.errors).items()
+            if isinstance(cls, type) and issubclass(cls, BaseException)
+        }
+        assert codes == {
+            "PaviError": 1, "ConfigError": 2, "DivergenceError": 3, "OracleConvergenceError": 4,
+        }
 
     def test_oracle_non_convergence_exit_four(self, tmp_path, capsys):
         # asymmetric perturbed target: the marginal means drift off the
@@ -349,6 +374,25 @@ class TestExitCodes:
         code = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert code == 4
         assert "widen" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("grid_size", "x", "grid_size must be an integer"),
+            ("max_iter", "x", "max_iter must be an integer"),
+            ("max_iter", 0, "max_iter must be >= 1"),
+            ("tol", "x", "tol must be a finite number"),
+            ("damping", "x", "damping must be a finite number"),
+            ("half_width", "x", "half_width must be a finite number"),
+        ],
+        ids=["grid_size", "max_iter", "max_iter-zero", "tol", "damping", "half_width"],
+    )
+    def test_oracle_mistyped_key_exit_two(self, tmp_path, capsys, key, value, message):
+        doc = {"potential": RUN_DOC["potential"], "method": "grid", "grid_size": 33, key: value}
+        cfg = write_config(tmp_path, doc)
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
     @pytest.mark.parametrize("kind", ["yaml-syntax", "directory", "not-utf8"])
     def test_unreadable_config_exit_two(self, tmp_path, capsys, kind):
@@ -400,6 +444,24 @@ class TestCheckCommand:
         assert "FAIL convexity_sandwich" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("trials", "x", "trials must be an integer"),
+            ("trials", 0, "trials must be >= 1"),
+            ("samples", "x", "samples must be an integer"),
+            ("seed", "x", "seed must be an integer"),
+        ],
+        ids=["trials", "trials-zero", "samples", "seed"],
+    )
+    def test_check_mistyped_key_exit_two(self, tmp_path, capsys, key, value, message):
+        doc = {"potential": RUN_DOC["potential"], "reference": "analytic", key: value}
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
 class TestSweepCommand:
     def test_sweep_runs(self, tmp_path, capsys):
         # the exact algorithm draws no batch, so its rows print no B; a
@@ -423,20 +485,24 @@ class TestSweepCommand:
                 assert row.startswith(f"N={N:>6d}  h={h:.6g}  {batch}steady W2 ")
 
     @pytest.mark.parametrize(
-        "key, value",
+        "key, value, message",
         [
-            ("N_list", [16, "x", 64]), ("replications", "x"), ("T", "x"), ("seed", "x"),
-            ("metrics_every", "x"),
+            ("N_list", [16, "x", 64], "N_list must be an integer"),
+            ("replications", "x", "replications must be an integer"),
+            ("T", "x", "T must be an integer"),
+            ("seed", "x", "seed must be an integer"),
+            ("metrics_every", "x", "metrics_every must be an integer"),
+            ("init", {"point": ["a", 1]}, "init.point must be a list of numbers"),
         ],
-        ids=["N_list", "replications", "T", "seed", "metrics_every"],
+        ids=["N_list", "replications", "T", "seed", "metrics_every", "init-point"],
     )
-    def test_sweep_mistyped_key_exit_two(self, tmp_path, capsys, key, value):
+    def test_sweep_mistyped_key_exit_two(self, tmp_path, capsys, key, value, message):
         doc = dict(RUN_DOC, N_list=[16, 32, 64], replications=2, T=40)
         doc[key] = value
         cfg = write_config(tmp_path, doc)
         assert main(["sweep", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {key} must be an integer")
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
     def test_sweep_usage_error(self, tmp_path, capsys):
         doc = dict(RUN_DOC, N_list=[16, 16, 64], replications=2, T=40)

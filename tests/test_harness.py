@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from pavi import (
-    ConfigError,
     ConvergenceReport,
     SweepResult,
-    UsageError,
+    ConfigError,
     corollary_schedule,
     potential_from_config,
     rate_fit,
@@ -65,7 +64,7 @@ class TestRateFit:
         assert fit.contraction_rate is None
 
     def test_too_few_points(self):
-        with pytest.raises(UsageError, match="10"):
+        with pytest.raises(ConfigError, match="10"):
             rate_fit(np.arange(9), np.ones(9))
 
 
@@ -77,11 +76,11 @@ class TestLogLogSlope:
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
     def test_duplicate_N_rejected(self):
-        with pytest.raises(UsageError, match="increasing"):
+        with pytest.raises(ConfigError, match="increasing"):
             fit_loglog_slope([64, 64, 256], [1.0, 1.0, 0.5])
 
     def test_too_few_points(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigError):
             fit_loglog_slope([64, 256], [1.0, 0.5])
 
 
@@ -141,17 +140,17 @@ class TestCmdRun:
 class TestCmdSweep:
     def test_too_few_N(self, tmp_path):
         doc = run_doc(N_list=[64, 256], replications=2, T=50)
-        with pytest.raises(UsageError, match="3"):
+        with pytest.raises(ConfigError, match="3"):
             cmd_sweep(doc, out_dir=tmp_path)
 
     def test_duplicate_N(self, tmp_path):
         doc = run_doc(N_list=[64, 64, 256], replications=2, T=50)
-        with pytest.raises(UsageError, match="increasing"):
+        with pytest.raises(ConfigError, match="increasing"):
             cmd_sweep(doc, out_dir=tmp_path)
 
     def test_reference_required(self, tmp_path):
         doc = run_doc(N_list=[16, 32, 64], replications=2, T=50, reference="none")
-        with pytest.raises(UsageError, match="reference"):
+        with pytest.raises(ConfigError, match="reference"):
             cmd_sweep(doc, out_dir=tmp_path)
 
     def test_small_sweep_deterministic(self, tmp_path):

@@ -10,12 +10,11 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import chisquare
 
 from pavi import (
-    ConfigError,
     ParticleArray,
     QuadraticPotential,
     RngStream,
     RunConfig,
-    UsageError,
+    ConfigError,
     coordinate_means,
     gaussian_mfvi_solution,
     init_particles,
@@ -78,12 +77,12 @@ class TestRngStream:
         assert np.array_equal(a, b)
 
     def test_unknown_role(self):
-        with pytest.raises(UsageError, match="role"):
+        with pytest.raises(ConfigError, match="role"):
             RngStream(0).generator(0, "bogus")
 
     @pytest.mark.parametrize("iteration, row", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
     def test_key_out_of_range(self, iteration, row):
-        with pytest.raises(UsageError, match="nonnegative and below 2"):
+        with pytest.raises(ConfigError, match="nonnegative and below 2"):
             RngStream(0).generator(iteration, "noise", row)
 
 
@@ -164,7 +163,7 @@ class TestSeatedDraws:
 
     def test_row_outside_the_derived_rows(self):
         draws = SeatedDraws(RngStream(0), {"noise": 2}, block=4, stop=10)
-        with pytest.raises(UsageError, match="out of range"):
+        with pytest.raises(ConfigError, match="out of range"):
             draws.generator(0, "noise", 2)
 
 
@@ -209,7 +208,7 @@ class TestSampleProduct:
 
     def test_invalid_batch(self):
         X = init_particles(1, 2)
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigError):
             sample_product(X, 0, RngStream(0).generator())
 
 
@@ -228,7 +227,7 @@ class TestMarginalViews:
 
     def test_sorted_marginal_index_error(self):
         q = ParticleArray([[0.0, 1.0]])
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigError):
             sorted_marginal(q, 1)
 
     def test_coordinate_means(self):

@@ -6,12 +6,8 @@ import pytest
 import pavi
 from pavi import (
     ConfigError,
-    EvaluationError,
     PerturbedQuadraticPotential,
     QuadraticPotential,
-    UsageError,
-    eval_potential,
-    partial_derivative,
     potential_from_config,
 )
 from pavi.dynamics import stochastic_grad_at
@@ -33,49 +29,34 @@ def quad_value_independent(A, mu, x):
 class TestEvalPotential:
     def test_quadratic_minimum(self):
         pot = QuadraticPotential(np.eye(2))
-        assert eval_potential(pot, [0.0, 0.0]) == 0.0
+        assert pot.value_cols(np.c_[[0.0, 0.0]])[0] == 0.0
 
     def test_quadratic_hand_value(self):
         A = [[2.0, 1.0], [1.0, 2.0]]
         pot = QuadraticPotential(A)
-        assert eval_potential(pot, [1.0, 1.0]) == pytest.approx(3.0, abs=1e-14)
-        assert eval_potential(pot, [1.0, 1.0]) == pytest.approx(
+        assert pot.value_cols(np.c_[[1.0, 1.0]])[0] == pytest.approx(3.0, abs=1e-14)
+        assert pot.value_cols(np.c_[[1.0, 1.0]])[0] == pytest.approx(
             quad_value_independent(A, [0, 0], [1, 1]), abs=1e-14
         )
 
     def test_perturbed_at_origin(self):
         pot = PerturbedQuadraticPotential([[1.0]], [0.0], [1.0])
-        assert eval_potential(pot, [0.0]) == 0.0
-
-    def test_nonfinite_input_names_coordinate(self):
-        pot = QuadraticPotential(np.eye(3))
-        with pytest.raises(EvaluationError, match="coordinate 1"):
-            eval_potential(pot, [0.0, np.nan, 0.0])
-
-    def test_wrong_length(self):
-        pot = QuadraticPotential(np.eye(2))
-        with pytest.raises(UsageError):
-            eval_potential(pot, [0.0, 0.0, 0.0])
+        assert pot.value_cols(np.c_[[0.0]])[0] == 0.0
 
 
 class TestPartialDerivative:
     def test_hand_value(self):
         pot = QuadraticPotential([[2.0, 1.0], [1.0, 2.0]])
-        assert partial_derivative(pot, 0, [1.0, 0.5]) == pytest.approx(2.5, abs=1e-14)
+        assert pot.partial_cols(0, np.c_[[1.0, 0.5]])[0] == pytest.approx(2.5, abs=1e-14)
 
     def test_vanishes_at_mean(self):
         pot = QuadraticPotential(np.eye(3), [0.3, -0.7, 2.0])
         for i in range(3):
-            assert partial_derivative(pot, i, [0.3, -0.7, 2.0]) == 0.0
+            assert pot.partial_cols(i, np.c_[[0.3, -0.7, 2.0]])[0] == 0.0
 
     def test_perturbed_at_origin(self):
         pot = PerturbedQuadraticPotential([[1.0]], [0.0], [1.0])
-        assert partial_derivative(pot, 0, [0.0]) == 0.0
-
-    def test_index_out_of_range(self):
-        pot = QuadraticPotential(np.eye(2))
-        with pytest.raises(UsageError, match="out of range"):
-            partial_derivative(pot, 2, [0.0, 0.0])
+        assert pot.partial_cols(0, np.c_[[0.0]])[0] == 0.0
 
     def test_gradient_cols_matches_partial_cols(self, gauss21, perturbed2):
         # the two batch evaluators round differently (measured up to 2.7e-16
@@ -90,9 +71,6 @@ class TestPartialDerivative:
                 assert pot.partial_cols(i, cols) == pytest.approx(
                     grads[i], rel=1e-13, abs=1e-13
                 )
-            assert partial_derivative(pot, 1, cols[:, 0]) == pytest.approx(
-                grads[1, 0], rel=1e-13, abs=1e-13
-            )
 
 
 def grad_at_means(pot, i, x_i, other_means):
@@ -119,7 +97,7 @@ class TestConditionalMeanGradient:
             x = rng.standard_normal(2)
             other_mean = rng.standard_normal(1)
             assert grad_at_means(pot, 0, x[0], other_mean) == pytest.approx(
-                partial_derivative(pot, 0, x), abs=1e-14
+                pot.partial_cols(0, np.c_[x])[0], abs=1e-14
             )
 
     def test_vanishes_when_means_match(self):
@@ -149,7 +127,7 @@ class TestConditionalMeanGradient:
         atoms = [np.array([-2.0, 0.5, 2.0]), np.array([1.0, -1.5])]
         for x_i in (-1.0, 0.0, 0.4):
             brute = np.mean([
-                partial_derivative(pot, 1, [a, x_i, b]) for a in atoms[0] for b in atoms[1]
+                pot.partial_cols(1, np.c_[[a, x_i, b]])[0] for a in atoms[0] for b in atoms[1]
             ])
             at_means = grad_at_means(pot, 1, x_i, [a.mean() for a in atoms])
             assert abs(at_means - brute) > 0.01
@@ -174,7 +152,7 @@ class TestConditionalMeanGradient:
                     x = np.empty(m)
                     x[i] = x_i
                     x[[k for k in range(m) if k != i]] = combo
-                    total += partial_derivative(pot, i, x)
+                    total += pot.partial_cols(i, np.c_[x])[0]
                     count += 1
                 brute = total / count
                 means = [a.mean() for a in atoms]
