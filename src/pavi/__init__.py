@@ -51,7 +51,6 @@ from .particles import (
     coordinate_means,
     init_particles,
     sample_product,
-    sorted_marginal,
 )
 from .potentials import (
     PerturbedQuadraticPotential,

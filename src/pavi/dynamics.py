@@ -14,10 +14,9 @@ or the coordinate means), so the whole (m, N) drift is one call of the
 potential's ``partials_at_context``.  Any other potential averages each
 coordinate's partial over its contexts with ``stochastic_grad_at``, the one
 average of a partial over contexts.  Context and noise draws are
-addressed by (seed, iteration, role, row), so a rerun reproduces the same
-trajectory.  ``run`` derives the generator states of those keys
-``_RNG_BLOCK`` iterations at a time and seats one generator at each key in
-turn (``SeatedDraws``); where a block starts does not change a draw.
+addressed by (seed, iteration, role), so a rerun reproduces the same
+trajectory.  ``run`` builds one generator and seats it at each key in turn
+(``RngStream.seat``); a step draws its whole (m, N) noise in one call.
 
 A step writes only into (m, N) work arrays it is given: the drift, the noise,
 and the array that receives the new state.  ``run`` allocates four once, the
@@ -45,7 +44,6 @@ from .metrics import w2_reference_profile
 from .particles import (
     ParticleArray,
     RngStream,
-    SeatedDraws,
     coordinate_means,
     init_particles,
     sample_product,
@@ -64,10 +62,7 @@ from .reports import (
 )
 
 _EXHAUSTIVE_MAX = 1_000_000
-# iterations whose context and noise states a run derives at once: a block
-# holds block * (m + 1) states, and amortizes the derivation's fixed cost
-_RNG_BLOCK = 128
-_CHECKPOINT_FORMAT = "pavi-checkpoint-v1"
+_CHECKPOINT_FORMAT = "pavi-checkpoint-v2"
 
 
 @dataclass
@@ -241,11 +236,11 @@ def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
 # stepping -----------------------------------------------------------------------
 
 
-def _step_parts(pot, X, h, B, draws, n, algorithm, new, drift, noise):
+def _step_parts(pot, X, h, B, rng, gen, n, algorithm, new, drift, noise):
     """Advance the particle array one iteration; returns (array, grad_rms).
 
-    Each draw goes through ``draws`` (a :class:`SeatedDraws`), which seats
-    its one generator at the draw's (iteration, role, row) key.
+    Each draw goes through the Generator ``gen``, which the stream ``rng``
+    seats at the draw's (iteration, role) key.
 
     The step writes only into its three (m, N) work arrays, none of which may
     share memory with ``X``: ``drift``, ``noise``, and ``new``, which becomes
@@ -258,7 +253,7 @@ def _step_parts(pot, X, h, B, draws, n, algorithm, new, drift, noise):
     # an overflow anywhere in the update is reported once, as a divergence
     with np.errstate(over="ignore", invalid="ignore"):
         if algorithm == "pavi":
-            z = sample_product(X, B, draws.generator(n, "context"))
+            z = sample_product(X, B, rng.seat(gen, n, "context"))
         if pot.affine_coupling:
             # every average over contexts is the partial at their mean column
             c = z.mean(axis=1) if algorithm == "pavi" else coordinate_means(X)
@@ -269,8 +264,7 @@ def _step_parts(pot, X, h, B, draws, n, algorithm, new, drift, noise):
         else:
             for i in range(m):
                 drift[i] = exact_grad_profile(pot, X, i, values[i])
-        for i in range(m):
-            draws.generator(n, "noise", i).standard_normal(out=noise[i])
+        rng.seat(gen, n, "noise").standard_normal(out=noise)
         # new holds the squared drift until the update overwrites it
         np.multiply(drift, drift, out=new)
         grad_rms = float(math.sqrt(np.mean(new)))
@@ -295,21 +289,14 @@ def _step_parts(pot, X, h, B, draws, n, algorithm, new, drift, noise):
     return out, grad_rms
 
 
-def _draws(rng: RngStream, m, algorithm, block, stop):
-    """The seated generator a step draws through: a context row for the
-    stochastic algorithm, and m noise rows."""
-    rows = {"context": 1, "noise": m} if algorithm == "pavi" else {"noise": m}
-    return SeatedDraws(rng, rows, block, stop)
-
-
 def _fresh_work(X):
     """Three new (m, N) work arrays for one step outside a run."""
     return [np.empty((X.m, X.N)) for _ in range(3)]
 
 
 def _one_step(pot, X, h, B, rng, n, algorithm):
-    draws = _draws(rng, X.m, algorithm, 1, n + 1)
-    return _step_parts(pot, X, h, B, draws, n, algorithm, *_fresh_work(X))[0]
+    work = _fresh_work(X)
+    return _step_parts(pot, X, h, B, rng, rng.generator(), n, algorithm, *work)[0]
 
 
 def pavi_step(pot, X: ParticleArray, h, B, rng: RngStream, n):
@@ -360,6 +347,10 @@ def read_checkpoint(path):
     the file.
     """
     doc = read_json(path)
+    if doc.get("format") == "pavi-checkpoint-v1":
+        # v1 runs drew from other keys: resumed here, a run would continue on
+        # draws that neither scheme gives
+        raise ConfigError(f"{path} was written by an older draw scheme (pavi-checkpoint-v1)")
     if doc.get("format") != _CHECKPOINT_FORMAT:
         raise ConfigError(f"{path} is not a checkpoint file")
     try:
@@ -417,7 +408,9 @@ def run(
     """
     h, B = validate_config(pot, cfg)
     me = cfg.resolved_metrics_every()
-    draws = _draws(RngStream(cfg.seed), pot.m, cfg.algorithm, _RNG_BLOCK, cfg.T)
+    # one stream and one generator serve every draw of the run
+    rng = RngStream(cfg.seed)
+    gen = rng.generator(0, "init")
     rows: list[StepTrace] = []
     wall_times: list[float] = []
     t0 = time.perf_counter()
@@ -446,13 +439,13 @@ def run(
             raise ConfigError("resume requested but no checkpoint file found")
         X, rows, wall_times, start = _load_checkpoint(checkpoint_path, pot, cfg)
     else:
-        X = init_particles(pot.m, cfg.N, init, cfg.seed)
+        X = init_particles(pot.m, cfg.N, init, gen=gen)
         record(0, X)
 
     for n in range(start, cfg.T):
         try:
             X, grad_rms = _step_parts(
-                pot, X, h, B, draws, n, cfg.algorithm, target, drift, noise
+                pot, X, h, B, rng, gen, n, cfg.algorithm, target, drift, noise
             )
         except DivergenceError:
             # X is still the last good state: the step wrote only into target

@@ -335,6 +335,8 @@ def cmd_check(doc, seed=None):
     if ref_spec not in (None, "none"):
         ref = build_reference(ref_spec, pot)
         K = _integer("samples", doc.get("samples", 20000))
+        if K < 1:
+            raise ConfigError("samples must be >= 1")
         samples = oracle.sample_reference(ref, K, gen)
         moments = grad_moment_check(pot, samples)
         mean_bound = 4.0 * math.sqrt(m * pot.lip**2 / pot.alpha / K)

@@ -538,7 +538,7 @@ def load_reference(path) -> ReferenceProduct:
                 except ConfigError as err:
                     raise ConfigError(f"{path} holds a malformed grid ({err})") from None
             else:
-                raise ConfigError(f"unknown marginal type {entry['type']!r}")
+                raise ConfigError(f"{path} holds an unknown marginal type {entry['type']!r}")
         return ReferenceProduct(marginals, doc["provenance"], doc.get("residual"))
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path} is a malformed reference ({err!r})") from None

@@ -100,8 +100,10 @@ class QuadraticPotential(Potential):
 
     def __init__(self, precision, mean=None):
         A = np.asarray(precision, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ConfigError(f"precision matrix must be square, got shape {A.shape}")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+            raise ConfigError(
+                f"precision matrix must be square and non-empty, got shape {A.shape}"
+            )
         if not np.all(np.isfinite(A)):
             raise ConfigError("precision matrix must be finite")
         if np.max(np.abs(A - A.T)) > 1e-12:

@@ -143,6 +143,8 @@ class TestRunCommand:
             ("checkpoint_every", -3, "checkpoint_every must be >= 0"),
             ("potential.precision", "abc", "potential.precision must be a list of numbers"),
             ("potential.precision", [[1, 2], [3]], "potential.precision must be a list of"),
+            ("potential.precision", [], "precision matrix must be square and non-empty"),
+            ("potential.mean", [], "mean must be a length-2 vector"),
             ("potential.mean", ["x", 0], "potential.mean must be a list of numbers"),
             ("potential.weights", [1, "a"], "potential.weights must be a list of numbers"),
             ("potential.claimed", {"alpha": "q"}, "potential.claimed.alpha must be a finite"),
@@ -154,6 +156,7 @@ class TestRunCommand:
             "N-string", "N-fraction", "T-list", "seed-string", "B-string",
             "metrics_every-bool", "checkpoint_every-string", "h-string", "h-inf", "h-nan",
             "h-huge-integer", "checkpoint_every-negative", "precision-string", "precision-ragged",
+            "precision-empty", "mean-empty",
             "mean-string-entry", "weights-string-entry", "claimed-string", "claimed-list",
             "init-point-string-entry", "reference-number",
         ],
@@ -258,6 +261,21 @@ class TestRunCommand:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert str(ck) in lines[0] and "malformed checkpoint" in lines[0]
 
+    def test_resume_older_checkpoint_exit_two(self, tmp_path, capsys):
+        # a checkpoint of the older draw scheme would resume on other draws
+        cfg = write_config(tmp_path, dict(RUN_DOC, checkpoint_every=20))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        ck = out / "checkpoint.json"
+        text = ck.read_text()
+        assert text.count('"pavi-checkpoint-v2"') == 1
+        ck.write_text(text.replace('"pavi-checkpoint-v2"', '"pavi-checkpoint-v1"'))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--resume"]) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if not line.startswith("warning: ")]
+        assert lines == [f"error: {ck} was written by an older draw scheme (pavi-checkpoint-v1)"]
+
 
 class TestOracleAndCompare:
     def test_oracle_then_compare(self, tmp_path, capsys):
@@ -288,6 +306,20 @@ class TestOracleAndCompare:
         capsys.readouterr()
         assert main(["compare", str(out), str(ref)]) == 2
         assert "checkpoint.json" in capsys.readouterr().err
+
+    def test_unknown_marginal_type_names_file(self, tmp_path, capsys):
+        ocfg = write_config(tmp_path, {"potential": RUN_DOC["potential"]}, name="oracle.yaml")
+        ref = tmp_path / "ref.json"
+        assert main(["oracle", "--config", str(ocfg), "--out", str(ref)]) == 0
+        doc = json.loads(ref.read_text())
+        doc["marginals"][0]["type"] = "beta"
+        ref.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path, dict(RUN_DOC, reference=str(ref)))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if not line.startswith("warning: ")]
+        assert lines == [f"error: {ref} holds an unknown marginal type 'beta'"]
 
     def test_compare_bad_path_exit_two(self, tmp_path, capsys):
         other = tmp_path / "x.json"
@@ -450,9 +482,10 @@ class TestCheckCommand:
             ("trials", "x", "trials must be an integer"),
             ("trials", 0, "trials must be >= 1"),
             ("samples", "x", "samples must be an integer"),
+            ("samples", 0, "samples must be >= 1"),
             ("seed", "x", "seed must be an integer"),
         ],
-        ids=["trials", "trials-zero", "samples", "seed"],
+        ids=["trials", "trials-zero", "samples", "samples-zero", "seed"],
     )
     def test_check_mistyped_key_exit_two(self, tmp_path, capsys, key, value, message):
         doc = {"potential": RUN_DOC["potential"], "reference": "analytic", key: value}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import pavi.dynamics
+import pavi.harness
 import pavi.reports
 from pavi import (
     ConfigError,
@@ -280,10 +280,8 @@ class TestExactMeanFieldGrad:
 
 
 def noise_rows(rng, n, h, m, N):
-    """The scaled noise step n adds, rebuilt from its counter-addressed streams."""
-    return np.vstack(
-        [np.sqrt(2 * h) * rng.generator(n, "noise", i).standard_normal(N) for i in range(m)]
-    )
+    """The scaled noise step n adds, rebuilt from its counter-addressed stream."""
+    return np.sqrt(2 * h) * rng.generator(n, "noise").standard_normal((m, N))
 
 
 class TestSteps:
@@ -316,9 +314,9 @@ class TestSteps:
         else:
             grads = [stochastic_grad_at(pot, z, i, X.values[i]) for i in range(X.m)]
         manual = np.empty_like(X.values)
+        xi = rng.generator(n, "noise").standard_normal((X.m, X.N))
         for i in range(X.m):
-            xi = rng.generator(n, "noise", i).standard_normal(X.N)
-            manual[i] = X.values[i] - h * grads[i] + np.sqrt(2 * h) * xi
+            manual[i] = X.values[i] - h * grads[i] + np.sqrt(2 * h) * xi[i]
         return manual
 
     def test_step_matches_manual_reconstruction(self, gauss21):
@@ -458,11 +456,7 @@ class TestEstimatorStatistics:
         # pool the exact noise draws a short run consumes
         rng = RngStream(123)
         draws = np.concatenate(
-            [
-                rng.generator(n, "noise", i).standard_normal(64)
-                for n in range(50)
-                for i in range(2)
-            ]
+            [rng.generator(n, "noise").standard_normal((2, 64)).ravel() for n in range(50)]
         )
         assert anderson_darling_normal(draws) < AD_CRIT_1E3
 
@@ -740,22 +734,20 @@ class TestAllocation:
 
 
 class TestDrawBlocks:
-    """``run`` derives the states of its draws a block of iterations at a
-    time and re-seats one generator per draw; neither may show in a run."""
+    """``run`` re-seats one generator at the key of each draw; neither
+    resuming between metrics rows nor the run's length may show in it."""
 
     @pytest.mark.parametrize("algorithm", ["pavi", "exact"])
     def test_resume_inside_a_block(self, gauss21, tmp_path, algorithm):
         ref = gaussian_mfvi_solution(gauss21)
-        block = pavi.dynamics._RNG_BLOCK
         cfg = RunConfig(
-            N=16, T=2 * block + 20, schedule="corollary", seed=4, algorithm=algorithm,
-            metrics_every=9,
+            N=16, T=276, schedule="corollary", seed=4, algorithm=algorithm, metrics_every=9,
         )
         full_ck, ck = tmp_path / "full.json", tmp_path / "ck.json"
         full = run(gauss21, cfg, ref, checkpoint_path=full_ck)
-        # the first checkpoint lands 13 iterations into the second block, and
-        # the crash comes at the next metrics row
-        every = block + 13
+        # the first checkpoint lands between two metrics rows, and the crash
+        # comes at the next one
+        every = 141
         with pytest.raises(Crash):
             run(gauss21, cfg, ref, crash_at(9 * (every // 9 + 1)), checkpoint_path=ck,
                 checkpoint_every=every)
@@ -764,20 +756,9 @@ class TestDrawBlocks:
         assert resumed.metrics_lines() == full.metrics_lines()
         assert read_checkpoint(ck)[1].values.tobytes() == read_checkpoint(full_ck)[1].values.tobytes()
 
-    @pytest.mark.parametrize("algorithm", ["pavi", "exact"])
-    def test_block_size_does_not_change_the_run(self, gauss21, monkeypatch, algorithm):
-        ref = gaussian_mfvi_solution(gauss21)
-        cfg = RunConfig(
-            N=16, T=30, schedule="corollary", seed=6, algorithm=algorithm, metrics_every=1
-        )
-        lines = run(gauss21, cfg, ref).metrics_lines()
-        for block in (1, 7, 30, 1000):
-            monkeypatch.setattr(pavi.dynamics, "_RNG_BLOCK", block)
-            assert run(gauss21, cfg, ref).metrics_lines() == lines
-
     def test_run_seeds_no_generator_per_draw(self, monkeypatch):
         # count every SeedSequence, default_rng and Generator that pavi builds
-        # by name; a run's count must not grow with its length
+        # by name; neither a run's count nor a sweep's may grow with its length
         import sys
 
         import numpy.random
@@ -807,3 +788,13 @@ class TestDrawBlocks:
             run(pot, RunConfig(N=32, T=T, schedule="corollary", seed=1))
             counts[T] = len(built)
         assert counts[20] == counts[200] <= 2, counts
+        # a sweep of 2 replications at 3 particle counts: two per run
+        doc = {
+            "potential": {"family": "quadratic", "precision": (np.eye(3) + 0.2).tolist()},
+            "reference": "analytic", "N_list": [8, 16, 32], "replications": 2,
+        }
+        for T in (20, 200):
+            built.clear()
+            pavi.harness.cmd_sweep(dict(doc, T=T))
+            counts[T] = len(built)
+        assert counts[20] == counts[200] <= 2 * 3 * 2, counts
