@@ -27,7 +27,6 @@ from .metrics import (
     GaussianMarginal,
     ReferenceProduct,
     grad_moment_check,
-    w2_1d_bruteforce,
     w2_1d_empirical,
     w2_product_empirical,
     w2_reference_profile,

@@ -15,17 +15,27 @@ potential's ``partials_at_context``.  Any other potential averages each
 coordinate's partial over its contexts with ``stochastic_grad_at``, the one
 average of a partial over contexts.  Context and noise draws are
 addressed by (seed, iteration, role), so a rerun reproduces the same
-trajectory.  ``run`` builds one generator and seats it at each key in turn
-(``RngStream.seat``); a step draws its whole (m, N) noise in one call.
+trajectory.  ``run`` builds one generator per seed and seats it at each key in
+turn (``RngStream.seat``); a step draws a replication's whole (m, N) noise in
+one call.
 
-A step writes only into (m, N) work arrays it is given: the drift, the noise,
-and the array that receives the new state.  ``run`` allocates four once, the
-drift, the noise and two state arrays, and swaps the state arrays after each
-step, so no step writes into the state it reads or into the caller's initial
-array, and a divergence leaves the last good state intact.  Between steps the
-noise array is the W2 record's scratch space.  ``pavi_step`` and
-``exact_step`` give each call fresh work arrays, so their results are
-independent arrays.
+``run`` advances R replications, one per seed, as one stacked state of R m
+rows, and a single run is the case R = 1.  Each replication draws its own
+contexts and noise, and keeps its own context mean, drift shift and
+``grad_rms``.  An affine family's drift, the noise scaling, the state update,
+the finiteness check and the W2 record are done once for all R; they are
+elementwise, or reduce each replication's rows on their own, so every
+replication keeps the bits of a run under its seed alone.  A sweep stacks its
+seeds in chunks (``harness.run_replications``).
+
+A step writes only into (R, m, N) work arrays it is given: the drift, the
+noise, and the array that receives the new state.  ``run`` allocates four
+once, the drift, the noise and two state arrays, and swaps the state arrays
+after each step, so no step writes into the state it reads or into the
+caller's initial array, and a divergence leaves the last good state intact.
+Between steps the noise array is the W2 record's scratch space.
+``pavi_step`` and ``exact_step`` step one state on fresh work arrays, so
+their results are independent arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -236,67 +246,87 @@ def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
 # stepping -----------------------------------------------------------------------
 
 
-def _step_parts(pot, X, h, B, rng, gen, n, algorithm, new, drift, noise):
-    """Advance the particle array one iteration; returns (array, grad_rms).
+def _step_parts(pot, X, h, B, rngs, gens, n, algorithm, new, drift, noise):
+    """Advance R stacked replications one iteration; returns (array, grad_rms).
 
-    Each draw goes through the Generator ``gen``, which the stream ``rng``
-    seats at the draw's (iteration, role) key.
+    ``X`` holds the replications' (m, N) states one under the other, R m rows
+    in all, and replication r draws through the Generator ``gens[r]``, which
+    its stream ``rngs[r]`` seats at the draw's (iteration, role) key.  The
+    result's rows are stacked the same way, and ``grad_rms`` has one entry per
+    replication.
 
-    The step writes only into its three (m, N) work arrays, none of which may
-    share memory with ``X``: ``drift``, ``noise``, and ``new``, which becomes
-    the returned array's values.  The new values are checked for finiteness
+    The step writes only into its three (R, m, N) work arrays, none of which
+    may share memory with ``X``: ``drift``, ``noise``, and ``new``, which
+    becomes the returned array's values.  Each replication's contexts, context
+    mean, drift shift and ``grad_rms`` are its own; the rest of the update is
+    elementwise, so it is done for all replications at once and each keeps
+    the bits of a run of its own.  The new values are checked for finiteness
     once, by ``ParticleArray``; a non-finite entry is reported as a divergence
-    at its location.
+    at its location, in the lowest-index replication that has one.
     """
-    values = X.values
-    m = values.shape[0]
+    R = len(rngs)
+    values = X.values.reshape(new.shape)
+    m = values.shape[1]
+    affine = pot.affine_coupling
     # an overflow anywhere in the update is reported once, as a divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        if algorithm == "pavi":
-            z = sample_product(X, B, rng.seat(gen, n, "context"))
-        if pot.affine_coupling:
-            # every average over contexts is the partial at their mean column
-            c = z.mean(axis=1) if algorithm == "pavi" else coordinate_means(X)
+        # an affine family's average over contexts is the partial at their
+        # mean column: the batch's (pavi), or the coordinate means (exact)
+        c = values.mean(axis=2) if affine and algorithm == "exact" else np.empty((R, m))
+        for r in range(R):
+            if algorithm == "pavi":
+                z = sample_product(values[r], B, rngs[r].seat(gens[r], n, "context"))
+                if affine:
+                    z.mean(axis=1, out=c[r])
+                else:
+                    for i in range(m):
+                        drift[r, i] = stochastic_grad_at(pot, z, i, values[r, i])
+            elif not affine:
+                Xr = ParticleArray(values[r])
+                for i in range(m):
+                    drift[r, i] = exact_grad_profile(pot, Xr, i, values[r, i])
+            rngs[r].seat(gens[r], n, "noise").standard_normal(out=noise[r])
+        if affine:
             pot.partials_at_context(values, c, out=drift)
-        elif algorithm == "pavi":
-            for i in range(m):
-                drift[i] = stochastic_grad_at(pot, z, i, values[i])
-        else:
-            for i in range(m):
-                drift[i] = exact_grad_profile(pot, X, i, values[i])
-        rng.seat(gen, n, "noise").standard_normal(out=noise)
         # new holds the squared drift until the update overwrites it
         np.multiply(drift, drift, out=new)
-        grad_rms = float(math.sqrt(np.mean(new)))
-        if math.isinf(grad_rms) and np.isfinite(drift).all():
-            # the squares overflowed, not the drift: scale it by its largest
-            # magnitude first (rows that do not overflow keep their bits)
-            scale = float(np.abs(drift, out=new).max())
-            np.divide(drift, scale, out=new)
-            np.multiply(new, new, out=new)
-            grad_rms = scale * math.sqrt(np.mean(new))
+        mean_squares = new.mean(axis=(1, 2))
+        grad_rms = [_grad_rms(drift[r], new[r], mean_squares[r]) for r in range(R)]
         # new = values - h * drift + sqrt(2 h) * noise, in that order
         np.multiply(h, drift, out=drift)
         np.subtract(values, drift, out=new)
         np.multiply(math.sqrt(2.0 * h), noise, out=noise)
         np.add(new, noise, out=new)
     try:
-        out = ParticleArray(new)
+        out = ParticleArray(new.reshape(X.values.shape))
     except ConfigError:
-        # a step keeps the (m, N) shape, so the only check it can fail is finiteness
-        bad_i, bad_j = np.argwhere(~np.isfinite(new))[0]
-        raise DivergenceError(n, bad_i, bad_j) from None
+        # a step keeps the shape, so the only check it can fail is finiteness
+        bad_r, bad_i, bad_j = np.argwhere(~np.isfinite(new))[0]
+        raise DivergenceError(n, bad_i, bad_j, rngs[bad_r].seed) from None
     return out, grad_rms
 
 
-def _fresh_work(X):
-    """Three new (m, N) work arrays for one step outside a run."""
-    return [np.empty((X.m, X.N)) for _ in range(3)]
+def _grad_rms(drift, squares, mean_square):
+    """Root mean square of one replication's drift, from its mean square.
+
+    The squares overflow on a finite drift whose largest entries pass about
+    1e154; the drift is then scaled by its largest magnitude first, in
+    ``squares``, its scratch space (rows that do not overflow keep their
+    bits).
+    """
+    grad_rms = math.sqrt(mean_square)
+    if math.isinf(grad_rms) and np.isfinite(drift).all():
+        scale = float(np.abs(drift, out=squares).max())
+        np.divide(drift, scale, out=squares)
+        np.multiply(squares, squares, out=squares)
+        grad_rms = scale * math.sqrt(np.mean(squares))
+    return grad_rms
 
 
 def _one_step(pot, X, h, B, rng, n, algorithm):
-    work = _fresh_work(X)
-    return _step_parts(pot, X, h, B, rng, rng.generator(), n, algorithm, *work)[0]
+    # three fresh (1, m, N) work arrays: the result is an independent array
+    work = [np.empty((1, X.m, X.N)) for _ in range(3)]
+    return _step_parts(pot, X, h, B, [rng], [rng.generator()], n, algorithm, *work)[0]
 
 
 def pavi_step(pot, X: ParticleArray, h, B, rng: RngStream, n):
@@ -392,11 +422,12 @@ def run(
     reference=None,
     sink=None,
     *,
+    seeds=None,
     init="standard_normal",
     checkpoint_path=None,
     checkpoint_every=None,
     resume=False,
-) -> ConvergenceReport:
+) -> ConvergenceReport | list[ConvergenceReport]:
     """Execute T iterations, recording W2 to the reference at a fixed cadence.
 
     Metrics rows appear at iteration 0, every ``metrics_every`` iterations,
@@ -405,71 +436,96 @@ def run(
     divergence retains the last good state, and ``resume=True`` continues a
     previous run bit-identically.  The summary records the step-size guard at
     the resolved (h, B) under ``step_guard``.
+
+    Without ``seeds`` the run uses ``cfg.seed`` and returns its report.  With
+    a list of seeds it advances one replication per seed, all together as one
+    stacked state, and returns their reports in seed order; each equals, row
+    for row and bit for bit, the report of a run of ``cfg`` under its seed
+    alone.  The work arrays then hold R m N elements each, so a caller bounds
+    R.  Checkpoints, resume and ``sink`` take a single seed.
     """
     h, B = validate_config(pot, cfg)
     me = cfg.resolved_metrics_every()
-    # one stream and one generator serve every draw of the run
-    rng = RngStream(cfg.seed)
-    gen = rng.generator(0, "init")
-    rows: list[StepTrace] = []
+    cfgs = [cfg] if seeds is None else [replace(cfg, seed=int(s)) for s in seeds]
+    R = len(cfgs)
+    if R == 0:
+        raise ConfigError("seeds must name at least one seed")
+    if R > 1 and (sink is not None or checkpoint_path is not None or resume):
+        raise ConfigError("checkpoints, resume and sink take a single seed")
+    # one stream and one generator per replication serve all of its draws
+    rngs = [RngStream(c.seed) for c in cfgs]
+    gens = [rng.generator(0, "init") for rng in rngs]
+    rows: list[list[StepTrace]] = [[] for _ in cfgs]
     wall_times: list[float] = []
     t0 = time.perf_counter()
-    # the run's only (m, N) arrays besides its initial state: the state
+    # the run's only (R, m, N) arrays besides its initial state: the state
     # alternates between ``target`` and ``spare``, so a step never writes into
     # the state it reads, and the noise array is free for W2's scratch between
     # steps
-    target, spare, drift, noise = (np.empty((pot.m, cfg.N)) for _ in range(4))
+    target, spare, drift, noise = (np.empty((R, pot.m, cfg.N)) for _ in range(4))
 
-    def record(iteration, X, grad_rms=None):
-        w2_total = None
-        w2_coord = None
+    def record(iteration, X, grad_rms):
         if reference is not None:
-            per, w2_total = w2_reference_profile(X, reference, out=noise)
-            w2_coord = [float(p) for p in per]
-        row = StepTrace(int(iteration), w2_total, w2_coord, grad_rms)
-        row.validate()
-        rows.append(row)
+            values = X.values.reshape(noise.shape)
+            per, w2_total = w2_reference_profile(values, reference, out=noise)
         wall_times.append(time.perf_counter() - t0)
-        if sink is not None:
-            sink(row)
+        for r in range(R):
+            row = StepTrace(
+                int(iteration),
+                None if reference is None else float(w2_total[r]),
+                None if reference is None else [float(p) for p in per[r]],
+                grad_rms[r],
+            )
+            row.validate()
+            rows[r].append(row)
+            if sink is not None:
+                sink(row)
 
     start = 0
     if resume:
         if checkpoint_path is None or not Path(checkpoint_path).exists():
             raise ConfigError("resume requested but no checkpoint file found")
-        X, rows, wall_times, start = _load_checkpoint(checkpoint_path, pot, cfg)
+        X, rows[0], wall_times, start = _load_checkpoint(checkpoint_path, pot, cfg)
     else:
-        X = init_particles(pot.m, cfg.N, init, gen=gen)
-        record(0, X)
+        X = ParticleArray(
+            np.concatenate([init_particles(pot.m, cfg.N, init, gen=g).values for g in gens])
+        )
+        record(0, X, [None] * R)
 
     for n in range(start, cfg.T):
         try:
             X, grad_rms = _step_parts(
-                pot, X, h, B, rng, gen, n, cfg.algorithm, target, drift, noise
+                pot, X, h, B, rngs, gens, n, cfg.algorithm, target, drift, noise
             )
         except DivergenceError:
             # X is still the last good state: the step wrote only into target
             if checkpoint_path is not None:
-                _write_checkpoint(checkpoint_path, pot, cfg, n, X, rows, wall_times)
+                _write_checkpoint(checkpoint_path, pot, cfg, n, X, rows[0], wall_times)
             raise
         target, spare = spare, target
         k = n + 1
         if k % me == 0 or k == cfg.T:
             record(k, X, grad_rms)
         if checkpoint_every and k % int(checkpoint_every) == 0 and checkpoint_path:
-            _write_checkpoint(checkpoint_path, pot, cfg, k, X, rows, wall_times)
+            _write_checkpoint(checkpoint_path, pot, cfg, k, X, rows[0], wall_times)
 
     if checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, pot, cfg, cfg.T, X, rows, wall_times)
-    report = ConvergenceReport(
-        potential_fingerprint=potential_fingerprint(pot),
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        version=__version__,
-        rows=rows,
-        summary=dict(summarize_rows(rows), step_guard=step_guard(pot, h, B)),
-        wall_times=wall_times,
-        wall_total=time.perf_counter() - t0,
-    )
-    report.validate()
-    return report
+        _write_checkpoint(checkpoint_path, pot, cfg, cfg.T, X, rows[0], wall_times)
+    fingerprint = potential_fingerprint(pot)
+    guard = step_guard(pot, h, B)
+    wall_total = time.perf_counter() - t0
+    reports = []
+    for c, c_rows in zip(cfgs, rows):
+        report = ConvergenceReport(
+            potential_fingerprint=fingerprint,
+            config=c.to_dict(),
+            seed=c.seed,
+            version=__version__,
+            rows=c_rows,
+            summary=dict(summarize_rows(c_rows), step_guard=dict(guard)),
+            wall_times=list(wall_times),
+            wall_total=wall_total,
+        )
+        report.validate()
+        reports.append(report)
+    return reports[0] if seeds is None else reports

@@ -20,17 +20,19 @@ class ConfigError(PaviError):
 
 
 class DivergenceError(PaviError):
-    """A particle update produced a non-finite entry."""
+    """A particle update produced a non-finite entry; ``seed`` names the run
+    or the stacked replication it happened in."""
 
     exit_code = 3
 
-    def __init__(self, iteration, coordinate, particle):
+    def __init__(self, iteration, coordinate, particle, seed):
         self.iteration = int(iteration)
         self.coordinate = int(coordinate)
         self.particle = int(particle)
+        self.seed = int(seed)
         super().__init__(
             f"non-finite particle update at iteration {self.iteration}, "
-            f"coordinate {self.coordinate}, particle {self.particle}"
+            f"coordinate {self.coordinate}, particle {self.particle}, seed {self.seed}"
         )
 
 

@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 CHECKPOINT_FILE = "checkpoint.json"
+# the elements R m N of one work array of a stacked run; with its four work
+# arrays and its state a chunk of replications holds about 5 MB
+_STACK_BUDGET = 2**17
 
 
 def load_config(path) -> dict:
@@ -152,12 +155,21 @@ def _optional_integer(doc, key) -> int | None:
 
 
 def run_replications(pot, base_cfg, reference, seeds, *, init="standard_normal"):
-    """Run the same configuration under each seed, in order, on this thread."""
-    cfg = base_cfg.to_dict()
-    return [
-        dynamics.run(pot, dynamics.RunConfig(**{**cfg, "seed": int(s)}), reference, init=init)
-        for s in seeds
-    ]
+    """Run the same configuration under each seed; the reports come in seed order.
+
+    The seeds advance together as one stacked state, one ``dynamics.run`` per
+    chunk of seeds: a chunk takes as many seeds as keep its R m N elements
+    within ``_STACK_BUDGET``, and at least one.  Each report equals that of a
+    run under its seed alone.
+    """
+    seeds = [int(s) for s in seeds]
+    chunk = max(1, _STACK_BUDGET // (pot.m * base_cfg.N))
+    reports = []
+    for start in range(0, len(seeds), chunk):
+        reports += dynamics.run(
+            pot, base_cfg, reference, seeds=seeds[start : start + chunk], init=init
+        )
+    return reports
 
 
 def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
@@ -165,15 +177,20 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
 
     Each N uses the corollary schedule, with no batch size for the exact
     algorithm; the fitted quantity is log(mean steady-state W2) against
-    log N by least squares.  Replications run one after another: ``threads``
-    (argument or config key) is accepted and unused, as for :func:`cmd_run`.
+    log N by least squares.  At each N the replications advance together as
+    one stacked state (:func:`run_replications`) on the calling thread:
+    ``threads`` (argument or config key) is accepted and unused, as for
+    :func:`cmd_run`.
     """
     pot = potential_from_config(doc.get("potential") or _missing("potential"))
     ref_spec = doc.get("reference")
     if ref_spec in (None, "none"):
         raise ConfigError("sweep needs an analytic or oracle reference for the slope")
     ref = build_reference(ref_spec, pot)
-    N_list = doc.get("N_list") or _missing("N_list")
+    for key in ("N_list", "T"):
+        if key not in doc:
+            _missing(key)
+    N_list = doc["N_list"]
     if not isinstance(N_list, (list, tuple)):
         raise ConfigError(f"N_list must be a list of integers, got {N_list!r}")
     N_list = [_integer("N_list", n) for n in N_list]
@@ -187,7 +204,7 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     R = _integer("replications", doc.get("replications", 16))
     if R < 1:
         raise ConfigError("replications must be >= 1")
-    T = _integer("T", doc.get("T") or _missing("T"))
+    T = _integer("T", doc["T"])
     base_seed = _integer("seed", doc.get("seed", 0) if seed is None else seed)
     seeds = [base_seed + r for r in range(R)]
 

@@ -11,7 +11,6 @@ accurate to about 1e-16 relative in double precision.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,8 +18,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .particles import ParticleArray
-
-_BRUTEFORCE_MAX = 8
 
 # AS241 coefficients, lowest degree first: numerator and denominator of the
 # central region |u - 1/2| <= 0.425, then of the two tail regions in
@@ -101,27 +98,6 @@ def w2_1d_empirical(a, b) -> float:
     return float(math.sqrt(np.mean(d * d)))
 
 
-def w2_1d_bruteforce(a, b) -> float:
-    """Minimum over all permutation couplings; reference oracle for small N."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size != b.size:
-        raise ConfigError(f"supports must have equal size, got {a.size} and {b.size}")
-    if a.size > _BRUTEFORCE_MAX:
-        raise ConfigError(
-            f"brute-force matching is limited to {_BRUTEFORCE_MAX} atoms, got {a.size}"
-        )
-    n = a.size
-    best = math.inf
-    for perm in itertools.permutations(range(n)):
-        cost = 0.0
-        for j, pj in enumerate(perm):
-            diff = a[pj] - b[j]
-            cost += diff * diff
-        best = min(best, cost)
-    return math.sqrt(best / n)
-
-
 def w2_product_empirical(X: ParticleArray, Y: ParticleArray) -> float:
     """W2 between two product empirical measures (additive across coordinates)."""
     if X.m != Y.m or X.N != Y.N:
@@ -195,22 +171,29 @@ class ReferenceProduct:
         return self._tables[N]
 
 
-def w2_reference_profile(X: ParticleArray, ref: ReferenceProduct, out=None):
+def w2_reference_profile(X, ref: ReferenceProduct, out=None):
     """Per-coordinate W2 to the reference plus the quadrature total.
 
-    The sorted rows and their squared distances to the quantile table are
-    computed in ``out``, an (m, N) scratch array, when one is given.
+    ``X`` is a ParticleArray, or particle values whose last two axes are
+    (m, N): R stacked states are an (R, m, N) array, and give (R, m)
+    per-coordinate values and R totals, each replication's the same as for its
+    own ParticleArray.  The sorted rows and their squared distances to the
+    quantile table are computed in ``out``, scratch space of the values'
+    shape, when one is given.
     """
-    if X.m != ref.m:
-        raise ConfigError(f"dimension mismatch: particles m={X.m}, reference m={ref.m}")
-    table = ref.quantile_table(X.N)
-    d = np.empty_like(X.values) if out is None else out
-    np.copyto(d, X.values)
-    d.sort(axis=1)
+    values = X.values if isinstance(X, ParticleArray) else np.asarray(X, dtype=float)
+    m, N = values.shape[-2:]
+    if m != ref.m:
+        raise ConfigError(f"dimension mismatch: particles m={m}, reference m={ref.m}")
+    table = ref.quantile_table(N)
+    d = np.empty_like(values) if out is None else out
+    np.copyto(d, values)
+    d.sort(axis=-1)
     np.subtract(d, table, out=d)
     np.multiply(d, d, out=d)
-    per = np.sqrt(d.mean(axis=1))
-    return per, float(math.sqrt(np.sum(per * per)))
+    per = np.sqrt(d.mean(axis=-1))
+    total = np.sqrt(np.sum(per * per, axis=-1))
+    return per, (float(total) if total.ndim == 0 else total)
 
 
 @dataclass(frozen=True)

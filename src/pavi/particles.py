@@ -141,17 +141,20 @@ def init_particles(m, N, init="standard_normal", seed=0, gen=None) -> ParticleAr
     return ParticleArray(vals)
 
 
-def sample_product(X: ParticleArray, B, gen: Generator) -> np.ndarray:
+def sample_product(X, B, gen: Generator) -> np.ndarray:
     """Draw B i.i.d. columns from the product empirical measure of X.
 
-    For each coordinate i independently a uniform atom index is drawn from
-    ``gen``, so entries are independent across coordinates and across columns.
+    ``X`` is a ParticleArray or its (m, N) values.  For each coordinate i
+    independently a uniform atom index is drawn from ``gen``, so entries are
+    independent across coordinates and across columns.
     """
     B = int(B)
     if B < 1:
         raise ConfigError(f"B must be >= 1, got {B}")
-    idx = gen.integers(0, X.N, size=(X.m, B))
-    return X.values[np.arange(X.m)[:, None], idx]
+    values = X.values if isinstance(X, ParticleArray) else X
+    m, N = values.shape
+    idx = gen.integers(0, N, size=(m, B))
+    return values[np.arange(m)[:, None], idx]
 
 
 def coordinate_means(X: ParticleArray) -> np.ndarray:

@@ -69,9 +69,11 @@ class Potential:
         """Row i: partial_i V at each point of ``values[i]``, the rest at ``c``.
 
         ``values`` has shape (m, K) and ``c`` is one context column of length
-        m; only families with affine coupling provide it.  Given an (m, K)
-        array ``out`` that shares no memory with ``values``, the result is
-        written there and ``out`` is returned.
+        m; only families with affine coupling provide it.  Stacked inputs,
+        ``values`` of shape (R, m, K) and ``c`` of shape (R, m), give each
+        replication r the result for ``values[r]`` at ``c[r]``, bit for bit.
+        Given an array ``out`` of the values' shape that shares no memory with
+        them, the result is written there and ``out`` is returned.
         """
         raise NotImplementedError
 
@@ -142,10 +144,14 @@ class QuadraticPotential(Potential):
         # diag(A) * (values - c) + shift, each operation written into out
         values = np.asarray(values, dtype=float)
         c = np.asarray(c, dtype=float)
-        shift = self.precision @ (c - self.mean)
-        out = np.subtract(values, c[:, None], out=out)
+        shift = c - self.mean
+        # one matrix-vector product per context, the product a lone context
+        # takes, so every replication keeps its bits
+        for row in shift.reshape(-1, self.m):
+            row[:] = self.precision @ row
+        out = np.subtract(values, c[..., None], out=out)
         np.multiply(np.diag(self.precision)[:, None], out, out=out)
-        np.add(out, shift[:, None], out=out)
+        np.add(out, shift[..., None], out=out)
         return out
 
     # partial_i V = A[i] @ (x - mean); the perturbed family's logcosh bump
@@ -206,12 +212,13 @@ class PerturbedQuadraticPotential(QuadraticPotential):
     def partials_at_context(self, values, c, out=None):
         values = np.asarray(values, dtype=float)
         out = super().partials_at_context(values, c, out)
-        # the bump one row at a time, so the only temporary is one row long
-        bump = np.empty(values.shape[1])
+        # the bump one coordinate at a time, so the only temporary holds one
+        # row per replication
+        bump = np.empty(values.shape[:-2] + values.shape[-1:])
         for i, w in enumerate(self.weights):
-            np.tanh(values[i], out=bump)
+            np.tanh(values[..., i, :], out=bump)
             np.multiply(w, bump, out=bump)
-            np.add(out[i], bump, out=out[i])
+            np.add(out[..., i, :], bump, out=out[..., i, :])
         return out
 
     def to_config(self):

@@ -1,9 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import pavi
-from pavi import PerturbedQuadraticPotential, QuadraticPotential
+from pavi import ConfigError, PerturbedQuadraticPotential, QuadraticPotential
 from pavi.potentials import LOGCOSH_THIRD_SUP
 
 
@@ -59,3 +62,31 @@ def anderson_darling_normal(z):
 
 # asymptotic critical value of A^2 at significance 1e-3, simple hypothesis
 AD_CRIT_1E3 = 6.0
+
+
+BRUTEFORCE_MAX = 8
+
+
+def w2_1d_bruteforce(a, b) -> float:
+    """W2 on the line as the minimum over all permutation couplings.
+
+    The reference oracle for the sorted coupling, limited to BRUTEFORCE_MAX
+    atoms: it enumerates all n! matchings.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    if a.size != b.size:
+        raise ConfigError(f"supports must have equal size, got {a.size} and {b.size}")
+    if a.size > BRUTEFORCE_MAX:
+        raise ConfigError(
+            f"brute-force matching is limited to {BRUTEFORCE_MAX} atoms, got {a.size}"
+        )
+    n = a.size
+    best = math.inf
+    for perm in itertools.permutations(range(n)):
+        cost = 0.0
+        for j, pj in enumerate(perm):
+            diff = a[pj] - b[j]
+            cost += diff * diff
+        best = min(best, cost)
+    return math.sqrt(best / n)

@@ -29,7 +29,6 @@ from pavi import (
     run,
     sample_product,
     sample_reference,
-    w2_1d_bruteforce,
     w2_1d_empirical,
     w2_product_empirical,
     w2_reference_profile,
@@ -37,6 +36,8 @@ from pavi import (
 from pavi.cli import main
 from pavi.dynamics import exact_grad_profile
 from pavi.harness import cmd_run
+
+from conftest import w2_1d_bruteforce
 
 
 def report(num, detail):

@@ -36,12 +36,12 @@ SCRIPT = textwrap.dedent(
         harness.cmd_sweep({"potential": potential, "N_list": [16, 32, 64],
                            "replications": 2, "T": 20, "reference": str(ref)}, threads=2)
     # harness.replication.s sums the dynamics.run spans nested in
-    # run_replications on its own thread
+    # run_replications on its own thread: one stacked run per particle count
     runs = [s for s in tracer.spans[first:] if s[0] == "dynamics.run"]
     nested = [s for s in runs if s[3] is not None
               and tracer.spans[s[3]][0] == "harness.run_replications"
               and tracer.spans[s[3]][4] == s[4]]
-    if len(runs) != 6 or nested != runs:
+    if len(runs) != 3 or nested != runs:
         sys.exit(f"{len(nested)} of {len(runs)} sweep runs nest in run_replications")
     # a run of an affine family takes its whole drift from the potential's
     # hook, so the per-coordinate average the benchmark wraps is called here

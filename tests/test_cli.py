@@ -537,6 +537,34 @@ class TestSweepCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
+    def test_sweep_zero_iterations_exit_zero(self, tmp_path, capsys):
+        doc = dict(RUN_DOC, N_list=[16, 32, 64], replications=2, T=0)
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "sweep.json").read_text())["config"]["T"] == 0
+
+    def test_sweep_empty_N_list_exit_two(self, tmp_path, capsys):
+        doc = dict(RUN_DOC, N_list=[], replications=2, T=40)
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: sweep needs at least 3 particle counts")
+
+    def test_sweep_divergence_exit_three_names_seed(self, tmp_path, capsys):
+        # claimed constants far below the true ones give a corollary step of
+        # h = 1/(lip N^(1/4)) = 5e149 at N=16: two steps take every particle
+        # to about 1e300 and the third overflows, in every replication, so
+        # the lowest-index seed is named
+        potential = dict(RUN_DOC["potential"], claimed={"alpha": 1e-150, "lip": 1e-150})
+        doc = dict(RUN_DOC, potential=potential, N_list=[16, 32, 64], replications=3, T=10,
+                   metrics_every=10, seed=7)
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: non-finite particle update at iteration 2, ")
+        assert err[0].endswith(", seed 7")
+
     def test_sweep_usage_error(self, tmp_path, capsys):
         doc = dict(RUN_DOC, N_list=[16, 16, 64], replications=2, T=40)
         cfg = write_config(tmp_path, doc)

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import pavi
 import pavi.harness
 import pavi.reports
 from pavi import (
@@ -399,9 +401,10 @@ class TestSteps:
         with np.errstate(over="ignore"):
             with pytest.raises(DivergenceError) as err:
                 # step large enough to overflow the drift
-                pavi_step(pot, X, 1e60, 1, RngStream(0), 5)
+                pavi_step(pot, X, 1e60, 1, RngStream(3), 5)
         assert err.value.iteration == 5
         assert err.value.coordinate == 0
+        assert err.value.seed == 3
 
 
 class TestEstimatorStatistics:
@@ -463,6 +466,25 @@ class TestEstimatorStatistics:
 
 class Crash(Exception):
     pass
+
+
+class Lying(pavi.Potential):
+    """A potential whose declared constants hide an expanding field.
+
+    The iterates grow faster than exponentially until the drift overflows,
+    while every drift before that one stays finite when squared.
+    """
+
+    m = 1
+    alpha = 0.5
+    lip = 1.0
+    third_bound = 0.0
+
+    def partial_cols(self, i, cols):
+        return -np.exp(np.asarray(cols, dtype=float)[i])
+
+    def to_config(self):
+        return {"family": "test-lying"}
 
 
 def crash_at(iteration):
@@ -570,23 +592,6 @@ class TestRun:
             run(gauss21, other, ref, checkpoint_path=ck, resume=True)
 
     def test_divergence_keeps_last_checkpoint(self, tmp_path):
-        # a potential whose declared constants hide an expanding field; the
-        # iterates grow faster than exponentially until the drift overflows,
-        # while every drift before that one stays finite when squared
-        import pavi
-
-        class Lying(pavi.Potential):
-            m = 1
-            alpha = 0.5
-            lip = 1.0
-            third_bound = 0.0
-
-            def partial_cols(self, i, cols):
-                return -np.exp(np.asarray(cols, dtype=float)[i])
-
-            def to_config(self):
-                return {"family": "test-lying"}
-
         pot = Lying()
         cfg = RunConfig(N=4, T=2000, h=0.2, B=2, seed=0, metrics_every=1000)
         ck = tmp_path / "ck.json"
@@ -684,6 +689,106 @@ CORRUPTIONS = {
         "non-finite",
     ),
 }
+
+
+STACK_INITS = {
+    "standard_normal": lambda m, N: "standard_normal",
+    "point": lambda m, N: ("point", np.linspace(-1.0, 1.5, m)),
+    "array": lambda m, N: np.random.default_rng([m, N]).standard_normal((m, N)),
+}
+
+
+def same_numbers(reports):
+    """Everything of a list of reports that does not depend on wall time."""
+    return [
+        (r.seed, r.config, r.potential_fingerprint, r.metrics_lines(), r.summary)
+        for r in reports
+    ]
+
+
+class TestStackedRuns:
+    """``run`` with several seeds advances them as one stacked state; each
+    replication must equal, row for row and bit for bit, a run of its own."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["quadratic", "perturbed_quadratic", "tanh"]),
+        algorithm=st.sampled_from(["pavi", "exact"]),
+        init=st.sampled_from(sorted(STACK_INITS)),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+        N=st.integers(2, 9),
+        T=st.integers(0, 6),
+        metrics_every=st.integers(1, 3),
+        chunk=st.integers(1, 4),
+    )
+    def test_stacked_equals_separate_runs(
+        self, family, algorithm, init, seeds, N, T, metrics_every, chunk
+    ):
+        pot, ref = equivalence_case(family)
+        cfg = RunConfig(
+            N=N, T=T, schedule="corollary", algorithm=algorithm, metrics_every=metrics_every
+        )
+        spec = STACK_INITS[init](pot.m, N)
+        alone = [run(pot, replace(cfg, seed=s), ref, init=spec) for s in seeds]
+        stacked = run(pot, cfg, ref, seeds=seeds, init=spec)
+        assert same_numbers(stacked) == same_numbers(alone)
+        # a budget of ``chunk`` replications splits the seeds into chunks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pavi.harness, "_STACK_BUDGET", chunk * pot.m * N)
+            chunked = pavi.harness.run_replications(pot, cfg, ref, seeds, init=spec)
+        assert same_numbers(chunked) == same_numbers(alone)
+
+    def test_budget_splits_seeds_into_chunks(self, monkeypatch):
+        pot, ref = equivalence_case("perturbed_quadratic")
+        cfg = RunConfig(N=8, T=4, schedule="corollary", metrics_every=2)
+        calls = []
+        real_run = pavi.dynamics.run
+
+        def recording_run(*args, **kwargs):
+            calls.append(kwargs["seeds"])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(pavi.dynamics, "run", recording_run)
+        whole = pavi.harness.run_replications(pot, cfg, ref, range(11, 16))
+        # two replications' elements, and a little less than three
+        monkeypatch.setattr(pavi.harness, "_STACK_BUDGET", 3 * pot.m * cfg.N - 1)
+        chunked = pavi.harness.run_replications(pot, cfg, ref, range(11, 16))
+        assert calls == [[11, 12, 13, 14, 15], [11, 12], [13, 14], [15]]
+        assert same_numbers(chunked) == same_numbers(whole)
+
+    def test_divergence_names_first_replication_to_diverge(self):
+        pot = Lying()
+        cfg = RunConfig(N=4, T=2000, h=0.2, B=2, metrics_every=1000)
+        init = np.full((1, 4), 1.0)
+        seeds = [5, 2, 3, 1, 4, 9, 6]
+        alone = []
+        with np.errstate(over="ignore"):
+            for s in seeds:
+                with pytest.raises(DivergenceError) as err:
+                    run(pot, replace(cfg, seed=s), init=init)
+                assert err.value.seed == s
+                alone.append(err.value.iteration)
+            with pytest.raises(DivergenceError) as err:
+                run(pot, cfg, init=init, seeds=seeds)
+        first = min(alone)
+        # the first seed in order diverges late, and several share the first
+        # iteration to diverge; the lowest-index one of these is named
+        assert alone[0] > first and alone.count(first) > 1, alone
+        assert err.value.iteration == first
+        assert err.value.seed == seeds[alone.index(first)]
+        assert f"seed {err.value.seed}" in str(err.value)
+
+    def test_single_seed_options(self, gauss21, tmp_path):
+        cfg = RunConfig(N=8, T=2, schedule="corollary")
+        for option in (
+            {"sink": print},
+            {"checkpoint_path": tmp_path / "ck.json"},
+            {"resume": True},
+        ):
+            with pytest.raises(ConfigError, match="single seed"):
+                run(gauss21, cfg, seeds=[0, 1], **option)
+        with pytest.raises(ConfigError, match="at least one seed"):
+            run(gauss21, cfg, seeds=[])
 
 
 class TestCheckpointDecoding:

@@ -143,6 +143,36 @@ class TestCmdSweep:
         with pytest.raises(ConfigError, match="3"):
             cmd_sweep(doc, out_dir=tmp_path)
 
+    def test_empty_N_list_is_too_few(self):
+        # a present empty list is a value, not a missing key
+        with pytest.raises(ConfigError, match="at least 3 particle counts"):
+            cmd_sweep(run_doc(N_list=[], replications=2, T=50))
+
+    def test_zero_iterations_accepted(self):
+        # T: 0 runs as it does for run: each replication records its initial
+        # W2 only, and that is its steady level
+        doc = run_doc(N_list=[16, 32, 64], replications=2, T=0)
+        result = cmd_sweep(doc)
+        assert result.config["T"] == 0
+        first = result.entries[0]
+        pot = potential_from_config(BASE_POTENTIAL)
+        ref = build_reference("analytic", pot)
+
+        def cfg(seed):
+            return dynamics.RunConfig(N=16, T=0, schedule="corollary", seed=seed)
+
+        assert first.per_seed == [
+            dynamics.run(pot, cfg(s), ref).rows[0].w2_total
+            for s in result.seeds
+        ]
+
+    @pytest.mark.parametrize("key", ["N_list", "T"])
+    def test_missing_key(self, key):
+        doc = run_doc(N_list=[16, 32, 64], replications=2, T=50)
+        del doc[key]
+        with pytest.raises(ConfigError, match=f"missing key '{key}'"):
+            cmd_sweep(doc)
+
     def test_duplicate_N(self, tmp_path):
         doc = run_doc(N_list=[64, 64, 256], replications=2, T=50)
         with pytest.raises(ConfigError, match="increasing"):
@@ -176,8 +206,9 @@ class TestCmdSweep:
         assert [e["B"] for e in saved["entries"]] == [None, None, None]
 
     def test_threaded_matches_serial(self, monkeypatch):
-        # threads is accepted and ignored: every replication runs on the
-        # calling thread, and the numbers match a serial sweep
+        # threads is accepted and ignored: the stacked replications of each
+        # particle count run in one call on the calling thread, and the
+        # numbers match a serial sweep
         doc = run_doc(N_list=[16, 32, 64], replications=3, T=60, metrics_every=10)
         serial = cmd_sweep(doc, out_dir=None)
         idents = []
@@ -189,7 +220,7 @@ class TestCmdSweep:
 
         monkeypatch.setattr(dynamics, "run", recording_run)
         threaded = cmd_sweep(doc, out_dir=None, threads=4)
-        assert idents == [threading.get_ident()] * 9
+        assert idents == [threading.get_ident()] * 3
         assert serial.slope == threaded.slope
         assert [e.per_seed for e in serial.entries] == [
             e.per_seed for e in threaded.entries

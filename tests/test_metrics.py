@@ -12,11 +12,12 @@ from pavi import (
     QuadraticPotential,
     ReferenceProduct,
     grad_moment_check,
-    w2_1d_bruteforce,
     w2_1d_empirical,
     w2_product_empirical,
     w2_reference_profile,
 )
+
+from conftest import w2_1d_bruteforce
 
 
 def q_of(rows):
