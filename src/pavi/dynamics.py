@@ -16,8 +16,8 @@ coordinate's partial over its contexts with ``stochastic_grad_at``, the one
 average of a partial over contexts.  Context and noise draws are
 addressed by (seed, iteration, role), so a rerun reproduces the same
 trajectory.  ``run`` builds one generator per seed and seats it at each key in
-turn (``RngStream.seat``); a step draws a replication's whole (m, N) noise in
-one call.
+turn (``RngStream.seat``); a replication's whole (m, N) noise is drawn in one
+call.
 
 ``run`` advances R replications, one per seed, as one stacked state of R m
 rows, and a single run is the case R = 1.  Each replication draws its own
@@ -28,12 +28,21 @@ elementwise, or reduce each replication's rows on their own, so every
 replication keeps the bits of a run under its seed alone.  A sweep stacks its
 seeds in chunks (``harness.run_replications``).
 
+An iteration's draws depend only on their keys, never on the particles, so
+they are made apart from the step that uses them: ``_draw`` makes them and
+``_step_parts`` does the arithmetic on them.  When a work array holds at least
+``_DRAW_AHEAD_MIN`` elements, ``run`` draws iteration n + 1 on a worker
+thread while iteration n steps (numpy's normal draw releases the interpreter
+lock); below it the draws' Python calls cost more than the overlap saves, and
+``run`` draws each iteration just before its step.
+
 A step writes only into (R, m, N) work arrays it is given: the drift, the
-noise, and the array that receives the new state.  ``run`` allocates four
-once, the drift, the noise and two state arrays, and swaps the state arrays
-after each step, so no step writes into the state it reads or into the
-caller's initial array, and a divergence leaves the last good state intact.
-Between steps the noise array is the W2 record's scratch space.
+noise, and the array that receives the new state.  ``run`` allocates them
+once, the drift, the noise (two noise arrays when it draws ahead: a drawn
+iteration's and the next one's) and two state arrays, and swaps the state
+arrays after each step, so no step writes into the state it reads or into
+the caller's initial array, and a divergence leaves the last good state
+intact.  Between steps the drift array is the W2 record's scratch space.
 ``pavi_step`` and ``exact_step`` step one state on fresh work arrays, so
 their results are independent arrays.
 """
@@ -42,6 +51,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -50,13 +61,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DivergenceError
-from .metrics import w2_reference_profile
+from .metrics import finite_rms, w2_reference_profile
 from .particles import (
     ParticleArray,
     RngStream,
     coordinate_means,
     init_particles,
-    sample_product,
+    sample_product,  # noqa: F401  (perfbench/spans.py wraps dynamics.sample_product)
 )
 from .potentials import potential_fingerprint
 from .reports import (
@@ -73,6 +84,11 @@ from .reports import (
 
 _EXHAUSTIVE_MAX = 1_000_000
 _CHECKPOINT_FORMAT = "pavi-checkpoint-v2"
+# the elements R m N of one work array from which run draws each iteration
+# one step ahead on a worker thread: on 2 vCPUs the thread made a step of
+# (R, m, N) = (1, 2, 2048) about 50% slower and one of (4, 2, 2048) about 20%
+# slower, and steps of (1, 30, 1024) and (4, 2, 4096) about 15% faster
+_DRAW_AHEAD_MIN = 2**15
 
 
 @dataclass
@@ -116,8 +132,14 @@ def corollary_schedule(lip, N):
 def step_size_bounds(pot, B):
     """The two upper bounds of the step-size guard for batch size B."""
     bound_pair = 2.0 / (pot.alpha + pot.lip)
-    bound_batch = math.inf if B is None else B * pot.alpha / (4.0 * pot.lip**2)
-    return bound_pair, bound_batch
+    if B is None:
+        return bound_pair, math.inf
+    denominator = 4.0 * pot.lip**2
+    if denominator < sys.float_info.min:
+        # lip**2 leaves the normal range below lip ~ 1e-154: dividing by lip
+        # twice gives the bound, finite or infinite, without the square
+        return bound_pair, B * pot.alpha / (4.0 * pot.lip) / pot.lip
+    return bound_pair, B * pot.alpha / denominator
 
 
 def step_guard(pot, h, B) -> dict:
@@ -246,36 +268,58 @@ def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
 # stepping -----------------------------------------------------------------------
 
 
-def _step_parts(pot, X, h, B, rngs, gens, n, algorithm, new, drift, noise):
+def _draw(rngs, gens, n, B, noise):
+    """Make iteration n's draws; returns its context indices.
+
+    Replication r draws through the Generator ``gens[r]``, which its stream
+    ``rngs[r]`` seats at each draw's (iteration, role) key: an (m, B) array of
+    atom indices at the context key, which the exact algorithm (B None) does
+    not draw, and its (m, N) standard normal noise into ``noise[r]`` at the
+    noise key.  The result holds the R index arrays, or is None without a B.
+    """
+    m, N = noise.shape[1:]
+    contexts = None if B is None else []
+    for r, (rng, gen) in enumerate(zip(rngs, gens)):
+        if B is not None:
+            contexts.append(rng.seat(gen, n, "context").integers(0, N, size=(m, B)))
+        rng.seat(gen, n, "noise").standard_normal(out=noise[r])
+    return contexts
+
+
+def _step_parts(pot, X, h, rngs, n, contexts, new, drift, noise):
     """Advance R stacked replications one iteration; returns (array, grad_rms).
 
     ``X`` holds the replications' (m, N) states one under the other, R m rows
-    in all, and replication r draws through the Generator ``gens[r]``, which
-    its stream ``rngs[r]`` seats at the draw's (iteration, role) key.  The
-    result's rows are stacked the same way, and ``grad_rms`` has one entry per
-    replication.
+    in all; the result's rows are stacked the same way, and ``grad_rms`` has
+    one entry per replication.  The step draws nothing: ``contexts`` and
+    ``noise`` are iteration n's draws (``_draw``), and ``rngs`` only name the
+    replications' seeds.  Replication r's batch is the columns
+    ``values[r][i, contexts[r][i, b]]``, the gather ``sample_product`` makes;
+    ``contexts`` None steps the exact algorithm.
 
     The step writes only into its three (R, m, N) work arrays, none of which
-    may share memory with ``X``: ``drift``, ``noise``, and ``new``, which
-    becomes the returned array's values.  Each replication's contexts, context
-    mean, drift shift and ``grad_rms`` are its own; the rest of the update is
-    elementwise, so it is done for all replications at once and each keeps
-    the bits of a run of its own.  The new values are checked for finiteness
-    once, by ``ParticleArray``; a non-finite entry is reported as a divergence
-    at its location, in the lowest-index replication that has one.
+    may share memory with ``X``: ``drift``, ``noise``, which it scales in
+    place, and ``new``, which becomes the returned array's values.  Each
+    replication's contexts, context mean, drift shift and ``grad_rms`` are its
+    own; the rest of the update is elementwise, so it is done for all
+    replications at once and each keeps the bits of a run of its own.  The new
+    values are checked for finiteness once, by ``ParticleArray``; a non-finite
+    entry is reported as a divergence at its location, in the lowest-index
+    replication that has one.
     """
     R = len(rngs)
     values = X.values.reshape(new.shape)
     m = values.shape[1]
+    rows = np.arange(m)[:, None]
     affine = pot.affine_coupling
     # an overflow anywhere in the update is reported once, as a divergence
     with np.errstate(over="ignore", invalid="ignore"):
         # an affine family's average over contexts is the partial at their
         # mean column: the batch's (pavi), or the coordinate means (exact)
-        c = values.mean(axis=2) if affine and algorithm == "exact" else np.empty((R, m))
+        c = values.mean(axis=2) if affine and contexts is None else np.empty((R, m))
         for r in range(R):
-            if algorithm == "pavi":
-                z = sample_product(values[r], B, rngs[r].seat(gens[r], n, "context"))
+            if contexts is not None:
+                z = values[r][rows, contexts[r]]
                 if affine:
                     z.mean(axis=1, out=c[r])
                 else:
@@ -285,13 +329,12 @@ def _step_parts(pot, X, h, B, rngs, gens, n, algorithm, new, drift, noise):
                 Xr = ParticleArray(values[r])
                 for i in range(m):
                     drift[r, i] = exact_grad_profile(pot, Xr, i, values[r, i])
-            rngs[r].seat(gens[r], n, "noise").standard_normal(out=noise[r])
         if affine:
             pot.partials_at_context(values, c, out=drift)
         # new holds the squared drift until the update overwrites it
         np.multiply(drift, drift, out=new)
         mean_squares = new.mean(axis=(1, 2))
-        grad_rms = [_grad_rms(drift[r], new[r], mean_squares[r]) for r in range(R)]
+        grad_rms = [finite_rms(drift[r], mean_squares[r], new[r]) for r in range(R)]
         # new = values - h * drift + sqrt(2 h) * noise, in that order
         np.multiply(h, drift, out=drift)
         np.subtract(values, drift, out=new)
@@ -306,37 +349,73 @@ def _step_parts(pot, X, h, B, rngs, gens, n, algorithm, new, drift, noise):
     return out, grad_rms
 
 
-def _grad_rms(drift, squares, mean_square):
-    """Root mean square of one replication's drift, from its mean square.
-
-    The squares overflow on a finite drift whose largest entries pass about
-    1e154; the drift is then scaled by its largest magnitude first, in
-    ``squares``, its scratch space (rows that do not overflow keep their
-    bits).
-    """
-    grad_rms = math.sqrt(mean_square)
-    if math.isinf(grad_rms) and np.isfinite(drift).all():
-        scale = float(np.abs(drift, out=squares).max())
-        np.divide(drift, scale, out=squares)
-        np.multiply(squares, squares, out=squares)
-        grad_rms = scale * math.sqrt(np.mean(squares))
-    return grad_rms
-
-
-def _one_step(pot, X, h, B, rng, n, algorithm):
+def _one_step(pot, X, h, B, rng, n):
     # three fresh (1, m, N) work arrays: the result is an independent array
-    work = [np.empty((1, X.m, X.N)) for _ in range(3)]
-    return _step_parts(pot, X, h, B, [rng], [rng.generator()], n, algorithm, *work)[0]
+    new, drift, noise = (np.empty((1, X.m, X.N)) for _ in range(3))
+    contexts = _draw([rng], [rng.generator()], n, B, noise)
+    return _step_parts(pot, X, h, [rng], n, contexts, new, drift, noise)[0]
 
 
 def pavi_step(pot, X: ParticleArray, h, B, rng: RngStream, n):
     """One stochastic iteration: contexts drawn once, then one whole-array update."""
-    return _one_step(pot, X, float(h), int(B), rng, int(n), "pavi")
+    B = int(B)
+    if B < 1:
+        raise ConfigError(f"B must be >= 1, got {B}")
+    return _one_step(pot, X, float(h), B, rng, int(n))
 
 
 def exact_step(pot, X: ParticleArray, h, rng: RngStream, n):
     """One exact-gradient iteration; same noise addressing as pavi_step."""
-    return _one_step(pot, X, float(h), None, rng, int(n), "exact")
+    return _one_step(pot, X, float(h), None, rng, int(n))
+
+
+class _DrawAhead:
+    """Runs ``draw(n)`` for n = start, ..., stop - 1 on a worker thread, at
+    most one iteration ahead of the caller.
+
+    ``take`` returns the next iteration's result and lets the worker start the
+    one after it, so ``draw(n + 1)`` runs while the caller uses the result of
+    ``draw(n)``, and must not write into it.  An exception in ``draw`` is
+    raised by ``take``.  ``close`` stops the worker and waits for it; call it
+    however the caller's loop ends.
+    """
+
+    def __init__(self, draw, start, stop):
+        self._drawn = threading.Semaphore(0)
+        self._allowed = threading.Semaphore(1)
+        self._closing = False
+        self._result = self._error = None
+        self._thread = threading.Thread(
+            target=self._work, args=(draw, start, stop), name="pavi-draw-ahead"
+        )
+        self._thread.start()
+
+    def _work(self, draw, start, stop):
+        try:
+            for n in range(start, stop):
+                self._allowed.acquire()
+                if self._closing:
+                    return
+                self._result = draw(n)
+                self._drawn.release()
+        except BaseException as err:
+            # take raises it on the caller's thread, which otherwise waits on
+            # a draw that never comes
+            self._error = err
+            self._drawn.release()
+
+    def take(self):
+        self._drawn.acquire()
+        if self._error is not None:
+            raise self._error
+        result = self._result
+        self._allowed.release()
+        return result
+
+    def close(self):
+        self._closing = True
+        self._allowed.release()
+        self._thread.join()
 
 
 # full runs ----------------------------------------------------------------------
@@ -443,6 +522,13 @@ def run(
     for row and bit for bit, the report of a run of ``cfg`` under its seed
     alone.  The work arrays then hold R m N elements each, so a caller bounds
     R.  Checkpoints, resume and ``sink`` take a single seed.
+
+    From ``_DRAW_AHEAD_MIN`` elements R m N on, a worker thread makes each
+    iteration's draws while the step before it runs, into the one of two noise
+    arrays that step does not read; below it each iteration's draws come just
+    before its step, into one noise array.  Either way the draws, and so every
+    row and the final state, are the same, and the worker is stopped and
+    joined before ``run`` returns or raises.
     """
     h, B = validate_config(pot, cfg)
     me = cfg.resolved_metrics_every()
@@ -452,22 +538,30 @@ def run(
         raise ConfigError("seeds must name at least one seed")
     if R > 1 and (sink is not None or checkpoint_path is not None or resume):
         raise ConfigError("checkpoints, resume and sink take a single seed")
-    # one stream and one generator per replication serve all of its draws
+    # one stream and one generator per replication serve all of its draws;
+    # once the loop starts only the draws of its iterations touch them
     rngs = [RngStream(c.seed) for c in cfgs]
     gens = [rng.generator(0, "init") for rng in rngs]
     rows: list[list[StepTrace]] = [[] for _ in cfgs]
     wall_times: list[float] = []
     t0 = time.perf_counter()
+    shape = (R, pot.m, cfg.N)
+    ahead = R * pot.m * cfg.N >= _DRAW_AHEAD_MIN
     # the run's only (R, m, N) arrays besides its initial state: the state
     # alternates between ``target`` and ``spare``, so a step never writes into
-    # the state it reads, and the noise array is free for W2's scratch between
-    # steps
-    target, spare, drift, noise = (np.empty((R, pot.m, cfg.N)) for _ in range(4))
+    # the state it reads, iteration n's noise is ``noises[n % len(noises)]``,
+    # and the drift array is free for W2's scratch between steps
+    target, spare, drift = (np.empty(shape) for _ in range(3))
+    noises = [np.empty(shape) for _ in range(2 if ahead else 1)]
+
+    def draw(n):
+        noise = noises[n % len(noises)]
+        return _draw(rngs, gens, n, B, noise), noise
 
     def record(iteration, X, grad_rms):
         if reference is not None:
-            values = X.values.reshape(noise.shape)
-            per, w2_total = w2_reference_profile(values, reference, out=noise)
+            values = X.values.reshape(shape)
+            per, w2_total = w2_reference_profile(values, reference, out=drift)
         wall_times.append(time.perf_counter() - t0)
         for r in range(R):
             row = StepTrace(
@@ -492,22 +586,26 @@ def run(
         )
         record(0, X, [None] * R)
 
-    for n in range(start, cfg.T):
-        try:
-            X, grad_rms = _step_parts(
-                pot, X, h, B, rngs, gens, n, cfg.algorithm, target, drift, noise
-            )
-        except DivergenceError:
-            # X is still the last good state: the step wrote only into target
-            if checkpoint_path is not None:
-                _write_checkpoint(checkpoint_path, pot, cfg, n, X, rows[0], wall_times)
-            raise
-        target, spare = spare, target
-        k = n + 1
-        if k % me == 0 or k == cfg.T:
-            record(k, X, grad_rms)
-        if checkpoint_every and k % int(checkpoint_every) == 0 and checkpoint_path:
-            _write_checkpoint(checkpoint_path, pot, cfg, k, X, rows[0], wall_times)
+    drawer = _DrawAhead(draw, start, cfg.T) if ahead else None
+    try:
+        for n in range(start, cfg.T):
+            contexts, noise = draw(n) if drawer is None else drawer.take()
+            try:
+                X, grad_rms = _step_parts(pot, X, h, rngs, n, contexts, target, drift, noise)
+            except DivergenceError:
+                # X is still the last good state: the step wrote only into target
+                if checkpoint_path is not None:
+                    _write_checkpoint(checkpoint_path, pot, cfg, n, X, rows[0], wall_times)
+                raise
+            target, spare = spare, target
+            k = n + 1
+            if k % me == 0 or k == cfg.T:
+                record(k, X, grad_rms)
+            if checkpoint_every and k % int(checkpoint_every) == 0 and checkpoint_path:
+                _write_checkpoint(checkpoint_path, pot, cfg, k, X, rows[0], wall_times)
+    finally:
+        if drawer is not None:
+            drawer.close()
 
     if checkpoint_path is not None:
         _write_checkpoint(checkpoint_path, pot, cfg, cfg.T, X, rows[0], wall_times)

@@ -117,9 +117,7 @@ def cmd_run(doc, out_dir=None, seed=None, threads=None, resume=False) -> Converg
     """
     pot = potential_from_config(doc.get("potential") or _missing("potential"))
     cfg = run_config_from_doc(doc, seed)
-    guard = dynamics.step_guard(pot, *dynamics.validate_config(pot, cfg))
-    if not guard["holds"]:
-        print(f"warning: {dynamics.guard_violation(guard)}; running anyway", file=sys.stderr)
+    _warn_unless_guarded(dynamics.step_guard(pot, *dynamics.validate_config(pot, cfg)))
     ref = build_reference(doc.get("reference"), pot)
     init = _init_from_doc(doc)
     out = Path(out_dir or doc.get("output") or "pavi_out")
@@ -135,6 +133,12 @@ def cmd_run(doc, out_dir=None, seed=None, threads=None, resume=False) -> Converg
     )
     report.save(out)
     return report
+
+
+def _warn_unless_guarded(guard):
+    """Print one stderr line when a corollary schedule breaks the step-size guard."""
+    if not guard["holds"]:
+        print(f"warning: {dynamics.guard_violation(guard)}; running anyway", file=sys.stderr)
 
 
 def _missing(key):
@@ -180,7 +184,9 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     log N by least squares.  At each N the replications advance together as
     one stacked state (:func:`run_replications`) on the calling thread:
     ``threads`` (argument or config key) is accepted and unused, as for
-    :func:`cmd_run`.
+    :func:`cmd_run`.  A particle count whose schedule breaks the step-size
+    guard gets the warning line :func:`cmd_run` prints, once its runs finish,
+    so a sweep that diverges there reports only the divergence.
     """
     pot = potential_from_config(doc.get("potential") or _missing("potential"))
     ref_spec = doc.get("reference")
@@ -217,6 +223,7 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
         # the (h, B) the runs use: B is None for the exact algorithm
         h, B = dynamics.validate_config(pot, cfg)
         reports = run_replications(pot, cfg, ref, seeds, init=_init_from_doc(doc))
+        _warn_unless_guarded(reports[0].summary["step_guard"])
         per_seed = [r.summary["steady_mean"] for r in reports]
         mean = float(np.mean(per_seed))
         se = float(np.std(per_seed, ddof=1) / math.sqrt(len(per_seed))) if R > 1 else 0.0

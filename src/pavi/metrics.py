@@ -171,6 +171,24 @@ class ReferenceProduct:
         return self._tables[N]
 
 
+def finite_rms(x, mean_square, scratch=None) -> float:
+    """Root mean square of the array x, from its mean square.
+
+    The squares overflow on a finite x whose largest entries pass about
+    1e154; x is then scaled by its largest magnitude first, in ``scratch``
+    (x's shape) when one is given.  An x whose mean square is finite keeps
+    the bits of ``sqrt(mean_square)``.
+    """
+    rms = math.sqrt(mean_square)
+    if math.isinf(rms) and np.isfinite(x).all():
+        scratch = np.empty_like(x) if scratch is None else scratch
+        scale = float(np.abs(x, out=scratch).max())
+        np.divide(x, scale, out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        rms = scale * math.sqrt(np.mean(scratch))
+    return rms
+
+
 def w2_reference_profile(X, ref: ReferenceProduct, out=None):
     """Per-coordinate W2 to the reference plus the quadrature total.
 
@@ -179,7 +197,9 @@ def w2_reference_profile(X, ref: ReferenceProduct, out=None):
     per-coordinate values and R totals, each replication's the same as for its
     own ParticleArray.  The sorted rows and their squared distances to the
     quantile table are computed in ``out``, scratch space of the values'
-    shape, when one is given.
+    shape, when one is given.  A row whose squared distances overflow on
+    finite distances, or a total whose squared terms do, is scaled as
+    :func:`finite_rms` scales; the others keep their bits.
     """
     values = X.values if isinstance(X, ParticleArray) else np.asarray(X, dtype=float)
     m, N = values.shape[-2:]
@@ -190,9 +210,17 @@ def w2_reference_profile(X, ref: ReferenceProduct, out=None):
     np.copyto(d, values)
     d.sort(axis=-1)
     np.subtract(d, table, out=d)
-    np.multiply(d, d, out=d)
-    per = np.sqrt(d.mean(axis=-1))
-    total = np.sqrt(np.sum(per * per, axis=-1))
+    with np.errstate(over="ignore"):
+        np.multiply(d, d, out=d)
+        per = np.sqrt(d.mean(axis=-1))
+        total = np.sqrt(np.sum(per * per, axis=-1))
+        if not np.isfinite(total).all():
+            for k in map(tuple, np.argwhere(np.isinf(per))):
+                per[k] = finite_rms(np.sort(values[k]) - table[k[-1]], math.inf)
+            # a 0-d array for one state, so that an entry can be replaced
+            total = np.array(np.sqrt(np.sum(per * per, axis=-1)))
+            for k in map(tuple, np.argwhere(np.isinf(total))):
+                total[k] = math.sqrt(m) * finite_rms(per[k], math.inf)
     return per, (float(total) if total.ndim == 0 else total)
 
 

@@ -126,6 +126,38 @@ class TestRunCommand:
         assert grad_rms[0] == pytest.approx(math.sqrt((4.0 + 0.25) / 2.0) * 1e200, rel=1e-12)
         assert json.loads((out / "checkpoint.json").read_text())["next_iteration"] == 3
 
+    def test_tiny_claimed_lip_diverges_exit_three(self, tmp_path, capsys):
+        # lip**2 underflows to 0 at lip = 1e-306; the batch bound is still
+        # finite, and the corollary step of about 5e305 diverges
+        potential = {
+            "family": "quadratic",
+            "precision": [[2.0, 0.5], [0.5, 2.0]],
+            "claimed": {"alpha": 1.0e-306, "lip": 1.0e-306},
+        }
+        cfg = write_config(tmp_path, dict(RUN_DOC, potential=potential, N=16, T=5))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "non-finite particle update" in errors[0]
+
+    def test_overflowing_w2_record_diverges_exit_three(self, tmp_path, capsys):
+        # claimed constants far below the true ones take finite particles to
+        # about 1e200, where W2's squared distances overflow, and then past
+        # the largest double: the run diverges rather than failing its record
+        potential = dict(RUN_DOC["potential"], claimed={"alpha": 1.0e-100, "lip": 1.0e-100})
+        doc = dict(RUN_DOC, potential=potential, N=16, T=10, metrics_every=1)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite particle update" in err and "non-finite diagnostic" not in err
+        assert "RuntimeWarning" not in err
+        # the checkpoint keeps the last good state, whose W2 was recorded
+        diverged = json.loads((out / "checkpoint.json").read_text())
+        assert diverged["rows"][-1]["iteration"] == diverged["next_iteration"]
+        assert diverged["rows"][-1]["w2"] > 1e150
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -516,6 +548,24 @@ class TestSweepCommand:
                 h, B = corollary_schedule(3.0, N)
                 batch = f"B={B}  " if algorithm == "pavi" else ""
                 assert row.startswith(f"N={N:>6d}  h={h:.6g}  {batch}steady W2 ")
+
+    def test_sweep_warns_per_count_that_breaks_the_guard(self, tmp_path, capsys):
+        # on A = [[2, 1], [1, 2]] the corollary step breaks the batch bound
+        # B alpha / (4 lip^2) = B / 36 at each of these counts
+        doc = dict(RUN_DOC, N_list=[16, 32, 64], replications=2, T=20)
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 3
+        for N, line in zip((16, 32, 64), warnings):
+            h, B = corollary_schedule(3.0, N)
+            assert line.startswith(f"warning: step size h={h:.6g} violates ")
+            assert f"B*alpha/(4*lip^2) = {B / 36:.6g})" in line
+            assert line.endswith("; running anyway")
+        # a schedule that meets the guard prints nothing
+        doc = dict(doc, N_list=[2048, 4096, 8192], T=2)
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "key, value, message",

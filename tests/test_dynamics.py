@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -903,3 +904,98 @@ class TestDrawBlocks:
             pavi.harness.cmd_sweep(dict(doc, T=T))
             counts[T] = len(built)
         assert counts[20] == counts[200] <= 2 * 3 * 2, counts
+
+
+class TestDrawAhead:
+    """From ``_DRAW_AHEAD_MIN`` elements on, ``run`` makes each iteration's
+    draws on a worker thread one step ahead; the outputs must not show where
+    the draws were made, and no thread may outlive the run."""
+
+    ALWAYS, NEVER = 0, 2**62
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.sampled_from(["quadratic", "perturbed_quadratic", "tanh"]),
+        algorithm=st.sampled_from(["pavi", "exact"]),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+        N=st.integers(2, 9),
+        T=st.integers(4, 9),
+        metrics_every=st.integers(1, 3),
+        every=st.integers(1, 3),
+    )
+    def test_ahead_equals_inline(
+        self, tmp_path_factory, family, algorithm, seeds, N, T, metrics_every, every
+    ):
+        pot, ref = equivalence_case(family)
+        cfg = RunConfig(
+            N=N, T=T, schedule="corollary", algorithm=algorithm, metrics_every=metrics_every
+        )
+        one = replace(cfg, seed=seeds[0], metrics_every=1)
+        tmp = tmp_path_factory.mktemp("ahead")
+
+        def outputs(ahead_min):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pavi.dynamics, "_DRAW_AHEAD_MIN", ahead_min)
+                stacked = run(pot, cfg, ref, seeds=seeds)
+                # one seed, stopped after its checkpoint at ``every`` and resumed
+                ck = tmp / f"{ahead_min}.json"
+                with pytest.raises(Crash):
+                    run(pot, one, ref, crash_at(every + 1), checkpoint_path=ck,
+                        checkpoint_every=every)
+                assert read_checkpoint(ck)[0]["next_iteration"] == every
+                resumed = run(pot, one, ref, checkpoint_path=ck, resume=True)
+            return (
+                same_numbers(stacked),
+                same_numbers([resumed]),
+                read_checkpoint(ck)[1].values.tobytes(),
+            )
+
+        assert outputs(self.ALWAYS) == outputs(self.NEVER)
+
+    def test_no_thread_outlives_run(self, gauss21, monkeypatch):
+        monkeypatch.setattr(pavi.dynamics, "_DRAW_AHEAD_MIN", self.ALWAYS)
+        ref = gaussian_mfvi_solution(gauss21)
+        cfg = RunConfig(N=16, T=12, schedule="corollary", metrics_every=1)
+        before = threading.enumerate()
+        run(gauss21, cfg, ref, seeds=[0, 1])
+        assert threading.enumerate() == before
+        # a divergence, with the worker drawing the next iteration
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+            run(Lying(), RunConfig(N=4, T=2000, h=0.2, B=2), init=np.full((1, 4), 1.0))
+        assert threading.enumerate() == before
+        # a failed metrics row, as a crash while recording
+        with pytest.raises(Crash):
+            run(gauss21, cfg, ref, crash_at(5))
+        assert threading.enumerate() == before
+        # a failed draw on the worker reaches the caller
+        seat = RngStream.seat
+
+        def failing_seat(stream, gen, iteration, role):
+            if (iteration, role) == (7, "noise"):
+                raise Crash(iteration)
+            return seat(stream, gen, iteration, role)
+
+        monkeypatch.setattr(RngStream, "seat", failing_seat)
+        with pytest.raises(Crash):
+            run(gauss21, cfg, ref)
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("ahead", [True, False])
+    def test_draws_run_where_the_size_says(self, gauss21, monkeypatch, ahead):
+        # 2 replications of (2, 16): 64 elements, against a bound just above
+        # or at that size
+        monkeypatch.setattr(pavi.dynamics, "_DRAW_AHEAD_MIN", 64 if ahead else 65)
+        seat = RngStream.seat
+        threads = []
+
+        def recording_seat(stream, gen, iteration, role):
+            threads.append((role, threading.current_thread()))
+            return seat(stream, gen, iteration, role)
+
+        monkeypatch.setattr(RngStream, "seat", recording_seat)
+        run(gauss21, RunConfig(N=16, T=5, schedule="corollary"), seeds=[3, 4])
+        main = threading.main_thread()
+        assert [t is main for role, t in threads if role == "init"] == [True, True]
+        steps = [t for role, t in threads if role in ("context", "noise")]
+        assert len(steps) == 2 * 2 * 5
+        assert all((t is not main) is ahead for t in steps)

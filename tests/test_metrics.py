@@ -234,6 +234,37 @@ class TestReferenceDistances:
             assert got == total
         assert np.array_equal(X.values, before)
 
+    def test_overflowing_squares_scale_only_their_rows(self):
+        # three stacked states: finite squares, one row whose squared
+        # distances overflow, and one whose per-coordinate value squares
+        # overflow as well; each row keeps its bits unless it overflows
+        N = 16
+        rng = np.random.default_rng(7)
+        ref = ReferenceProduct(
+            [GaussianMarginal(0.5, 2.0), GaussianMarginal(-1.0, 0.5)], "analytic-gaussian"
+        )
+        values = np.stack([rng.standard_normal((2, N)) for _ in range(3)])
+        values[1, 0] *= 1e200
+        values[2] *= [[1e300], [1e160]]
+        # no overflow warning either (an underflow is the scaling's own)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            per, total = w2_reference_profile(values, ref)
+        assert np.isfinite(per).all() and np.isfinite(total).all()
+        table = ref.quantile_table(N)
+        for r in range(3):
+            for i in range(2):
+                d = np.sort(values[r, i]) - table[i]
+                scale = np.abs(d).max()
+                expected = scale * math.sqrt(np.mean((d / scale) ** 2))
+                if r == 0 or (r, i) == (1, 1):
+                    assert per[r, i] == math.sqrt(np.mean(d * d))
+                assert per[r, i] == pytest.approx(expected, rel=1e-14)
+            largest = per[r].max()
+            assert total[r] == pytest.approx(
+                largest * math.sqrt(np.sum((per[r] / largest) ** 2)), rel=1e-14
+            )
+        assert total[0] == w2_reference_profile(q_of(values[0]), ref)[1]
+
     def test_quantile_table_scales_one_standard_table(self, monkeypatch):
         # each Gaussian row is mean + sqrt(var) * z for one AS241 table z,
         # the bits of its own quantile; a grid row keeps its own quantile
