@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import dynamics, oracle
 from .errors import ConfigError
@@ -45,15 +45,38 @@ CHECKPOINT_FILE = "checkpoint.json"
 _STACK_BUDGET = 2**17
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def load_config(path) -> dict:
-    """Read a YAML or JSON config document, naming the file when it cannot."""
+    """Read a JSON or YAML config document, naming the file when it cannot.
+
+    The text is parsed as JSON first, by the standard library; only text that
+    is not JSON (``NaN`` and ``Infinity`` included) goes to PyYAML, which is
+    imported for it then.  Both give the same mapping for a JSON document,
+    except for a number with an exponent but no decimal point or no exponent
+    sign: JSON reads ``1e3`` as the float 1000.0, YAML 1.1 as the string
+    ``"1e3"``.  A document neither reads is reported with YAML's error.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} not found")
     try:
-        doc = yaml.safe_load(path.read_text())
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as err:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read a config document from {path} ({err})") from None
+    try:
+        doc = json.loads(text, parse_constant=_not_json)
+    except ValueError:
+        import yaml
+
+        try:
+            doc = yaml.safe_load(text)
+        except yaml.YAMLError as err:
+            raise ConfigError(
+                f"cannot read a config document from {path} ({err})"
+            ) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
     return doc

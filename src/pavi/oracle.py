@@ -184,11 +184,6 @@ class GridDensity:
     def mean(self) -> float:
         return float(np.trapezoid(self.nodes * self.density(), self.nodes))
 
-    def variance(self) -> float:
-        mu = self.mean()
-        d = self.nodes - mu
-        return float(np.trapezoid(d * d * self.density(), self.nodes))
-
     def _cdf_values(self) -> np.ndarray:
         if self._cdf is None:
             cdf = _cumulative_simpson(self.density(), self.nodes)

@@ -51,6 +51,12 @@ class TanhCoupled(pavi.Potential):
         return {"family": "test-tanh-coupled", "m": self.m, "c": self.c}
 
 
+def grid_variance(d):
+    """Trapezoid variance of a GridDensity about its trapezoid mean."""
+    dev = d.nodes - d.mean()
+    return float(np.trapezoid(dev * dev * d.density(), d.nodes))
+
+
 def anderson_darling_normal(z):
     """A^2 statistic against a standard normal (all parameters known)."""
     z = np.sort(np.asarray(z, dtype=float))

@@ -458,18 +458,21 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
-    @pytest.mark.parametrize("kind", ["yaml-syntax", "directory", "not-utf8"])
+    @pytest.mark.parametrize("kind", ["yaml-syntax", "json-syntax", "directory", "not-utf8"])
     def test_unreadable_config_exit_two(self, tmp_path, capsys, kind):
-        path = tmp_path / "config.yaml"
+        path = tmp_path / ("config.json" if kind == "json-syntax" else "config.yaml")
         if kind == "yaml-syntax":
             path.write_text("N: [64\nT: 10\n")
+        elif kind == "json-syntax":
+            path.write_text('{"N": 64,')
         elif kind == "directory":
             path.mkdir()
         else:
             path.write_bytes(b"N: \xff\xfe\n")
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(path) in errors[0] and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -331,6 +333,50 @@ class TestConfigLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.yaml")
+
+    def test_json_config_never_imports_yaml(self, tmp_path):
+        jpath = tmp_path / "c.json"
+        jpath.write_text('{"N": 64, "T": 10}')
+        ypath = tmp_path / "c.yaml"
+        ypath.write_text("N: 64\nT: 10\n")
+        script = (
+            "import sys\n"
+            "from pavi.harness import load_config\n"
+            "assert load_config(sys.argv[1]) == {'N': 64, 'T': 10}\n"
+            "print('yaml' in sys.modules)\n"
+            "assert load_config(sys.argv[2]) == {'N': 64, 'T': 10}\n"
+            "print('yaml' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(jpath), str(ypath)],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split() == ["False", "True"]
+
+    def test_json_exponent_is_a_float(self, tmp_path):
+        jpath = tmp_path / "c.json"
+        jpath.write_text('{"tol": 1e-08}')
+        tol = load_config(jpath)["tol"]
+        assert type(tol) is float and tol == 1e-08
+
+    def test_json_nan_and_infinity_read_as_yaml(self, tmp_path):
+        # not JSON, so YAML reads them, as plain strings
+        jpath = tmp_path / "c.json"
+        jpath.write_text('{"h": NaN, "tol": Infinity}')
+        assert load_config(jpath) == {"h": "NaN", "tol": "Infinity"}
+
+    def test_json_exponent_integer_runs(self, tmp_path):
+        # JSON reads 1e3 as 1000.0, an integral float; YAML 1.1 would read
+        # the string "1e3", which is not an integer
+        from pavi.cli import main
+
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(run_doc(T=2)).replace('"N": 64', '"N": 1e3'))
+        assert load_config(cfg)["N"] == 1000.0
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        n = json.loads((out / "summary.json").read_text())["config"]["N"]
+        assert type(n) is int and n == 1000
 
     def test_reference_none(self):
         import pavi
