@@ -30,11 +30,12 @@ seeds in chunks (``harness.run_replications``).
 
 An iteration's draws depend only on their keys, never on the particles, so
 they are made apart from the step that uses them: ``_draw`` makes them and
-``_step_parts`` does the arithmetic on them.  When a work array holds at least
-``_DRAW_AHEAD_MIN`` elements, ``run`` draws iteration n + 1 on a worker
-thread while iteration n steps (numpy's normal draw releases the interpreter
-lock); below it the draws' Python calls cost more than the overlap saves, and
-``run`` draws each iteration just before its step.
+``_step_parts`` does the arithmetic on them.  ``run`` takes the draws from one
+iterator: from ``_DRAW_AHEAD_MIN`` elements in a work array on, it is
+``_drawn_ahead``, which draws iteration n + 1 on a worker thread while
+iteration n steps (numpy's normal draw releases the interpreter lock); below
+it the draws' Python calls cost more than the overlap saves, and the iterator
+draws each iteration just before its step.
 
 A step writes only into (R, m, N) work arrays it is given: the drift, the
 noise, and the array that receives the new state.  ``run`` allocates them
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import json
 import math
+import queue
 import sys
 import threading
 import time
@@ -111,9 +113,6 @@ class RunConfig:
                 raise ConfigError("metrics_every must be a positive integer")
             return me
         return max(1, self.T // 200)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def corollary_schedule(lip, N):
@@ -369,53 +368,39 @@ def exact_step(pot, X: ParticleArray, h, rng: RngStream, n):
     return _one_step(pot, X, float(h), None, rng, int(n))
 
 
-class _DrawAhead:
-    """Runs ``draw(n)`` for n = start, ..., stop - 1 on a worker thread, at
-    most one iteration ahead of the caller.
+def _drawn_ahead(draw, start, stop):
+    """Yield ``draw(n)`` for n = start, ..., stop - 1, made on a worker thread.
 
-    ``take`` returns the next iteration's result and lets the worker start the
-    one after it, so ``draw(n + 1)`` runs while the caller uses the result of
-    ``draw(n)``, and must not write into it.  An exception in ``draw`` is
-    raised by ``take``.  ``close`` stops the worker and waits for it; call it
-    however the caller's loop ends.
+    The worker makes ``draw(n + 1)``, and no later draw, while the caller uses
+    the result of ``draw(n)``, which it must not write into.  An exception in
+    ``draw`` is raised here.  Closing the generator stops and joins the worker.
     """
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
 
-    def __init__(self, draw, start, stop):
-        self._drawn = threading.Semaphore(0)
-        self._allowed = threading.Semaphore(1)
-        self._closing = False
-        self._result = self._error = None
-        self._thread = threading.Thread(
-            target=self._work, args=(draw, start, stop), name="pavi-draw-ahead"
-        )
-        self._thread.start()
+    def work():
+        # None stops the worker
+        for n in iter(todo.get, None):
+            try:
+                done.put((draw(n), None))
+            except BaseException as err:
+                # raised by the caller, who would otherwise wait for it forever
+                done.put((None, err))
 
-    def _work(self, draw, start, stop):
-        try:
-            for n in range(start, stop):
-                self._allowed.acquire()
-                if self._closing:
-                    return
-                self._result = draw(n)
-                self._drawn.release()
-        except BaseException as err:
-            # take raises it on the caller's thread, which otherwise waits on
-            # a draw that never comes
-            self._error = err
-            self._drawn.release()
-
-    def take(self):
-        self._drawn.acquire()
-        if self._error is not None:
-            raise self._error
-        result = self._result
-        self._allowed.release()
-        return result
-
-    def close(self):
-        self._closing = True
-        self._allowed.release()
-        self._thread.join()
+    thread = threading.Thread(target=work, name="pavi-draw-ahead")
+    thread.start()
+    try:
+        if start < stop:
+            todo.put(start)
+        for n in range(start, stop):
+            result, err = done.get()
+            if err is not None:
+                raise err
+            if n + 1 < stop:
+                todo.put(n + 1)
+            yield result
+    finally:
+        todo.put(None)
+        thread.join()
 
 
 # full runs ----------------------------------------------------------------------
@@ -431,7 +416,7 @@ def _write_checkpoint(path, pot, cfg, next_iteration, X, rows, wall_times):
     doc = {
         "format": _CHECKPOINT_FORMAT,
         "fingerprint": potential_fingerprint(pot),
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "next_iteration": int(next_iteration),
         "rows": [r.to_dict() for r in rows],
         "wall_times": list(wall_times),
@@ -476,7 +461,7 @@ def _load_checkpoint(path, pot, cfg):
     doc, X = read_checkpoint(path)
     if doc.get("fingerprint") != potential_fingerprint(pot):
         raise ConfigError("checkpoint was produced with a different potential")
-    if doc.get("config") != cfg.to_dict():
+    if doc.get("config") != asdict(cfg):
         raise ConfigError("checkpoint was produced with a different run configuration")
     try:
         if (X.m, X.N) != (pot.m, cfg.N):
@@ -523,12 +508,13 @@ def run(
     alone.  The work arrays then hold R m N elements each, so a caller bounds
     R.  Checkpoints, resume and ``sink`` take a single seed.
 
-    From ``_DRAW_AHEAD_MIN`` elements R m N on, a worker thread makes each
+    The loop takes the draws from one iterator.  From ``_DRAW_AHEAD_MIN``
+    elements R m N on, it is ``_drawn_ahead``: a worker thread makes each
     iteration's draws while the step before it runs, into the one of two noise
-    arrays that step does not read; below it each iteration's draws come just
+    arrays that step does not read; below it, each iteration's draws come just
     before its step, into one noise array.  Either way the draws, and so every
-    row and the final state, are the same, and the worker is stopped and
-    joined before ``run`` returns or raises.
+    row and the final state, are the same, and the iterator is closed, which
+    stops and joins the worker, before ``run`` returns or raises.
     """
     h, B = validate_config(pot, cfg)
     me = cfg.resolved_metrics_every()
@@ -586,10 +572,10 @@ def run(
         )
         record(0, X, [None] * R)
 
-    drawer = _DrawAhead(draw, start, cfg.T) if ahead else None
+    iterations = range(start, cfg.T)
+    draws = _drawn_ahead(draw, start, cfg.T) if ahead else (draw(n) for n in iterations)
     try:
-        for n in range(start, cfg.T):
-            contexts, noise = draw(n) if drawer is None else drawer.take()
+        for n, (contexts, noise) in zip(iterations, draws):
             try:
                 X, grad_rms = _step_parts(pot, X, h, rngs, n, contexts, target, drift, noise)
             except DivergenceError:
@@ -604,8 +590,7 @@ def run(
             if checkpoint_every and k % int(checkpoint_every) == 0 and checkpoint_path:
                 _write_checkpoint(checkpoint_path, pot, cfg, k, X, rows[0], wall_times)
     finally:
-        if drawer is not None:
-            drawer.close()
+        draws.close()
 
     if checkpoint_path is not None:
         _write_checkpoint(checkpoint_path, pot, cfg, cfg.T, X, rows[0], wall_times)
@@ -616,7 +601,7 @@ def run(
     for c, c_rows in zip(cfgs, rows):
         report = ConvergenceReport(
             potential_fingerprint=fingerprint,
-            config=c.to_dict(),
+            config=asdict(c),
             seed=c.seed,
             version=__version__,
             rows=c_rows,

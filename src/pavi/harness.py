@@ -124,10 +124,23 @@ def run_config_from_doc(doc, seed=None) -> dynamics.RunConfig:
 
 
 def _init_from_doc(doc):
+    """The ``init`` key: standard_normal, {point: vector} or an explicit (m, N) list."""
     init = doc.get("init", "standard_normal")
-    if isinstance(init, dict) and "point" in init:
+    if isinstance(init, dict):
+        if list(init) != ["point"]:
+            raise ConfigError(f"init must be standard_normal, {{point: x}} or a list, got {init!r}")
         return ("point", number_array("init.point", init["point"]))
+    if isinstance(init, list):
+        return number_array("init", init)
     return init
+
+
+def _output_path(doc, given, default) -> Path:
+    """``given``, else the config's ``output`` path (checked either way), else ``default``."""
+    output = doc.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"output must be a path, got {output!r}")
+    return Path(given or output or default)
 
 
 def cmd_run(doc, out_dir=None, seed=None, threads=None, resume=False) -> ConvergenceReport:
@@ -143,7 +156,7 @@ def cmd_run(doc, out_dir=None, seed=None, threads=None, resume=False) -> Converg
     _warn_unless_guarded(dynamics.step_guard(pot, *dynamics.validate_config(pot, cfg)))
     ref = build_reference(doc.get("reference"), pot)
     init = _init_from_doc(doc)
-    out = Path(out_dir or doc.get("output") or "pavi_out")
+    out = _output_path(doc, out_dir, "pavi_out")
     out.mkdir(parents=True, exist_ok=True)
     report = dynamics.run(
         pot,
@@ -274,7 +287,7 @@ def cmd_oracle(doc, out_path=None):
     """
     pot = potential_from_config(doc.get("potential") or _missing("potential"))
     method = doc.get("method", "auto")
-    out = Path(out_path or doc.get("output") or "reference.json")
+    out = _output_path(doc, out_path, "reference.json")
     analytic_ok = isinstance(pot, oracle.QuadraticPotential) and not isinstance(
         pot, oracle.PerturbedQuadraticPotential
     )
@@ -291,13 +304,16 @@ def cmd_oracle(doc, out_path=None):
         damping = float(finite_number("damping", doc.get("damping", 1.0)))
         half_width = doc.get("half_width")
         half_width = None if half_width is None else finite_number("half_width", half_width)
+        check_inits = doc.get("check_inits", True)
+        if not isinstance(check_inits, bool):
+            raise ConfigError(f"check_inits must be true or false, got {check_inits!r}")
 
         def solve(kind):
             start = oracle.initial_grid_product(pot, G, kind, half_width)
             return oracle.fixed_point_solve(pot, start, tol, max_iter, damping)
 
         solved = solve("uniform")
-        if doc.get("check_inits", True):
+        if check_inits:
             other = solve("narrow")
             agreement = max(a.w2_to(b) for a, b in zip(solved.marginals, other.marginals))
             solved.residual.init_agreement_w2 = float(agreement)

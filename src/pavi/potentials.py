@@ -233,13 +233,16 @@ def potential_from_config(doc) -> Potential:
     Expected keys: ``family`` (quadratic | perturbed_quadratic), ``precision``
     (nested rows or a flat row-major list), optional ``mean``, ``weights`` for
     the perturbed family, and an optional ``claimed`` section overriding the
-    declared constants (validated by the ``check`` command).
+    declared constants (validated by the ``check`` command).  A key the family
+    does not read, in the mapping or in ``claimed``, is a ConfigError naming it.
     """
     if not isinstance(doc, dict):
         raise ConfigError("potential config must be a mapping")
+    # each key is popped where it is read; what remains was read by no one
+    unread = dict(doc)
     try:
-        family = doc["family"]
-        raw = doc["precision"]
+        family = unread.pop("family")
+        raw = unread.pop("precision")
     except KeyError as missing:
         raise ConfigError(f"potential config missing key {missing}") from None
     A = number_array("potential.precision", raw)
@@ -250,22 +253,27 @@ def potential_from_config(doc) -> Potential:
                 f"flat precision list has length {A.size}, not a perfect square"
             )
         A = A.reshape(m, m)
-    mean = number_array("potential.mean", doc.get("mean"))
+    mean = number_array("potential.mean", unread.pop("mean", None))
     if family == "quadratic":
         pot = QuadraticPotential(A, mean)
     elif family == "perturbed_quadratic":
-        weights = number_array("potential.weights", doc.get("weights"))
+        weights = number_array("potential.weights", unread.pop("weights", None))
         pot = PerturbedQuadraticPotential(A, mean, weights)
     else:
         raise ConfigError(f"unknown potential family {family!r}")
-    claimed = doc.get("claimed")
+    claimed = unread.pop("claimed", None)
+    if unread:
+        raise ConfigError(f"potential.{next(iter(unread))} is not read by the {family} family")
     if claimed:
         if not isinstance(claimed, dict):
             raise ConfigError(f"potential.claimed must be a mapping, got {claimed!r}")
+        unread = dict(claimed)
         for name in ("alpha", "lip", "third_bound"):
-            if claimed.get(name) is not None:
-                value = finite_number(f"potential.claimed.{name}", claimed[name])
-                setattr(pot, name, float(value))
+            value = unread.pop(name, None)
+            if value is not None:
+                setattr(pot, name, float(finite_number(f"potential.claimed.{name}", value)))
+        if unread:
+            raise ConfigError(f"potential.claimed.{next(iter(unread))} is not a claimed constant")
         pot.claimed = True
         pot._check_constants()
     return pot

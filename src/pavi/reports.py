@@ -8,7 +8,7 @@ import base64
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -304,7 +304,7 @@ class ConvergenceReport:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         self.validate()
-        (outdir / METRICS_FILE).write_text("\n".join(self.metrics_lines()) + "\n")
+        write_atomic(outdir / METRICS_FILE, ("\n".join(self.metrics_lines()) + "\n").encode())
         sidecar = {
             "potential_fingerprint": self.potential_fingerprint,
             "config": self.config,
@@ -314,7 +314,7 @@ class ConvergenceReport:
             "wall_times": self.wall_times,
             "wall_total": self.wall_total,
         }
-        (outdir / SUMMARY_FILE).write_text(json.dumps(sidecar, sort_keys=True, indent=2))
+        write_atomic(outdir / SUMMARY_FILE, json.dumps(sidecar, sort_keys=True, indent=2).encode())
 
     @classmethod
     def load(cls, outdir) -> "ConvergenceReport":
@@ -363,16 +363,6 @@ class SweepEntry:
     se_w2: float
     per_seed: list
 
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "h": self.h,
-            "B": self.B,
-            "mean_w2": self.mean_w2,
-            "se_w2": self.se_w2,
-            "per_seed": self.per_seed,
-        }
-
 
 @dataclass
 class SweepResult:
@@ -400,14 +390,14 @@ class SweepResult:
     def save(self, path) -> None:
         self.validate()
         doc = {
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
             "slope": self.slope,
             "slope_stderr": self.slope_stderr,
             "slope_ci": list(self.slope_ci),
             "seeds": self.seeds,
             "config": self.config,
         }
-        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2))
+        write_atomic(path, json.dumps(doc, sort_keys=True, indent=2).encode())
 
     @classmethod
     def load(cls, path) -> "SweepResult":

@@ -64,3 +64,39 @@ def test_traced_benchmark_hooks_install_and_count():
         [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+INPUTS_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    import workloads
+    from pavi import potential_from_config
+
+    read = 0
+    for name in sorted(workloads.WORKLOADS):
+        for seed in range(3):
+            inputs = workloads.make_inputs(name, seed, sys.argv[1])
+            for doc in (inputs["doc"], inputs.get("prepare")):
+                if doc is not None:
+                    potential_from_config(doc["potential"])
+                    read += 1
+    print(read)
+    """
+)
+
+
+def test_every_benchmark_potential_is_read(tmp_path):
+    # the potential reader refuses keys it does not read; no benchmark input
+    # may hold one
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", INPUTS_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # four workloads on three seeds, and the sweep's prepare document on each
+    assert proc.stdout.split() == [str(4 * 3 + 3)]

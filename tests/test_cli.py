@@ -21,6 +21,18 @@ RUN_DOC = {
     "reference": "analytic",
 }
 
+# a potential section with a key its family does not read, as a whole
+# top-level ``potential`` value
+UNREAD_POTENTIAL_KEYS = [
+    ("potential", dict(RUN_DOC["potential"], mena=[5, 5]),
+     "potential.mena is not read by the quadratic family"),
+    ("potential", dict(RUN_DOC["potential"], weights=[1.0, 1.0]),
+     "potential.weights is not read by the quadratic family"),
+    ("potential", dict(RUN_DOC["potential"], claimed={"lipschitz": 3}),
+     "potential.claimed.lipschitz is not a claimed constant"),
+]
+UNREAD_POTENTIAL_IDS = ["potential-unknown-key", "weights-on-quadratic", "claimed-unknown-key"]
+
 
 def write_config(tmp_path, doc, name="config.yaml"):
     path = tmp_path / name
@@ -183,6 +195,12 @@ class TestRunCommand:
             ("potential.claimed", [1], "potential.claimed must be a mapping"),
             ("init", {"point": ["a", 1]}, "init.point must be a list of numbers"),
             ("reference", 5, "reference must be analytic, none or a file path"),
+            ("potential.mena", [5, 5], "potential.mena is not read by the perturbed_quadratic"),
+            ("potential.family", "quadratic", "potential.weights is not read by the quadratic"),
+            ("potential.claimed", {"lipschitz": 3}, "potential.claimed.lipschitz is not a claimed"),
+            ("init", {"foo": 1}, "init must be standard_normal, {point: x} or a list"),
+            ("init", [[1, 2], [3]], "init must be a list of numbers or of equal-length rows"),
+            ("output", 5, "output must be a path"),
         ],
         ids=[
             "N-string", "N-fraction", "T-list", "seed-string", "B-string",
@@ -190,7 +208,9 @@ class TestRunCommand:
             "h-huge-integer", "checkpoint_every-negative", "precision-string", "precision-ragged",
             "precision-empty", "mean-empty",
             "mean-string-entry", "weights-string-entry", "claimed-string", "claimed-list",
-            "init-point-string-entry", "reference-number",
+            "init-point-string-entry", "reference-number", "potential-unknown-key",
+            "weights-on-quadratic", "claimed-unknown-key", "init-mapping", "init-ragged",
+            "output-number",
         ],
     )
     def test_mistyped_run_key_exit_two(self, tmp_path, capsys, key, value, message):
@@ -209,6 +229,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.splitlines() == [err.splitlines()[0]]
         assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    def test_explicit_init_list_runs(self, tmp_path):
+        # an (m, N) list of one point gives the run of that point mass
+        metrics = []
+        for name, init in [("list", [[0.5] * 64, [-0.5] * 64]), ("point", {"point": [0.5, -0.5]})]:
+            cfg = write_config(tmp_path, dict(RUN_DOC, init=init, T=4, metrics_every=1))
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            metrics.append((out / "metrics.jsonl").read_bytes())
+        assert metrics[0] == metrics[1]
 
     def test_yaml_exponent_reads_as_number(self, tmp_path):
         # YAML 1.1 reads an exponent without a decimal point as a string
@@ -448,8 +478,14 @@ class TestExitCodes:
             ("tol", "x", "tol must be a finite number"),
             ("damping", "x", "damping must be a finite number"),
             ("half_width", "x", "half_width must be a finite number"),
+            *UNREAD_POTENTIAL_KEYS,
+            ("output", 5, "output must be a path"),
+            ("check_inits", "no", "check_inits must be true or false"),
         ],
-        ids=["grid_size", "max_iter", "max_iter-zero", "tol", "damping", "half_width"],
+        ids=[
+            "grid_size", "max_iter", "max_iter-zero", "tol", "damping", "half_width",
+            *UNREAD_POTENTIAL_IDS, "output-number", "check_inits-string",
+        ],
     )
     def test_oracle_mistyped_key_exit_two(self, tmp_path, capsys, key, value, message):
         doc = {"potential": RUN_DOC["potential"], "method": "grid", "grid_size": 33, key: value}
@@ -579,8 +615,14 @@ class TestSweepCommand:
             ("seed", "x", "seed must be an integer"),
             ("metrics_every", "x", "metrics_every must be an integer"),
             ("init", {"point": ["a", 1]}, "init.point must be a list of numbers"),
+            *UNREAD_POTENTIAL_KEYS,
+            ("init", {"foo": 1}, "init must be standard_normal, {point: x} or a list"),
+            ("init", [[1, 2], [3]], "init must be a list of numbers or of equal-length rows"),
         ],
-        ids=["N_list", "replications", "T", "seed", "metrics_every", "init-point"],
+        ids=[
+            "N_list", "replications", "T", "seed", "metrics_every", "init-point",
+            *UNREAD_POTENTIAL_IDS, "init-mapping", "init-ragged",
+        ],
     )
     def test_sweep_mistyped_key_exit_two(self, tmp_path, capsys, key, value, message):
         doc = dict(RUN_DOC, N_list=[16, 32, 64], replications=2, T=40)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -999,3 +1003,32 @@ class TestDrawAhead:
         steps = [t for role, t in threads if role in ("context", "noise")]
         assert len(steps) == 2 * 2 * 5
         assert all((t is not main) is ahead for t in steps)
+
+
+def test_draw_ahead_run_loads_no_futures_or_yaml(tmp_path):
+    # a JSON-configured run that draws ahead on its worker thread, in a fresh
+    # process: the worker needs threading and queue, the config only json
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "potential": {"family": "quadratic", "precision": [[2.0, 1.0], [1.0, 2.0]]},
+        "N": 16, "T": 6, "reference": "analytic",
+    }))
+    script = (
+        "import sys, threading\n"
+        "import pavi.dynamics\n"
+        "from pavi.cli import main\n"
+        "pavi.dynamics._DRAW_AHEAD_MIN = 0\n"
+        "started = []\n"
+        "threading.settrace(lambda *event: started.append(threading.current_thread().name))\n"
+        "code = main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "loaded = [m for m in ('concurrent.futures', 'yaml') if m in sys.modules]\n"
+        "print(code, sorted(set(started)), loaded)\n"
+    )
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "0 ['pavi-draw-ahead'] []"
