@@ -8,12 +8,10 @@ gradient step plus Gaussian noise:
     X[i, j] <- X[i, j] - h * g_i(X[i, j]) + sqrt(2 h) * xi[i, j]
 
 The exact variant replaces the batch average by the expectation under the
-product of the other coordinates' empirical marginals.  For a family with
-affine coupling either average is the partial at one mean column (the batch's,
-or the coordinate means), so the whole (m, N) drift is one call of the
-potential's ``partials_at_context``.  Any other potential averages each
-coordinate's partial over its contexts with ``stochastic_grad_at``, the one
-average of a partial over contexts.  Context and noise draws are
+product of the other coordinates' empirical marginals.  Either way the whole
+drift is one call of the potential's ``partials_over_contexts``, on the batch
+or on the atoms, and the potential decides how to average (an affine family
+takes the partial at their mean column).  Context and noise draws are
 addressed by (seed, iteration, role), so a rerun reproduces the same
 trajectory.  ``run`` builds one generator per seed and seats it at each key in
 turn (``RngStream.seat``); a replication's whole (m, N) noise is drawn in one
@@ -21,12 +19,11 @@ call.
 
 ``run`` advances R replications, one per seed, as one stacked state of R m
 rows, and a single run is the case R = 1.  Each replication draws its own
-contexts and noise, and keeps its own context mean, drift shift and
-``grad_rms``.  An affine family's drift, the noise scaling, the state update,
-the finiteness check and the W2 record are done once for all R; they are
-elementwise, or reduce each replication's rows on their own, so every
-replication keeps the bits of a run under its seed alone.  A sweep stacks its
-seeds in chunks (``harness.run_replications``).
+contexts and noise, and keeps its own drift and ``grad_rms``.  The drift,
+the noise scaling, the state update, the finiteness check and the W2 record
+are done once for all R; they are elementwise, or reduce each replication's
+rows on their own, so every replication keeps the bits of a run under its
+seed alone.  A sweep stacks its seeds in chunks (``harness.run_replications``).
 
 An iteration's draws depend only on their keys, never on the particles, so
 they are made apart from the step that uses them: ``_draw`` makes them and
@@ -67,11 +64,11 @@ from .metrics import finite_rms, w2_reference_profile
 from .particles import (
     ParticleArray,
     RngStream,
-    coordinate_means,
     init_particles,
     sample_product,  # noqa: F401  (perfbench/spans.py wraps dynamics.sample_product)
 )
-from .potentials import potential_fingerprint
+# perfbench/spans.py wraps dynamics.stochastic_grad_at, and tests import it from here
+from .potentials import potential_fingerprint, stochastic_grad_at  # noqa: F401
 from .reports import (
     ConvergenceReport,
     StepTrace,
@@ -84,7 +81,6 @@ from .reports import (
     write_atomic,
 )
 
-_EXHAUSTIVE_MAX = 1_000_000
 _CHECKPOINT_FORMAT = "pavi-checkpoint-v2"
 # the elements R m N of one work array from which run draws each iteration
 # one step ahead on a worker thread: on 2 vCPUs the thread made a step of
@@ -212,56 +208,19 @@ def validate_config(pot, cfg: RunConfig):
 # gradient estimators ----------------------------------------------------------
 
 
-def stochastic_grad_at(pot, z, i, xs) -> np.ndarray:
-    """Average of the i-th partial over the context columns of z, at many points.
-
-    Each point replaces coordinate i of every column of ``z`` (shape (m, B))
-    and the B partials are averaged.  The same context columns serve every
-    point, matching how one iteration reuses its contexts across particles.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[0] != pot.m:
-        raise ConfigError(f"context array must have shape ({pot.m}, B), got {z.shape}")
-    m, B = z.shape
-    i = int(i)
-    if not 0 <= i < m:
-        raise ConfigError(f"coordinate index {i} out of range for dimension {m}")
-    xs = np.asarray(xs, dtype=float).ravel()
-    K = xs.size
-    cols = np.broadcast_to(z[:, :, None], (m, B, K)).reshape(m, B * K).copy()
-    cols[i] = np.tile(xs, B)
-    return np.asarray(pot.partial_cols(i, cols), dtype=float).reshape(B, K).mean(axis=0)
-
-
 def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
     """Exact conditional gradient under the other coordinates' marginals.
 
-    With affine coupling this is row i of ``partials_at_context`` at the
-    coordinate means (any scale), the route every affine exact step takes;
-    otherwise partials are averaged over all N^(m-1) atom
-    combinations, gated at 10^6 combinations.
+    Row i of ``partials_over_contexts`` on the atoms of ``X`` with ``product``
+    set: the average over all N^(m-1) atom combinations, gated at 10^6 of
+    them, or under affine coupling the partial at the coordinate means.
     """
     i = int(i)
     if not 0 <= i < X.m:
         raise ConfigError(f"coordinate index {i} out of range for dimension {X.m}")
-    if pot.affine_coupling:
-        xs = np.asarray(xs, dtype=float).ravel()
-        return pot.partials_at_context(np.broadcast_to(xs, (X.m, xs.size)), coordinate_means(X))[i]
-    combos = X.N ** (X.m - 1)
-    if combos > _EXHAUSTIVE_MAX:
-        raise ConfigError(
-            f"exhaustive averaging needs {combos} combinations (> {_EXHAUSTIVE_MAX}); "
-            "use the stochastic algorithm instead"
-        )
-    others = [X.values[k] for k in range(X.m) if k != i]
-    grids = np.array([g.ravel() for g in np.meshgrid(*others, indexing="ij")])
-    # row i of the contexts is a placeholder that stochastic_grad_at overwrites
-    z = np.insert(grids.reshape(X.m - 1, combos), i, 0.0, axis=0)
     xs = np.asarray(xs, dtype=float).ravel()
-    chunk = max(1, _EXHAUSTIVE_MAX // combos)
-    return np.concatenate(
-        [stochastic_grad_at(pot, z, i, xs[s : s + chunk]) for s in range(0, xs.size, chunk)]
-    )
+    points = np.broadcast_to(xs, (1, X.m, xs.size))
+    return pot.partials_over_contexts(points, X.values[None], product=True)[0, i]
 
 
 # stepping -----------------------------------------------------------------------
@@ -274,13 +233,14 @@ def _draw(rngs, gens, n, B, noise):
     ``rngs[r]`` seats at each draw's (iteration, role) key: an (m, B) array of
     atom indices at the context key, which the exact algorithm (B None) does
     not draw, and its (m, N) standard normal noise into ``noise[r]`` at the
-    noise key.  The result holds the R index arrays, or is None without a B.
+    noise key.  The result is the (R, m, B) array of the R index arrays, or
+    None without a B.
     """
-    m, N = noise.shape[1:]
-    contexts = None if B is None else []
+    R, m, N = noise.shape
+    contexts = None if B is None else np.empty((R, m, B), dtype=np.intp)
     for r, (rng, gen) in enumerate(zip(rngs, gens)):
         if B is not None:
-            contexts.append(rng.seat(gen, n, "context").integers(0, N, size=(m, B)))
+            contexts[r] = rng.seat(gen, n, "context").integers(0, N, size=(m, B))
         rng.seat(gen, n, "noise").standard_normal(out=noise[r])
     return contexts
 
@@ -293,43 +253,29 @@ def _step_parts(pot, X, h, rngs, n, contexts, new, drift, noise):
     one entry per replication.  The step draws nothing: ``contexts`` and
     ``noise`` are iteration n's draws (``_draw``), and ``rngs`` only name the
     replications' seeds.  Replication r's batch is the columns
-    ``values[r][i, contexts[r][i, b]]``, the gather ``sample_product`` makes;
-    ``contexts`` None steps the exact algorithm.
+    ``values[r, i, contexts[r, i, b]]``, the gather ``sample_product`` makes;
+    ``contexts`` None steps the exact algorithm on the atoms themselves.
+    Either way the drift is one ``partials_over_contexts`` call.
 
     The step writes only into its three (R, m, N) work arrays, none of which
     may share memory with ``X``: ``drift``, ``noise``, which it scales in
     place, and ``new``, which becomes the returned array's values.  Each
-    replication's contexts, context mean, drift shift and ``grad_rms`` are its
-    own; the rest of the update is elementwise, so it is done for all
-    replications at once and each keeps the bits of a run of its own.  The new
-    values are checked for finiteness once, by ``ParticleArray``; a non-finite
-    entry is reported as a divergence at its location, in the lowest-index
-    replication that has one.
+    replication's contexts, drift and ``grad_rms`` are its own; the rest of
+    the update is elementwise, so it is done for all replications at once and
+    each keeps the bits of a run of its own.  The new values are checked for
+    finiteness once, by ``ParticleArray``; a non-finite entry is reported as a
+    divergence at its location, in the lowest-index replication that has one.
     """
-    R = len(rngs)
+    R, m = new.shape[:2]
     values = X.values.reshape(new.shape)
-    m = values.shape[1]
-    rows = np.arange(m)[:, None]
-    affine = pot.affine_coupling
     # an overflow anywhere in the update is reported once, as a divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        # an affine family's average over contexts is the partial at their
-        # mean column: the batch's (pavi), or the coordinate means (exact)
-        c = values.mean(axis=2) if affine and contexts is None else np.empty((R, m))
-        for r in range(R):
-            if contexts is not None:
-                z = values[r][rows, contexts[r]]
-                if affine:
-                    z.mean(axis=1, out=c[r])
-                else:
-                    for i in range(m):
-                        drift[r, i] = stochastic_grad_at(pot, z, i, values[r, i])
-            elif not affine:
-                Xr = ParticleArray(values[r])
-                for i in range(m):
-                    drift[r, i] = exact_grad_profile(pot, Xr, i, values[r, i])
-        if affine:
-            pot.partials_at_context(values, c, out=drift)
+        if contexts is None:
+            z = values
+        else:
+            # every replication's batch in one gather, shape (R, m, B)
+            z = values[np.arange(R)[:, None, None], np.arange(m)[:, None], contexts]
+        pot.partials_over_contexts(values, z, product=contexts is None, out=drift)
         # new holds the squared drift until the update overwrites it
         np.multiply(drift, drift, out=new)
         mean_squares = new.mean(axis=(1, 2))

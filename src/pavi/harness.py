@@ -12,7 +12,7 @@ import numpy as np
 from . import dynamics, oracle
 from .errors import ConfigError
 from .metrics import grad_moment_check, w2_reference_profile
-from .particles import RngStream
+from .particles import RngStream, init_particles
 from .potentials import potential_from_config
 from .reports import (
     ConvergenceReport,
@@ -249,6 +249,11 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     T = _integer("T", doc["T"])
     base_seed = _integer("seed", doc.get("seed", 0) if seed is None else seed)
     seeds = [base_seed + r for r in range(R)]
+    init = _init_from_doc(doc)
+    if not isinstance(init, str):
+        # an explicit init fits every particle count, or the sweep runs nothing
+        for N in N_list:
+            init_particles(pot.m, N, init)
 
     entries = []
     for N in N_list:
@@ -258,7 +263,7 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
         )
         # the (h, B) the runs use: B is None for the exact algorithm
         h, B = dynamics.validate_config(pot, cfg)
-        reports = run_replications(pot, cfg, ref, seeds, init=_init_from_doc(doc))
+        reports = run_replications(pot, cfg, ref, seeds, init=init)
         _warn_unless_guarded(reports[0].summary["step_guard"])
         per_seed = [r.summary["steady_mean"] for r in reports]
         mean = float(np.mean(per_seed))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -229,16 +229,6 @@ class ResidualReport:
     converged: bool
     history: list = field(default_factory=list)
     init_agreement_w2: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "sweeps": self.sweeps,
-            "per_coordinate_w2": [float(r) for r in self.per_coordinate_w2],
-            "log_sup_change": float(self.log_sup_change),
-            "converged": self.converged,
-            "history": [[int(s), float(a), float(b)] for s, a, b in self.history],
-            "init_agreement_w2": self.init_agreement_w2,
-        }
 
 
 class GridProduct:
@@ -460,7 +450,7 @@ def gaussian_mfvi_solution(pot) -> ReferenceProduct:
 
 def grid_reference(q: GridProduct) -> ReferenceProduct:
     """Wrap a (converged) grid product as a reference."""
-    residual = q.residual.to_dict() if q.residual is not None else None
+    residual = asdict(q.residual) if q.residual is not None else None
     return ReferenceProduct(list(q.marginals), "grid-oracle", residual)
 
 

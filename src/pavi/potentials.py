@@ -21,6 +21,8 @@ from .reports import finite_number, number_array
 # sup_t |d^3/dt^3 log(cosh t)|; the exact supremum is 4/(3*sqrt(3)) ~= 0.76980
 # and the declared bound rounds it up.
 LOGCOSH_THIRD_SUP = 0.7699
+# the most atom combinations an exhaustive average over contexts takes
+_EXHAUSTIVE_MAX = 1_000_000
 
 
 def logcosh(t):
@@ -34,6 +36,27 @@ def _as_vector(x, m, what):
     if x.shape != (m,):
         raise ConfigError(f"{what} must be a length-{m} vector, got shape {x.shape}")
     return x
+
+
+def stochastic_grad_at(pot, z, i, xs) -> np.ndarray:
+    """Average of the i-th partial over the context columns of z, at many points.
+
+    Each point replaces coordinate i of every column of ``z`` (shape (m, B))
+    and the B partials are averaged.  The same context columns serve every
+    point, matching how one iteration reuses its contexts across particles.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 2 or z.shape[0] != pot.m:
+        raise ConfigError(f"context array must have shape ({pot.m}, B), got {z.shape}")
+    m, B = z.shape
+    i = int(i)
+    if not 0 <= i < m:
+        raise ConfigError(f"coordinate index {i} out of range for dimension {m}")
+    xs = np.asarray(xs, dtype=float).ravel()
+    K = xs.size
+    cols = np.broadcast_to(z[:, :, None], (m, B, K)).reshape(m, B * K).copy()
+    cols[i] = np.tile(xs, B)
+    return np.asarray(pot.partial_cols(i, cols), dtype=float).reshape(B, K).mean(axis=0)
 
 
 class Potential:
@@ -69,21 +92,57 @@ class Potential:
         """Row i: partial_i V at each point of ``values[i]``, the rest at ``c``.
 
         ``values`` has shape (m, K) and ``c`` is one context column of length
-        m; only families with affine coupling provide it.  Stacked inputs,
-        ``values`` of shape (R, m, K) and ``c`` of shape (R, m), give each
-        replication r the result for ``values[r]`` at ``c[r]``, bit for bit.
-        Given an array ``out`` of the values' shape that shares no memory with
-        them, the result is written there and ``out`` is returned.
+        m; only families with affine coupling provide it, and through it
+        ``partials_over_contexts``.  Stacked inputs, ``values`` of shape
+        (R, m, K) and ``c`` of shape (R, m), give each replication r the
+        result for ``values[r]`` at ``c[r]``, bit for bit.  Given an array
+        ``out`` of the values' shape that shares no memory with them, the
+        result is written there and ``out`` is returned.
         """
         raise NotImplementedError
 
+    def partials_over_contexts(self, points, contexts, product=False, out=None) -> np.ndarray:
+        """The drift: partial_i V at ``points[r, i]``, averaged over contexts.
+
+        ``points`` has shape (R, m, K) and ``contexts`` (R, m, B).  The average
+        is over the B columns of ``contexts[r]`` (the stochastic algorithm) or,
+        with ``product``, over every combination of the other rows' atoms (the
+        exact algorithm), at most ``_EXHAUSTIVE_MAX`` of them.  Under affine
+        coupling either is the partial at the mean column of ``contexts[r]``,
+        one ``partials_at_context`` call; otherwise each row is averaged by
+        ``stochastic_grad_at``.  ``out`` is as for ``partials_at_context``.
+        """
+        if self.affine_coupling:
+            return self.partials_at_context(points, contexts.mean(axis=-1), out)
+        R, m, B = contexts.shape
+        combos = B ** (m - 1)
+        if product and combos > _EXHAUSTIVE_MAX:
+            raise ConfigError(
+                f"exhaustive averaging needs {combos} combinations (> {_EXHAUSTIVE_MAX}); "
+                "use the stochastic algorithm instead"
+            )
+        out = np.empty(np.shape(points)) if out is None else out
+        for r, i in np.ndindex(R, m):
+            z = contexts[r]
+            if product:
+                others = [z[k] for k in range(m) if k != i]
+                grids = np.array([g.ravel() for g in np.meshgrid(*others, indexing="ij")])
+                # row i of the contexts is a placeholder that stochastic_grad_at overwrites
+                z = np.insert(grids.reshape(m - 1, combos), i, 0.0, axis=0)
+            # about _EXHAUSTIVE_MAX partials per stochastic_grad_at call
+            chunk = max(1, _EXHAUSTIVE_MAX // z.shape[1])
+            for s in range(0, out.shape[-1], chunk):
+                xs = points[r, i, s : s + chunk]
+                out[r, i, s : s + chunk] = stochastic_grad_at(self, z, i, xs)
+        return out
+
     # True only when every partial_i V is affine in the other coordinates:
     # its average over any set of context points then equals its value at
-    # their mean (the dynamics rely on this, through the whole-array hook
-    # ``partials_at_context`` that every family setting the flag provides),
-    # and V is one-coordinate terms plus bilinear cross terms, so its
-    # expectation over the other coordinates is V at their means up to a
-    # constant (the oracle's update)
+    # their mean (the base ``partials_over_contexts`` relies on this, through
+    # the whole-array hook ``partials_at_context`` that every family setting
+    # the flag provides), and V is one-coordinate terms plus bilinear cross
+    # terms, so its expectation over the other coordinates is V at their
+    # means up to a constant (the oracle's update)
     affine_coupling = False
 
     def to_config(self) -> dict:
@@ -264,9 +323,9 @@ def potential_from_config(doc) -> Potential:
     claimed = unread.pop("claimed", None)
     if unread:
         raise ConfigError(f"potential.{next(iter(unread))} is not read by the {family} family")
+    if not isinstance(claimed, (dict, type(None))):
+        raise ConfigError(f"potential.claimed must be a mapping, got {claimed!r}")
     if claimed:
-        if not isinstance(claimed, dict):
-            raise ConfigError(f"potential.claimed must be a mapping, got {claimed!r}")
         unread = dict(claimed)
         for name in ("alpha", "lip", "third_bound"):
             value = unread.pop(name, None)

@@ -201,6 +201,9 @@ class TestRunCommand:
             ("init", {"foo": 1}, "init must be standard_normal, {point: x} or a list"),
             ("init", [[1, 2], [3]], "init must be a list of numbers or of equal-length rows"),
             ("output", 5, "output must be a path"),
+            ("potential.claimed", [], "potential.claimed must be a mapping"),
+            ("potential.claimed", 0, "potential.claimed must be a mapping"),
+            ("potential.claimed", "", "potential.claimed must be a mapping"),
         ],
         ids=[
             "N-string", "N-fraction", "T-list", "seed-string", "B-string",
@@ -210,7 +213,7 @@ class TestRunCommand:
             "mean-string-entry", "weights-string-entry", "claimed-string", "claimed-list",
             "init-point-string-entry", "reference-number", "potential-unknown-key",
             "weights-on-quadratic", "claimed-unknown-key", "init-mapping", "init-ragged",
-            "output-number",
+            "output-number", "claimed-empty-list", "claimed-zero", "claimed-empty-string",
         ],
     )
     def test_mistyped_run_key_exit_two(self, tmp_path, capsys, key, value, message):
@@ -481,10 +484,12 @@ class TestExitCodes:
             *UNREAD_POTENTIAL_KEYS,
             ("output", 5, "output must be a path"),
             ("check_inits", "no", "check_inits must be true or false"),
+            ("potential", dict(RUN_DOC["potential"], claimed=[]),
+             "potential.claimed must be a mapping"),
         ],
         ids=[
             "grid_size", "max_iter", "max_iter-zero", "tol", "damping", "half_width",
-            *UNREAD_POTENTIAL_IDS, "output-number", "check_inits-string",
+            *UNREAD_POTENTIAL_IDS, "output-number", "check_inits-string", "claimed-empty-list",
         ],
     )
     def test_oracle_mistyped_key_exit_two(self, tmp_path, capsys, key, value, message):
@@ -618,10 +623,14 @@ class TestSweepCommand:
             *UNREAD_POTENTIAL_KEYS,
             ("init", {"foo": 1}, "init must be standard_normal, {point: x} or a list"),
             ("init", [[1, 2], [3]], "init must be a list of numbers or of equal-length rows"),
+            ("init", [[0.0] * 16, [0.0] * 16], "explicit init must have shape (2, 32)"),
+            ("potential", dict(RUN_DOC["potential"], claimed=0),
+             "potential.claimed must be a mapping"),
         ],
         ids=[
             "N_list", "replications", "T", "seed", "metrics_every", "init-point",
-            *UNREAD_POTENTIAL_IDS, "init-mapping", "init-ragged",
+            *UNREAD_POTENTIAL_IDS, "init-mapping", "init-ragged", "init-shape-of-first-count",
+            "claimed-zero",
         ],
     )
     def test_sweep_mistyped_key_exit_two(self, tmp_path, capsys, key, value, message):
@@ -631,6 +640,17 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+    def test_sweep_checks_explicit_init_before_any_run(self, tmp_path, capsys):
+        # the (2, 16) init fits the first count only: nothing runs, so the
+        # first count's guard warning is not printed and no sweep.json is written
+        doc = dict(RUN_DOC, N_list=[16, 32, 64], replications=2, T=20,
+                   init=[[0.0] * 16, [0.0] * 16])
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: explicit init must have shape (2, 32), got (2, 16)"]
+        assert not (out / "sweep.json").exists()
 
     def test_sweep_zero_iterations_exit_zero(self, tmp_path, capsys):
         doc = dict(RUN_DOC, N_list=[16, 32, 64], replications=2, T=0)

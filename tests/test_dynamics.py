@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -152,6 +153,28 @@ def affine_cases(draw):
     return pot, z, values
 
 
+@st.composite
+def stacked_affine_cases(draw):
+    """An affine case with R = 1 to 3 replications of its contexts and points."""
+    pot, z, values = draw(affine_cases())
+    entries = st.floats(-10.0, 10.0)
+    more = range(draw(st.integers(1, 3)) - 1)
+    zs = [z] + [draw(arrays(np.float64, z.shape, elements=entries)) for _ in more]
+    vs = [values] + [draw(arrays(np.float64, values.shape, elements=entries)) for _ in more]
+    return pot, np.stack(zs), np.stack(vs)
+
+
+def product_columns(z, i):
+    """Every combination of one atom from each row k != i of z, as columns.
+
+    Row i is a placeholder that the averaged partial overwrites.
+    """
+    m, B = z.shape
+    others = [z[k] for k in range(m) if k != i]
+    grid = np.array([g.ravel() for g in np.meshgrid(*others, indexing="ij")])
+    return np.insert(grid.reshape(m - 1, B ** (m - 1)), i, 0.0, axis=0)
+
+
 class TestStochasticGrad:
     def test_one_dim_exact(self):
         pot = QuadraticPotential([[2.0]], [0.5])
@@ -210,6 +233,28 @@ class TestStochasticGrad:
             scale = max(1.0, max(np.max(np.abs(per_context(pot, z, i, x))) for x in xs))
             np.testing.assert_allclose(reduced, full, rtol=1e-12, atol=1e-12 * scale)
             np.testing.assert_allclose(hook[i], full, rtol=1e-12, atol=1e-12 * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacked_affine_cases(), st.booleans())
+    def test_affine_hook_over_stacked_contexts_equals_generic_route(self, case, product):
+        # the drift hook on (R, m, K) points and (R, m, B) contexts, against
+        # the average of each row's partials over the contexts' columns: the
+        # batch's, or every combination of the other rows' atoms
+        pot, z, values = case
+        hook = pot.partials_over_contexts(values, z, product=product)
+        assert hook.shape == values.shape
+        # the base class's route, which averages over every context column
+        generic_pot = copy.copy(pot)
+        generic_pot.affine_coupling = False
+        out = np.empty_like(values)
+        assert generic_pot.partials_over_contexts(values, z, product=product, out=out) is out
+        for r, i in np.ndindex(*values.shape[:2]):
+            cols = product_columns(z[r], i) if product else z[r]
+            xs = values[r, i]
+            generic = stochastic_grad_at(pot, cols, i, xs)
+            assert np.array_equal(out[r, i], generic)
+            scale = max(1.0, max(np.max(np.abs(per_context(pot, cols, i, x))) for x in xs))
+            np.testing.assert_allclose(hook[r, i], generic, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestExactMeanFieldGrad:
@@ -410,6 +455,53 @@ class TestSteps:
         assert err.value.iteration == 5
         assert err.value.coordinate == 0
         assert err.value.seed == 3
+
+
+class ZeroDrift(TanhCoupled):
+    """A non-affine stub whose drift hook returns zeros; it records each call."""
+
+    def __init__(self, m):
+        super().__init__(m)
+        self.calls = []
+
+    def partials_over_contexts(self, points, contexts, product=False, out=None):
+        self.calls.append((points.shape, contexts.shape, product))
+        out = np.empty(points.shape) if out is None else out
+        out[...] = 0.0
+        return out
+
+
+class TestDriftHook:
+    """Every step takes its drift from one call of partials_over_contexts."""
+
+    def test_steps_take_the_hook_drift(self):
+        pot, h = ZeroDrift(2), 0.05
+        X = init_particles(2, 6, "standard_normal", 8)
+        noise = noise_rows(RngStream(3), 2, h, 2, 6)
+        a = pavi_step(pot, X, h, 4, RngStream(3), 2)
+        b = exact_step(pot, X, h, RngStream(3), 2)
+        assert np.array_equal(a.values, X.values + noise)
+        assert np.array_equal(b.values, X.values + noise)
+        assert pot.calls == [((1, 2, 6), (1, 2, 4), False), ((1, 2, 6), (1, 2, 6), True)]
+
+    @pytest.mark.parametrize("algorithm", ["pavi", "exact"])
+    def test_run_takes_the_hook_drift(self, tmp_path, algorithm):
+        pot, h, T = ZeroDrift(3), 0.02, 4
+        B = 2 if algorithm == "pavi" else None
+        cfg = RunConfig(N=8, T=T, h=h, B=B, algorithm=algorithm, seed=6)
+        path = tmp_path / "checkpoint.json"
+        run(pot, cfg, checkpoint_path=path)
+        expected = init_particles(3, 8, "standard_normal", 6).values
+        for n in range(T):
+            expected = expected + noise_rows(RngStream(6), n, h, 3, 8)
+        assert np.array_equal(read_checkpoint(path)[1].values, expected)
+        contexts = (1, 3, 8 if B is None else B)
+        assert pot.calls == [((1, 3, 8), contexts, B is None)] * T
+
+    def test_dynamics_does_not_read_the_coupling_flag(self):
+        # how to average over contexts is the potential's decision
+        source = Path(pavi.dynamics.__file__).read_text()
+        assert "affine_coupling" not in source
 
 
 class TestEstimatorStatistics:

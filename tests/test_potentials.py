@@ -313,6 +313,13 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="alpha <= lip"):
             potential_from_config(doc)
 
+    def test_empty_claimed_is_unclaimed(self, gauss21):
+        # a null or empty claimed section overrides nothing, as an absent one
+        for claimed in (None, {}):
+            pot = potential_from_config(dict(gauss21.to_config(), claimed=claimed))
+            assert not pot.claimed and pot.lip == gauss21.lip
+            assert potential_fingerprint(pot) == potential_fingerprint(gauss21)
+
     def test_claimed_fingerprints_unchanged(self, gauss21, perturbed2):
         # digests of claimed configs as written before the claimed section
         # became an override of the built potential's constants
