@@ -38,6 +38,7 @@ DEFAULT_GRID_SIZE = 1025
 _BOUNDARY_TOL = 1e-8
 # midpoint quantile levels of the W2 between two grid densities
 _W2_LEVELS = 4096
+_W2_U = (np.arange(_W2_LEVELS) + 0.5) / _W2_LEVELS
 # gradient-norm tolerance and step budget of the minimizer search
 _MINIMIZER_TOL = 1e-10
 _MINIMIZER_STEPS = 50_000
@@ -131,39 +132,44 @@ def _eval_cubics(x, c, t) -> np.ndarray:
     return c[3, k] + c[2, k] * s + c[1, k] * s2 + c[0, k] * (s2 * s)
 
 
+def _check_nodes(nodes) -> float:
+    """The step of a grid of at least 9 strictly ascending, uniform nodes."""
+    if nodes.ndim != 1 or nodes.size < 9:
+        raise ConfigError("grid needs at least 9 ascending nodes")
+    steps = np.diff(nodes)
+    if np.any(steps <= 0):
+        raise ConfigError("grid nodes must be strictly ascending")
+    if np.max(np.abs(steps - steps[0])) > 1e-9 * (nodes[-1] - nodes[0]):
+        raise ConfigError("grid nodes must be uniformly spaced")
+    return float(steps[0])
+
+
 class GridDensity:
     """Normalized probability density on a uniform 1-D grid, kept in log space.
 
     Its quantile function makes it usable directly as a reference marginal.
+    Nothing changes it once built, so it keeps what it derives on first use:
+    CDF, quantile knots and cubics, W2 midpoint quantile table, and mean.
     """
 
-    __slots__ = ("nodes", "log_density", "_cdf", "_knots", "_cubics")
+    __slots__ = ("nodes", "log_density", "_cdf", "_knots", "_cubics", "_w2_table", "_mean")
 
     def __init__(self, nodes, log_values):
         nodes = np.asarray(nodes, dtype=float)
         log_values = np.asarray(log_values, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 9:
-            raise ConfigError("grid needs at least 9 ascending nodes")
+        step = _check_nodes(nodes)
         if log_values.shape != nodes.shape:
             raise ConfigError("log-density values must match the grid shape")
-        steps = np.diff(nodes)
-        if np.any(steps <= 0):
-            raise ConfigError("grid nodes must be strictly ascending")
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * (nodes[-1] - nodes[0]):
-            raise ConfigError("grid nodes must be uniformly spaced")
         if np.any(np.isnan(log_values)) or np.any(log_values == np.inf):
             raise OracleConvergenceError("log-density values must be < +inf and not NaN")
         if np.all(np.isneginf(log_values)):
             raise OracleConvergenceError("all log-density values are -inf on the grid")
-        step = float(steps[0])
         w = np.full(nodes.size, step)
         w[0] = w[-1] = 0.5 * step
         log_z = _log_sum_exp(log_values + np.log(w))
         self.nodes = nodes
         self.log_density = log_values - log_z
-        self._cdf = None
-        self._knots = None
-        self._cubics = None
+        self._cdf = self._knots = self._cubics = self._w2_table = self._mean = None
         total = float(np.trapezoid(np.exp(self.log_density), self.nodes))
         if abs(total - 1.0) > 1e-10:
             raise OracleConvergenceError(
@@ -182,7 +188,9 @@ class GridDensity:
         return float(np.exp(max(d[0], d[-1])))
 
     def mean(self) -> float:
-        return float(np.trapezoid(self.nodes * self.density(), self.nodes))
+        if self._mean is None:
+            self._mean = float(np.trapezoid(self.nodes * self.density(), self.nodes))
+        return self._mean
 
     def _cdf_values(self) -> np.ndarray:
         if self._cdf is None:
@@ -195,7 +203,7 @@ class GridDensity:
     def quantile(self, u):
         """Monotone quantile function: the PCHIP of the nodes against the CDF.
 
-        Its knots and cubic coefficients are built on the first call and kept.
+        Its knots and cubics, like its W2 midpoint table, are built once and kept.
         """
         if self._knots is None:
             cdf = self._cdf_values()
@@ -212,10 +220,14 @@ class GridDensity:
         out = _eval_cubics(knots, self._cubics, u)
         return np.clip(out, self.nodes[0], self.nodes[-1])
 
+    def _w2_quantiles(self) -> np.ndarray:
+        if self._w2_table is None:
+            self._w2_table = self.quantile(_W2_U)
+        return self._w2_table
+
     def w2_to(self, other: "GridDensity") -> float:
-        """W2 between two grid densities through their quantile functions."""
-        u = (np.arange(_W2_LEVELS) + 0.5) / _W2_LEVELS
-        d = self.quantile(u) - other.quantile(u)
+        """W2 between two grid densities through their midpoint quantile tables."""
+        d = self._w2_quantiles() - other._w2_quantiles()
         return float(math.sqrt(np.mean(d * d)))
 
 
@@ -278,7 +290,13 @@ def coordinate_grids(pot, G=DEFAULT_GRID_SIZE, half_width=None):
         raise ConfigError("grid size must be at least 9 nodes")
     center = minimizer(pot)
     hw = 8.0 / math.sqrt(pot.alpha) if half_width is None else float(half_width)
-    return [np.linspace(c - hw, c + hw, G) for c in center]
+    grids = [np.linspace(c - hw, c + hw, G) for c in center]
+    try:
+        for nodes in grids:
+            _check_nodes(nodes)
+    except ConfigError as err:
+        raise ConfigError(f"half_width {hw!r} gives no usable grid: {err}") from None
+    return grids
 
 
 def initial_grid_product(pot, G=DEFAULT_GRID_SIZE, kind="uniform", half_width=None):
@@ -423,9 +441,11 @@ def fixed_point_solve(
             )
             return q
         first = updates[0]
+    tail = ", ".join(f"({n}, {w2:.3e}, {sup:.3e})" for n, w2, sup in history[-3:])
     raise OracleConvergenceError(
         f"fixed-point iteration did not reach tol={tol} in {max_iter} sweeps "
-        f"(last residual {history[-1][1]:.3e})",
+        f"(verification residual {max(resid):.3e}, last sweep's largest W2 change "
+        f"{history[-1][1]:.3e}; last (sweep, max_w2, max_sup): {tail})",
         history=history,
     )
 

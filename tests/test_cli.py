@@ -481,6 +481,10 @@ class TestExitCodes:
             ("tol", "x", "tol must be a finite number"),
             ("damping", "x", "damping must be a finite number"),
             ("half_width", "x", "half_width must be a finite number"),
+            ("half_width", -1, "half_width -1.0 gives no usable grid"),
+            ("half_width", 0, "half_width 0.0 gives no usable grid"),
+            ("half_width", 1e-300, "half_width 1e-300 gives no usable grid"),
+            ("half_width", 1e-12, "half_width 1e-12 gives no usable grid"),
             *UNREAD_POTENTIAL_KEYS,
             ("output", 5, "output must be a path"),
             ("check_inits", "no", "check_inits must be true or false"),
@@ -489,6 +493,7 @@ class TestExitCodes:
         ],
         ids=[
             "grid_size", "max_iter", "max_iter-zero", "tol", "damping", "half_width",
+            "half_width-negative", "half_width-zero", "half_width-tiny", "half_width-unresolved",
             *UNREAD_POTENTIAL_IDS, "output-number", "check_inits-string", "claimed-empty-list",
         ],
     )

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -81,6 +82,37 @@ class TestGridDensity:
         b = gaussian_grid(nodes, 1.0, 1.0)
         # translation by 1 has W2 exactly 1
         assert a.w2_to(b) == pytest.approx(1.0, abs=1e-5)
+
+
+class TestKeptTables:
+    """A density keeps its W2 midpoint table and its mean: no value changes."""
+
+    @staticmethod
+    def seeded_densities():
+        rng = np.random.default_rng(20)
+        out = []
+        for lo, hi, G in [(-6.0, 6.0, 129), (-4.5, 7.0, 97), (-9.0, 3.0, 257)]:
+            nodes = np.linspace(lo, hi, G)
+            center, var = rng.uniform(-1.0, 1.0), rng.uniform(0.4, 2.0)
+            logd = -0.5 * (nodes - center) ** 2 / var + 0.3 * rng.standard_normal(G)
+            out.append(GridDensity(nodes, logd))
+        return out
+
+    def test_w2_to_is_the_midpoint_quantile_rms(self):
+        u = (np.arange(4096) + 0.5) / 4096
+        dens = self.seeded_densities()
+        for _ in range(2):
+            for a in dens:
+                for b in dens:
+                    expected = math.sqrt(np.mean((a.quantile(u) - b.quantile(u)) ** 2))
+                    assert a.w2_to(b) == expected
+                    assert b.w2_to(a) == expected
+
+    def test_mean_is_the_trapezoid_mean(self):
+        for d in self.seeded_densities():
+            expected = np.trapezoid(d.nodes * d.density(), d.nodes)
+            assert d.mean() == expected
+            assert d.mean() == expected
 
 
 class TestMinimizerAndGrids:
@@ -285,6 +317,59 @@ class TestFixedPointSolve:
         for a, b in zip(solved.marginals, q.marginals):
             assert np.array_equal(a.log_density, b.log_density)
 
+    @pytest.mark.parametrize("damping", [1.0, 0.7])
+    def test_w2_table_evaluated_once_per_density(self, monkeypatch, damping):
+        # every W2 table is one _eval_cubics call at the midpoint levels; the
+        # knots array names the density, and holding it keeps its id unique
+        from pavi import oracle
+
+        pot = PerturbedQuadraticPotential([[2.0, 0.7], [0.7, 1.5]], [0.8, -0.5], [1.5, 0.5])
+        init = initial_grid_product(pot, 129)
+        tables, real = [], oracle._eval_cubics
+
+        def counted(x, c, t):
+            if t.size == oracle._W2_LEVELS:
+                tables.append(x)
+            return real(x, c, t)
+
+        monkeypatch.setattr(oracle, "_eval_cubics", counted)
+        solved = fixed_point_solve(pot, init, 1e-8, 100, damping)
+        assert solved.residual.sweeps > 2
+        assert len(tables) > 2 * solved.residual.sweeps
+        assert len({id(x) for x in tables}) == len(tables)
+
+    def test_kept_tables_leave_reference_bytes(self, monkeypatch, tmp_path):
+        from pavi.harness import cmd_oracle
+
+        doc = {
+            "potential": {
+                "family": "perturbed_quadratic",
+                "precision": [[2.0, 0.6, 0.3], [0.6, 2.0, 0.6], [0.3, 0.6, 2.0]],
+                "mean": [0.8, -0.9, 0.75],
+                "weights": [1.0, 0.95, 1.05],
+            },
+            "method": "grid",
+            "grid_size": 97,
+            "check_inits": True,
+        }
+        kept = cmd_oracle(doc, tmp_path / "kept.json").read_bytes()
+        # defeat both caches: recompute each W2 table and mean on every call
+        asked = []
+
+        def table(self):
+            asked.append(self)
+            return self.quantile((np.arange(4096) + 0.5) / 4096)
+
+        monkeypatch.setattr(GridDensity, "_w2_quantiles", table)
+        monkeypatch.setattr(
+            GridDensity, "mean", lambda d: float(np.trapezoid(d.nodes * d.density(), d.nodes))
+        )
+        fresh = cmd_oracle(doc, tmp_path / "fresh.json").read_bytes()
+        # the defeated run did recompute tables it had computed before
+        assert len({id(d) for d in asked}) < len(asked)
+        assert json.loads(fresh)["residual"]["sweeps"] > 2
+        assert kept == fresh
+
     def test_tensor_route_solves_like_mean_route(self):
         # asymmetric non-Gaussian target: the solve iterates, and the tensor
         # loop on the non-affine twin follows the mean route sweep for sweep
@@ -308,6 +393,36 @@ class TestFixedPointSolve:
         with pytest.raises(OracleConvergenceError) as err:
             fixed_point_solve(gauss21, init, 1e-12, 1)
         assert err.value.history
+
+    def test_budget_error_names_verification_residual(self, monkeypatch):
+        # the message prints the verification residual that was compared with
+        # tol, the last sweep's largest change, and the last three history rows
+        pot = PerturbedQuadraticPotential([[2.0, 0.7], [0.7, 1.5]], [0.8, -0.5], [1.5, 0.5])
+        init = initial_grid_product(pot, 129)
+        compared, real = [], GridDensity.w2_to
+
+        def recorded(self, other):
+            compared.append(real(self, other))
+            return compared[-1]
+
+        monkeypatch.setattr(GridDensity, "w2_to", recorded)
+        with pytest.raises(OracleConvergenceError, match="in 4 sweeps") as err:
+            fixed_point_solve(pot, init, 1e-12, 4)
+        monkeypatch.undo()
+        resid = max(compared[-2:])
+        history = err.value.history
+        message = str(err.value)
+        assert f"verification residual {resid:.3e}" in message
+        assert f"largest W2 change {history[-1][1]:.3e}" in message
+        assert f"{resid:.3e}" != f"{history[-1][1]:.3e}"
+        assert all(f"({n}, {w:.3e}, {s:.3e})" in message for n, w, s in history[-3:])
+        assert f"({history[0][0]}, " not in message
+        # it is the residual the solver compared: a tol just above it stops there
+        with pytest.raises(OracleConvergenceError):
+            fixed_point_solve(pot, init, resid, 4)
+        solved = fixed_point_solve(pot, init, np.nextafter(resid, np.inf), 4)
+        assert solved.residual.sweeps == 4
+        assert max(solved.residual.per_coordinate_w2) == resid
 
     def test_grid_too_narrow(self):
         pot = QuadraticPotential([[0.01]], [0.0])  # sd = 10
