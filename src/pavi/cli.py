@@ -12,7 +12,7 @@ from .errors import PaviError
 _FLAGS = {
     "--seed": dict(type=int, help="override the config seed"),
     "--out": dict(help="output directory or file"),
-    "--threads": dict(type=int, help="accepted and ignored; runs are sequential"),
+    "--threads": dict(type=int, help="accepted and ignored; a large sweep forks per CPU"),
 }
 
 

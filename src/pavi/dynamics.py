@@ -23,7 +23,9 @@ contexts and noise, and keeps its own drift and ``grad_rms``.  The drift,
 the noise scaling, the state update, the finiteness check and the W2 record
 are done once for all R; they are elementwise, or reduce each replication's
 rows on their own, so every replication keeps the bits of a run under its
-seed alone.  A sweep stacks its seeds in chunks (``harness.run_replications``).
+seed alone.  A sweep stacks its seeds in chunks (``harness.run_replications``)
+and, from ``harness._FORK_MIN`` work on, spreads its runs over the CPUs of
+the affinity mask by fork (``harness._spread``); ``threads`` is still ignored.
 
 An iteration's draws depend only on their keys, never on the particles, so
 they are made apart from the step that uses them: ``_draw`` makes them and
@@ -67,8 +69,9 @@ from .particles import (
     init_particles,
     sample_product,  # noqa: F401  (perfbench/spans.py wraps dynamics.sample_product)
 )
+from .potentials import potential_fingerprint, row_over_contexts
 # perfbench/spans.py wraps dynamics.stochastic_grad_at, and tests import it from here
-from .potentials import potential_fingerprint, stochastic_grad_at  # noqa: F401
+from .potentials import stochastic_grad_at  # noqa: F401
 from .reports import (
     ConvergenceReport,
     StepTrace,
@@ -212,15 +215,15 @@ def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
     """Exact conditional gradient under the other coordinates' marginals.
 
     Row i of ``partials_over_contexts`` on the atoms of ``X`` with ``product``
-    set: the average over all N^(m-1) atom combinations, gated at 10^6 of
-    them, or under affine coupling the partial at the coordinate means.
+    set (``row_over_contexts``): under affine coupling the partial at the
+    coordinate means, otherwise the average over all N^(m-1) atom
+    combinations, gated at 10^6 of them and computed for row i alone.
     """
     i = int(i)
     if not 0 <= i < X.m:
         raise ConfigError(f"coordinate index {i} out of range for dimension {X.m}")
     xs = np.asarray(xs, dtype=float).ravel()
-    points = np.broadcast_to(xs, (1, X.m, xs.size))
-    return pot.partials_over_contexts(points, X.values[None], product=True)[0, i]
+    return row_over_contexts(pot, i, xs, X.values, product=True)
 
 
 # stepping -----------------------------------------------------------------------

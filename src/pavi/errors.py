@@ -35,6 +35,9 @@ class DivergenceError(PaviError):
             f"coordinate {self.coordinate}, particle {self.particle}, seed {self.seed}"
         )
 
+    def __reduce__(self):  # a sweep's forked process pickles it
+        return type(self), (self.iteration, self.coordinate, self.particle, self.seed)
+
 
 class OracleConvergenceError(PaviError):
     """The oracle found no fixed point: the sweep budget ran out, mass reached

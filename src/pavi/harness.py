@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,9 @@ CHECKPOINT_FILE = "checkpoint.json"
 # the elements R m N of one work array of a stacked run; with its four work
 # arrays and its state a chunk of replications holds about 5 MB
 _STACK_BUDGET = 2**17
+# the work T m R sum(N) from which a sweep forks (_spread): on 2 vCPUs a fork
+# costs about 4 ms, and a sweep of 4 counts breaks even near 3e5
+_FORK_MIN = 2**19
 
 
 def _not_json(name):
@@ -194,22 +200,83 @@ def _optional_integer(doc, key) -> int | None:
     return None if value is None else _integer(key, value)
 
 
+def _seed_chunks(pot, N, seeds):
+    """The seeds in chunks of as many as keep R m N within ``_STACK_BUDGET``, at least one."""
+    chunk = max(1, _STACK_BUDGET // (pot.m * N))
+    return [seeds[start : start + chunk] for start in range(0, len(seeds), chunk)]
+
+
 def run_replications(pot, base_cfg, reference, seeds, *, init="standard_normal"):
     """Run the same configuration under each seed; the reports come in seed order.
 
     The seeds advance together as one stacked state, one ``dynamics.run`` per
-    chunk of seeds: a chunk takes as many seeds as keep its R m N elements
-    within ``_STACK_BUDGET``, and at least one.  Each report equals that of a
-    run under its seed alone.
+    chunk of seeds (``_seed_chunks``).  Each report equals that of a run under
+    its seed alone.
     """
-    seeds = [int(s) for s in seeds]
-    chunk = max(1, _STACK_BUDGET // (pot.m * base_cfg.N))
     reports = []
-    for start in range(0, len(seeds), chunk):
-        reports += dynamics.run(
-            pot, base_cfg, reference, seeds=seeds[start : start + chunk], init=init
-        )
+    for chunk in _seed_chunks(pot, base_cfg.N, [int(s) for s in seeds]):
+        reports += dynamics.run(pot, base_cfg, reference, seeds=chunk, init=init)
     return reports
+
+
+def _spread(run, items, costs):
+    """``[run(item) for item in items]``, spread over the CPUs by fork.
+
+    From ``_FORK_MIN`` summed cost on, with ``os.fork``, an affinity mask and
+    one thread, the items are dealt, costliest first, each to the lightest of
+    one share per CPU of the mask.  A forked child runs each share but the
+    lightest and pipes its outcomes back pickled; this process runs the
+    lightest and reaps every child.  The first exception in item order is
+    raised.
+    """
+    P = 1
+    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if forkable and threading.active_count() == 1 and sum(costs) >= _FORK_MIN:
+        P = min(len(os.sched_getaffinity(0)), len(items))
+    shares = [[] for _ in range(P)]
+    for k in sorted(range(len(items)), key=costs.__getitem__, reverse=True):
+        min(shares, key=lambda share: sum(map(costs.__getitem__, share))).append(k)
+    shares.sort(key=lambda share: sum(map(costs.__getitem__, share)))
+
+    def outcomes(share):
+        done = []
+        for k in sorted(share):
+            try:
+                done.append((k, run(items[k])))
+            except Exception as err:
+                # no later item of the share can come first
+                return done + [(k, err)]
+        return done
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children, ended = [], []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(write, "wb") as pipe:
+                        pickle.dump(outcomes(share), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        done = outcomes(shares[0])
+    finally:
+        for pid, pipe in children:
+            with pipe:
+                ended.append((pipe.read(), os.waitpid(pid, 0)[1]))
+    for data, status in ended:
+        if status:
+            raise RuntimeError(f"a sweep's forked process gave no results (wait status {status})")
+        done += pickle.loads(data)
+    for _, outcome in sorted(done):
+        if isinstance(outcome, Exception):
+            raise outcome
+    return [outcome for _, outcome in sorted(done)]
 
 
 def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
@@ -217,12 +284,14 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
 
     Each N uses the corollary schedule, with no batch size for the exact
     algorithm; the fitted quantity is log(mean steady-state W2) against
-    log N by least squares.  At each N the replications advance together as
-    one stacked state (:func:`run_replications`) on the calling thread:
-    ``threads`` (argument or config key) is accepted and unused, as for
-    :func:`cmd_run`.  A particle count whose schedule breaks the step-size
-    guard gets the warning line :func:`cmd_run` prints, once its runs finish,
-    so a sweep that diverges there reports only the divergence.
+    log N by least squares.  Each run is one N and one chunk of seeds that
+    advance together as one stacked state (:func:`run_replications`); from
+    ``_FORK_MIN`` work T m R sum(N) on, the runs are spread over the CPUs of
+    the affinity mask by fork (:func:`_spread`).  ``threads`` (argument or
+    config key) is accepted and unused, as for :func:`cmd_run`.  A particle
+    count whose schedule breaks the step-size guard gets the warning line
+    :func:`cmd_run` prints once every run has finished, so a sweep that
+    diverges reports only the divergence.
     """
     pot = potential_from_config(doc.get("potential") or _missing("potential"))
     ref_spec = doc.get("reference")
@@ -255,17 +324,22 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
         for N in N_list:
             init_particles(pot.m, N, init)
 
+    common = dict(T=T, schedule="corollary", algorithm=doc.get("algorithm", "pavi"),
+                  metrics_every=_optional_integer(doc, "metrics_every"))
+    cfgs = [dynamics.RunConfig(N=N, **common) for N in N_list]
+    # the (h, B) the runs use: B is None for the exact algorithm
+    schedules = [dynamics.validate_config(pot, cfg) for cfg in cfgs]
+
+    def steady_means(run):
+        cfg, chunk = run
+        return [r.summary["steady_mean"] for r in run_replications(pot, cfg, ref, chunk, init=init)]
+
+    runs = [(cfg, chunk) for cfg in cfgs for chunk in _seed_chunks(pot, cfg.N, seeds)]
+    results = _spread(steady_means, runs, [T * pot.m * cfg.N * len(c) for cfg, c in runs])
     entries = []
-    for N in N_list:
-        cfg = dynamics.RunConfig(
-            N=N, T=T, schedule="corollary", algorithm=doc.get("algorithm", "pavi"),
-            metrics_every=_optional_integer(doc, "metrics_every"),
-        )
-        # the (h, B) the runs use: B is None for the exact algorithm
-        h, B = dynamics.validate_config(pot, cfg)
-        reports = run_replications(pot, cfg, ref, seeds, init=init)
-        _warn_unless_guarded(reports[0].summary["step_guard"])
-        per_seed = [r.summary["steady_mean"] for r in reports]
+    for N, cfg, (h, B) in zip(N_list, cfgs, schedules):
+        per_seed = [w2 for run, means in zip(runs, results) if run[0] is cfg for w2 in means]
+        _warn_unless_guarded(dynamics.step_guard(pot, h, B))
         mean = float(np.mean(per_seed))
         se = float(np.std(per_seed, ddof=1) / math.sqrt(len(per_seed))) if R > 1 else 0.0
         entries.append(SweepEntry(N=N, h=h, B=B, mean_w2=mean, se_w2=se, per_seed=per_seed))

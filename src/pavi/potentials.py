@@ -59,6 +59,33 @@ def stochastic_grad_at(pot, z, i, xs) -> np.ndarray:
     return np.asarray(pot.partial_cols(i, cols), dtype=float).reshape(B, K).mean(axis=0)
 
 
+def row_over_contexts(pot, i, xs, z, product=False, out=None):
+    """Row i of ``partials_over_contexts`` at the points ``xs`` for one (m, B)
+    context array ``z``: under affine coupling of the potential's hook, else of
+    the base hook's average, which computes no other row."""
+    if pot.affine_coupling:
+        points = np.broadcast_to(xs, (1, pot.m, xs.size))
+        return pot.partials_over_contexts(points, z[None], product)[0, i]
+    out = np.empty(xs.size) if out is None else out
+    m, B = z.shape
+    if product:
+        combos = B ** (m - 1)
+        if combos > _EXHAUSTIVE_MAX:
+            raise ConfigError(
+                f"exhaustive averaging needs {combos} combinations (> {_EXHAUSTIVE_MAX}); "
+                "use the stochastic algorithm instead"
+            )
+        others = [z[k] for k in range(m) if k != i]
+        grids = np.array([g.ravel() for g in np.meshgrid(*others, indexing="ij")])
+        # row i of the contexts is a placeholder that stochastic_grad_at overwrites
+        z = np.insert(grids.reshape(m - 1, combos), i, 0.0, axis=0)
+    # about _EXHAUSTIVE_MAX partials per stochastic_grad_at call
+    chunk = max(1, _EXHAUSTIVE_MAX // z.shape[1])
+    for s in range(0, out.size, chunk):
+        out[s : s + chunk] = stochastic_grad_at(pot, z, i, xs[s : s + chunk])
+    return out
+
+
 class Potential:
     """Base class for potentials with ``alpha I <= Hess V <= lip I``."""
 
@@ -114,26 +141,9 @@ class Potential:
         """
         if self.affine_coupling:
             return self.partials_at_context(points, contexts.mean(axis=-1), out)
-        R, m, B = contexts.shape
-        combos = B ** (m - 1)
-        if product and combos > _EXHAUSTIVE_MAX:
-            raise ConfigError(
-                f"exhaustive averaging needs {combos} combinations (> {_EXHAUSTIVE_MAX}); "
-                "use the stochastic algorithm instead"
-            )
         out = np.empty(np.shape(points)) if out is None else out
-        for r, i in np.ndindex(R, m):
-            z = contexts[r]
-            if product:
-                others = [z[k] for k in range(m) if k != i]
-                grids = np.array([g.ravel() for g in np.meshgrid(*others, indexing="ij")])
-                # row i of the contexts is a placeholder that stochastic_grad_at overwrites
-                z = np.insert(grids.reshape(m - 1, combos), i, 0.0, axis=0)
-            # about _EXHAUSTIVE_MAX partials per stochastic_grad_at call
-            chunk = max(1, _EXHAUSTIVE_MAX // z.shape[1])
-            for s in range(0, out.shape[-1], chunk):
-                xs = points[r, i, s : s + chunk]
-                out[r, i, s : s + chunk] = stochastic_grad_at(self, z, i, xs)
+        for r, i in np.ndindex(contexts.shape[:2]):
+            row_over_contexts(self, i, points[r, i], contexts[r], product, out[r, i])
         return out
 
     # True only when every partial_i V is affine in the other coordinates:

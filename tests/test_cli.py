@@ -435,6 +435,33 @@ class TestExitCodes:
             "PaviError": 1, "ConfigError": 2, "DivergenceError": 3, "OracleConvergenceError": 4,
         }
 
+    def test_errors_survive_pickle(self):
+        # a forked sweep process sends its exception back pickled
+        import pickle
+
+        from pavi.errors import (
+            ConfigError, DivergenceError, OracleConvergenceError, PaviError,
+        )
+
+        history = [(1, 0.5, 0.25), (2, 0.125, 0.0625)]
+        errors = [
+            PaviError("base"),
+            ConfigError("bad key"),
+            DivergenceError(3, 1, 7, 42),
+            OracleConvergenceError("no fixed point", history),
+            OracleConvergenceError("no history"),
+        ]
+        for err in errors:
+            back = pickle.loads(pickle.dumps(err))
+            assert type(back) is type(err)
+            assert str(back) == str(err)
+            assert vars(back) == vars(err)
+            assert back.exit_code == err.exit_code
+        assert str(errors[2]) == (
+            "non-finite particle update at iteration 3, coordinate 1, particle 7, seed 42"
+        )
+        assert pickle.loads(pickle.dumps(errors[3])).history == history
+
     def test_oracle_non_convergence_exit_four(self, tmp_path, capsys):
         # asymmetric perturbed target: the marginal means drift off the
         # minimizer, so one sweep cannot reach a tight tolerance

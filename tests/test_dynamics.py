@@ -312,6 +312,19 @@ class TestExactMeanFieldGrad:
                 exact_grad_profile(pot, X, i, xs), brute, rtol=1e-13, atol=1e-13
             )
 
+    def test_non_affine_profile_computes_row_i_only(self):
+        # the exhaustive average of one row is m times cheaper than all m rows
+        class Counting(TanhCoupled):
+            def partial_cols(self, i, cols):
+                rows.append(i)
+                return super().partial_cols(i, cols)
+
+        X = init_particles(3, 6, "standard_normal", 4)
+        for i in range(3):
+            rows = []
+            exact_grad_profile(Counting(3), X, i, X.values[i])
+            assert rows and set(rows) == {i}
+
     def test_scale_gate(self):
         class NoCap(QuadraticPotential):
             affine_coupling = False

@@ -1,7 +1,10 @@
 import json
+import os
+import signal
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,10 @@ from pavi import (
     potential_from_config,
     rate_fit,
 )
-from pavi import dynamics
+import pavi
+from pavi import dynamics, harness
+from pavi.cli import main
+from pavi.errors import DivergenceError
 from pavi.harness import (
     build_reference,
     cmd_check,
@@ -229,6 +235,144 @@ class TestCmdSweep:
         ]
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedSweep:
+    """From ``_FORK_MIN`` work on, a sweep forks one process per extra CPU;
+    its outputs, its errors and its process table must not show it."""
+
+    # three counts of two seeds: three runs, so a forked sweep makes two shares
+    DOC = run_doc(N_list=[16, 32, 64], replications=2, T=40, metrics_every=5, seed=3)
+    # claimed constants far below the true ones diverge at every count
+    DIVERGING = run_doc(
+        N_list=[16, 32, 64], replications=3, T=10, metrics_every=10, seed=7,
+        potential=dict(BASE_POTENTIAL, claimed={"alpha": 1e-150, "lip": 1e-150}),
+    )
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs os.fork and two CPUs in the affinity mask")
+        real_fork, pids = os.fork, []
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def hung(signum, frame):
+            raise TimeoutError("a forked sweep did not return within 60 s")
+
+        monkeypatch.setattr(harness, "_FORK_MIN", 0)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        # a fork child does not inherit the alarm
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            yield pids
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_sweep_json_matches_serial(self, tmp_path, forks, monkeypatch):
+        forked = cmd_sweep(self.DOC, out_dir=tmp_path / "forked")
+        assert len(forks) == 1
+        assert_no_child_left()
+        monkeypatch.setattr(harness, "_FORK_MIN", 2**62)
+        serial = cmd_sweep(self.DOC, out_dir=tmp_path / "serial")
+        assert len(forks) == 1
+        assert (tmp_path / "forked" / "sweep.json").read_bytes() == (
+            tmp_path / "serial" / "sweep.json"
+        ).read_bytes()
+        assert [e.per_seed for e in forked.entries] == [e.per_seed for e in serial.entries]
+
+    def test_divergence_matches_serial(self, tmp_path, capsys, forks, monkeypatch):
+        with pytest.raises(DivergenceError) as forked:
+            cmd_sweep(self.DIVERGING)
+        assert len(forks) == 1
+        assert_no_child_left()
+        cfg = tmp_path / "diverging.json"
+        cfg.write_text(json.dumps(self.DIVERGING))
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg)]) == 3
+        forked_err = capsys.readouterr().err
+        assert len(forks) == 2
+        assert_no_child_left()
+        monkeypatch.setattr(harness, "_FORK_MIN", 2**62)
+        with pytest.raises(DivergenceError) as serial:
+            cmd_sweep(self.DIVERGING)
+        assert main(["sweep", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == forked_err == f"error: {serial.value}\n"
+        assert str(forked.value) == str(serial.value)
+        assert str(serial.value).endswith(", seed 7")
+
+    def test_first_exception_in_item_order_wins(self, forks):
+        # costs [1, 5, 1, 1] give this process items 0, 2 and 3 and the child
+        # item 1: the child's divergence comes first and crosses the pipe
+        def run(x):
+            if x == 1:
+                raise DivergenceError(4, 0, 5, 11)
+            if x == 3:
+                raise ValueError("later")
+            return [x]
+
+        with pytest.raises(DivergenceError, match="iteration 4, coordinate 0, particle 5, seed 11"):
+            harness._spread(run, [0, 1, 2, 3], [1, 5, 1, 1])
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert harness._spread(lambda x: [x, x], [0, 1, 2, 3], [1, 5, 1, 1]) == [
+            [0, 0], [1, 1], [2, 2], [3, 3]
+        ]
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_child_death_names_wait_status(self, forks, monkeypatch):
+        parent = os.getpid()
+        real = harness.run_replications
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_replications", dying)
+        with pytest.raises(RuntimeError, match="gave no results \\(wait status 1792\\)"):
+            cmd_sweep(self.DOC)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_one_share_without_fork(self, forks):
+        # one run, or a process with a second thread, makes the calls in order here
+        assert harness._spread(lambda x: [x], [5], [1]) == [[5]]
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert harness._spread(lambda x: [x], [1, 2, 3], [1, 1, 1]) == [[1], [2], [3]]
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and forks == []
+
+    def test_test_sweeps_stay_serial(self, monkeypatch):
+        # the tiny sweeps of the other tests (here and in test_cli.py and
+        # test_benchmark_hooks.py) do less work T m R sum(N) than _FORK_MIN,
+        # so they test the serial path
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        for N_list, R, T in [
+            ([16, 32, 64], 3, 120), ([16, 32, 64], 2, 80), ([2048, 4096, 8192], 2, 2),
+        ]:
+            assert T * 2 * R * sum(N_list) < harness._FORK_MIN
+            cmd_sweep(run_doc(N_list=N_list, replications=R, T=T))
+
+
 class TestCmdOracle:
     def test_quadratic_analytic_path(self, tmp_path):
         claimed = dict(BASE_POTENTIAL, claimed={"alpha": 0.9, "lip": 3.2})
@@ -347,9 +491,13 @@ class TestConfigLoading:
             "assert load_config(sys.argv[2]) == {'N': 64, 'T': 10}\n"
             "print('yaml' in sys.modules)\n"
         )
+        # the child imports the pavi this process imported, however it was found
+        src = str(Path(pavi.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-c", script, str(jpath), str(ypath)],
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True, check=True, env=env,
         )
         assert out.stdout.split() == ["False", "True"]
 
