@@ -53,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        doc = None if args.command == "compare" else harness.load_config(args.config)
         if args.command == "run":
-            doc = harness.load_config(args.config)
             report = harness.cmd_run(
                 doc, out_dir=args.out, seed=args.seed, threads=args.threads,
                 resume=args.resume,
@@ -67,7 +67,6 @@ def main(argv=None) -> int:
                 f"steady mean {steady if steady is not None else 'n/a'}"
             )
         elif args.command == "sweep":
-            doc = harness.load_config(args.config)
             result = harness.cmd_sweep(
                 doc, out_dir=args.out, seed=args.seed, threads=args.threads
             )
@@ -80,11 +79,9 @@ def main(argv=None) -> int:
                 )
             print(f"log-log slope {result.slope:.4f} +- {result.slope_stderr:.4f}")
         elif args.command == "oracle":
-            doc = harness.load_config(args.config)
             out = harness.cmd_oracle(doc, out_path=args.out)
             print(f"reference written to {out}")
         elif args.command == "check":
-            doc = harness.load_config(args.config)
             passed, lines = harness.cmd_check(doc, seed=args.seed)
             for name, ok, detail in lines:
                 print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

@@ -8,6 +8,8 @@ import os
 import pickle
 import sys
 import threading
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,6 @@ from .reports import (
 __all__ = [
     "load_config",
     "build_reference",
-    "run_config_from_doc",
     "cmd_run",
     "cmd_sweep",
     "cmd_oracle",
@@ -92,61 +93,104 @@ def build_reference(spec, pot):
     """Resolve the ``reference`` config entry to a ReferenceProduct or None.
 
     "analytic" gives the closed-form Gaussian product (quadratic targets
-    only), "none"/null disables metrics, anything else is read as the path to
-    a serialized oracle document.
+    only), "none"/null disables metrics, any other string is read as the path
+    to a serialized oracle document.
     """
     if spec is None or spec == "none":
         return None
     if spec == "analytic":
         return oracle.gaussian_mfvi_solution(pot)
-    if not isinstance(spec, str):
-        raise ConfigError(f"reference must be analytic, none or a file path, got {spec!r}")
     return oracle.load_reference(spec)
 
 
-def run_config_from_doc(doc, seed=None) -> dynamics.RunConfig:
-    """The run keys of a config document, each read with its type.
-
-    ``N`` and ``T`` are required integers; ``seed``, ``B``, ``metrics_every``
-    and ``checkpoint_every`` (at least 0) are optional integers, and ``h`` an
-    optional finite number.  A key of the wrong type is a ConfigError naming it.
-    """
-    for key in ("N", "T"):
-        if key not in doc:
-            raise ConfigError(f"run config missing key {key!r}")
-    # checked here, before any output exists; cmd_run passes it to the run
-    if (_optional_integer(doc, "checkpoint_every") or 0) < 0:
-        raise ConfigError("checkpoint_every must be >= 0 (0 = off)")
-    return dynamics.RunConfig(
-        N=_integer("N", doc["N"]),
-        T=_integer("T", doc["T"]),
-        h=None if doc.get("h") is None else finite_number("h", doc["h"]),
-        B=_optional_integer(doc, "B"),
-        schedule=doc.get("schedule", "corollary"),
-        algorithm=doc.get("algorithm", "pavi"),
-        seed=_integer("seed", doc.get("seed", 0) if seed is None else seed),
-        metrics_every=_optional_integer(doc, "metrics_every"),
-    )
+def _integer(key, value, low=None) -> int:
+    """A config value that must be an integer (an integral float is accepted), at least ``low``."""
+    n = as_integer(value)
+    if n is None:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if low is not None and n < low:
+        raise ConfigError(f"{key} must be >= {low}")
+    return n
 
 
-def _init_from_doc(doc):
-    """The ``init`` key: standard_normal, {point: vector} or an explicit (m, N) list."""
-    init = doc.get("init", "standard_normal")
-    if isinstance(init, dict):
-        if list(init) != ["point"]:
-            raise ConfigError(f"init must be standard_normal, {{point: x}} or a list, got {init!r}")
-        return ("point", number_array("init.point", init["point"]))
+def _integers(key, value) -> list:
+    return [_integer(key, n) for n in _instance((list, tuple), "a list of integers", key, value)]
+
+
+def _instance(kinds, what, key, value):
+    """``value`` if it is an instance of ``kinds``, else a ConfigError: it must be ``what``."""
+    if not isinstance(value, kinds):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _init(key, init):
+    """standard_normal, {point: vector} or an explicit (m, N) list."""
     if isinstance(init, list):
-        return number_array("init", init)
-    return init
+        return number_array(key, init)
+    if isinstance(init, dict) and list(init) == ["point"]:
+        return ("point", number_array("init.point", init["point"]))
+    return _instance(str, "standard_normal, {point: x} or a list", key, init)
 
 
-def _output_path(doc, given, default) -> Path:
-    """``given``, else the config's ``output`` path (checked either way), else ``default``."""
-    output = doc.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"output must be a path, got {output!r}")
-    return Path(given or output or default)
+def _as_given(key, value):
+    return value
+
+
+# Each top-level key's reader and absent-or-null value, by the first command that
+# reads it: run, sweep, oracle, check.  A reader checks no range a library call does.
+_KEYS = {
+    "potential": (_as_given, None),  # built by potential_from_config
+    "N": (_integer, None),
+    "T": (_integer, None),
+    "h": (finite_number, None),
+    "B": (_integer, None),
+    "schedule": (partial(_instance, str, "corollary or explicit"), "corollary"),
+    "algorithm": (partial(_instance, str, "pavi or exact"), "pavi"),
+    "seed": (_integer, 0),
+    "metrics_every": (_integer, None),
+    "checkpoint_every": (partial(_integer, low=0), None),
+    "init": (_init, "standard_normal"),
+    "reference": (partial(_instance, str, "analytic, none or a file path"), None),
+    "output": (partial(_instance, str, "a path"), None),
+    "threads": (_as_given, None),  # accepted and ignored
+    "N_list": (_integers, None),
+    "replications": (partial(_integer, low=1), 16),
+    "method": (partial(_instance, str, "auto, analytic or grid"), "auto"),
+    "grid_size": (_integer, oracle.DEFAULT_GRID_SIZE),
+    "tol": (finite_number, 1e-8),
+    "max_iter": (_integer, 300),
+    "damping": (finite_number, 1.0),
+    "half_width": (finite_number, None),
+    "check_inits": (partial(_instance, bool, "true or false"), True),
+    "trials": (partial(_integer, low=1), 1000),
+    "samples": (partial(_integer, low=2), 20000),  # a variance with ddof=1 needs two
+}
+
+
+def _read(doc, *required, **given):
+    """Every ``_KEYS`` entry of a config document, read before anything is built.
+
+    A ConfigError names an unknown key and the closest known one, else a missing
+    ``potential`` or ``required`` key.  A ``given`` value that is not None
+    (``--seed``) replaces the document's.  An absent or null key takes its default.
+    """
+    unknown = [key for key in doc if key not in _KEYS]
+    if unknown:
+        import difflib
+
+        close = difflib.get_close_matches(str(unknown[0]), list(_KEYS), n=1)
+        close += [key for key in _KEYS if str(unknown[0]).startswith(key)]  # tolerance: tol
+        hint = f"; did you mean {close[0]!r}?" if close else ""
+        raise ConfigError(f"unknown config key {unknown[0]!r}{hint}")
+    doc = {**doc, **{key: value for key, value in given.items() if value is not None}}
+    for key in ("potential", *required):
+        if doc.get(key) is None:
+            raise ConfigError(f"config missing key {key!r}")
+    return {
+        key: default if doc.get(key) is None else read(key, doc[key])
+        for key, (read, default) in _KEYS.items()
+    }
 
 
 def cmd_run(doc, out_dir=None, seed=None, threads=None, resume=False) -> ConvergenceReport:
@@ -157,20 +201,20 @@ def cmd_run(doc, out_dir=None, seed=None, threads=None, resume=False) -> Converg
     corollary schedule that breaks the step-size guard runs anyway, with one
     warning line on stderr.
     """
-    pot = potential_from_config(doc.get("potential") or _missing("potential"))
-    cfg = run_config_from_doc(doc, seed)
+    doc = _read(doc, "N", "T", seed=seed)
+    pot = potential_from_config(doc["potential"])
+    cfg = dynamics.RunConfig(**{f.name: doc[f.name] for f in fields(dynamics.RunConfig)})
     _warn_unless_guarded(dynamics.step_guard(pot, *dynamics.validate_config(pot, cfg)))
-    ref = build_reference(doc.get("reference"), pot)
-    init = _init_from_doc(doc)
-    out = _output_path(doc, out_dir, "pavi_out")
+    ref = build_reference(doc["reference"], pot)
+    out = Path(out_dir or doc["output"] or "pavi_out")
     out.mkdir(parents=True, exist_ok=True)
     report = dynamics.run(
         pot,
         cfg,
         ref,
-        init=init,
+        init=doc["init"],
         checkpoint_path=out / CHECKPOINT_FILE,
-        checkpoint_every=doc.get("checkpoint_every"),
+        checkpoint_every=doc["checkpoint_every"],
         resume=resume,
     )
     report.save(out)
@@ -181,23 +225,6 @@ def _warn_unless_guarded(guard):
     """Print one stderr line when a corollary schedule breaks the step-size guard."""
     if not guard["holds"]:
         print(f"warning: {dynamics.guard_violation(guard)}; running anyway", file=sys.stderr)
-
-
-def _missing(key):
-    raise ConfigError(f"config missing key {key!r}")
-
-
-def _integer(key, value) -> int:
-    """A config value that must be an integer (an integral float is accepted)."""
-    n = as_integer(value)
-    if n is None:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return n
-
-
-def _optional_integer(doc, key) -> int | None:
-    value = doc.get(key)
-    return None if value is None else _integer(key, value)
 
 
 def _seed_chunks(pot, N, seeds):
@@ -293,18 +320,12 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     :func:`cmd_run` prints once every run has finished, so a sweep that
     diverges reports only the divergence.
     """
-    pot = potential_from_config(doc.get("potential") or _missing("potential"))
-    ref_spec = doc.get("reference")
-    if ref_spec in (None, "none"):
+    doc = _read(doc, "N_list", "T", seed=seed)
+    pot = potential_from_config(doc["potential"])
+    if doc["reference"] in (None, "none"):
         raise ConfigError("sweep needs an analytic or oracle reference for the slope")
-    ref = build_reference(ref_spec, pot)
-    for key in ("N_list", "T"):
-        if key not in doc:
-            _missing(key)
+    ref = build_reference(doc["reference"], pot)
     N_list = doc["N_list"]
-    if not isinstance(N_list, (list, tuple)):
-        raise ConfigError(f"N_list must be a list of integers, got {N_list!r}")
-    N_list = [_integer("N_list", n) for n in N_list]
     if len(N_list) < 3:
         raise ConfigError("sweep needs at least 3 particle counts for a slope")
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
@@ -312,20 +333,15 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
             "sweep particle counts must be strictly increasing "
             "(duplicates make the design matrix degenerate)"
         )
-    R = _integer("replications", doc.get("replications", 16))
-    if R < 1:
-        raise ConfigError("replications must be >= 1")
-    T = _integer("T", doc["T"])
-    base_seed = _integer("seed", doc.get("seed", 0) if seed is None else seed)
-    seeds = [base_seed + r for r in range(R)]
-    init = _init_from_doc(doc)
+    R, T, init = doc["replications"], doc["T"], doc["init"]
+    seeds = [doc["seed"] + r for r in range(R)]
     if not isinstance(init, str):
         # an explicit init fits every particle count, or the sweep runs nothing
         for N in N_list:
             init_particles(pot.m, N, init)
 
-    common = dict(T=T, schedule="corollary", algorithm=doc.get("algorithm", "pavi"),
-                  metrics_every=_optional_integer(doc, "metrics_every"))
+    common = dict(T=T, schedule="corollary", algorithm=doc["algorithm"],
+                  metrics_every=doc["metrics_every"])
     cfgs = [dynamics.RunConfig(N=N, **common) for N in N_list]
     # the (h, B) the runs use: B is None for the exact algorithm
     schedules = [dynamics.validate_config(pot, cfg) for cfg in cfgs]
@@ -349,7 +365,8 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
         entries=entries, slope=slope, slope_stderr=stderr, seeds=seeds,
         config={"T": T, "replications": R, "N_list": N_list},
     )
-    if out_dir is not None:
+    out_dir = out_dir or doc["output"]
+    if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         result.save(out / "sweep.json")
@@ -364,9 +381,10 @@ def cmd_oracle(doc, out_path=None):
     path is re-run from a second starting point and the agreement between the
     two fixed points is recorded.
     """
-    pot = potential_from_config(doc.get("potential") or _missing("potential"))
-    method = doc.get("method", "auto")
-    out = _output_path(doc, out_path, "reference.json")
+    doc = _read(doc)
+    pot = potential_from_config(doc["potential"])
+    method = doc["method"]
+    out = Path(out_path or doc["output"] or "reference.json")
     analytic_ok = isinstance(pot, oracle.QuadraticPotential) and not isinstance(
         pot, oracle.PerturbedQuadraticPotential
     )
@@ -377,22 +395,12 @@ def cmd_oracle(doc, out_path=None):
             raise ConfigError("analytic oracle is only available for the quadratic family")
         ref = oracle.gaussian_mfvi_solution(pot)
     elif method == "grid":
-        G = _integer("grid_size", doc.get("grid_size", oracle.DEFAULT_GRID_SIZE))
-        tol = float(finite_number("tol", doc.get("tol", 1e-8)))
-        max_iter = _integer("max_iter", doc.get("max_iter", 300))
-        damping = float(finite_number("damping", doc.get("damping", 1.0)))
-        half_width = doc.get("half_width")
-        half_width = None if half_width is None else finite_number("half_width", half_width)
-        check_inits = doc.get("check_inits", True)
-        if not isinstance(check_inits, bool):
-            raise ConfigError(f"check_inits must be true or false, got {check_inits!r}")
-
         def solve(kind):
-            start = oracle.initial_grid_product(pot, G, kind, half_width)
-            return oracle.fixed_point_solve(pot, start, tol, max_iter, damping)
+            start = oracle.initial_grid_product(pot, doc["grid_size"], kind, doc["half_width"])
+            return oracle.fixed_point_solve(pot, start, doc["tol"], doc["max_iter"], doc["damping"])
 
         solved = solve("uniform")
-        if check_inits:
+        if doc["check_inits"]:
             other = solve("narrow")
             agreement = max(a.w2_to(b) for a, b in zip(solved.marginals, other.marginals))
             solved.residual.init_agreement_w2 = float(agreement)
@@ -414,12 +422,10 @@ def cmd_check(doc, seed=None):
     Returns (all_passed, lines) where each line is (name, passed, detail);
     the CLI prints one line per check.
     """
-    pot = potential_from_config(doc.get("potential") or _missing("potential"))
-    trials = _integer("trials", doc.get("trials", 1000))
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    seed = _integer("seed", doc.get("seed", 0) if seed is None else seed)
-    gen = RngStream(seed).generator(0, "sample")
+    doc = _read(doc, seed=seed)
+    pot = potential_from_config(doc["potential"])
+    trials = doc["trials"]
+    gen = RngStream(doc["seed"]).generator(0, "sample")
     center = oracle.minimizer(pot)
     scale = 2.0 / math.sqrt(pot.alpha)
     m = pot.m
@@ -473,12 +479,9 @@ def cmd_check(doc, seed=None):
     )
 
     # moment bounds under the reference, when one is attached
-    ref_spec = doc.get("reference")
-    if ref_spec not in (None, "none"):
-        ref = build_reference(ref_spec, pot)
-        K = _integer("samples", doc.get("samples", 20000))
-        if K < 1:
-            raise ConfigError("samples must be >= 1")
+    if doc["reference"] not in (None, "none"):
+        ref = build_reference(doc["reference"], pot)
+        K = doc["samples"]
         samples = oracle.sample_reference(ref, K, gen)
         moments = grad_moment_check(pot, samples)
         mean_bound = 4.0 * math.sqrt(m * pot.lip**2 / pot.alpha / K)

@@ -71,15 +71,19 @@ INPUTS_SCRIPT = textwrap.dedent(
     import sys
 
     import workloads
-    from pavi import potential_from_config
+    from pavi import harness, potential_from_config
 
+    # the keys each command requires; the prepare document is an oracle's
+    required = {"run": ("N", "T"), "sweep": ("N_list", "T"), "oracle": ()}
     read = 0
     for name in sorted(workloads.WORKLOADS):
         for seed in range(3):
             inputs = workloads.make_inputs(name, seed, sys.argv[1])
-            for doc in (inputs["doc"], inputs.get("prepare")):
+            command = workloads.WORKLOADS[name].command
+            for doc, keys in ((inputs["doc"], required[command]), (inputs.get("prepare"), ())):
                 if doc is not None:
                     potential_from_config(doc["potential"])
+                    harness._read(doc, *keys)
                     read += 1
     print(read)
     """
@@ -88,7 +92,7 @@ INPUTS_SCRIPT = textwrap.dedent(
 
 def test_every_benchmark_potential_is_read(tmp_path):
     # the potential reader refuses keys it does not read; no benchmark input
-    # may hold one
+    # may hold one, and every whole document reads through the key table
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH", "")]

@@ -204,6 +204,11 @@ class TestRunCommand:
             ("potential.claimed", [], "potential.claimed must be a mapping"),
             ("potential.claimed", 0, "potential.claimed must be a mapping"),
             ("potential.claimed", "", "potential.claimed must be a mapping"),
+            ("algoritm", "exact", "unknown config key 'algoritm'; did you mean 'algorithm'?"),
+            ("chekpoint_every", 5,
+             "unknown config key 'chekpoint_every'; did you mean 'checkpoint_every'?"),
+            ("metrics_evry", 3, "unknown config key 'metrics_evry'; did you mean 'metrics_every'?"),
+            ("check_inits", "no", "check_inits must be true or false"),
         ],
         ids=[
             "N-string", "N-fraction", "T-list", "seed-string", "B-string",
@@ -214,6 +219,8 @@ class TestRunCommand:
             "init-point-string-entry", "reference-number", "potential-unknown-key",
             "weights-on-quadratic", "claimed-unknown-key", "init-mapping", "init-ragged",
             "output-number", "claimed-empty-list", "claimed-zero", "claimed-empty-string",
+            "algorithm-misspelled", "checkpoint_every-misspelled", "metrics_every-misspelled",
+            "oracle-key-mistyped",
         ],
     )
     def test_mistyped_run_key_exit_two(self, tmp_path, capsys, key, value, message):
@@ -517,11 +524,14 @@ class TestExitCodes:
             ("check_inits", "no", "check_inits must be true or false"),
             ("potential", dict(RUN_DOC["potential"], claimed=[]),
              "potential.claimed must be a mapping"),
+            ("grid_sise", 33, "unknown config key 'grid_sise'; did you mean 'grid_size'?"),
+            ("tolerance", 1e-3, "unknown config key 'tolerance'; did you mean 'tol'?"),
         ],
         ids=[
             "grid_size", "max_iter", "max_iter-zero", "tol", "damping", "half_width",
             "half_width-negative", "half_width-zero", "half_width-tiny", "half_width-unresolved",
             *UNREAD_POTENTIAL_IDS, "output-number", "check_inits-string", "claimed-empty-list",
+            "grid_size-misspelled", "tol-spelled-out",
         ],
     )
     def test_oracle_mistyped_key_exit_two(self, tmp_path, capsys, key, value, message):
@@ -590,10 +600,13 @@ class TestCheckCommand:
             ("trials", "x", "trials must be an integer"),
             ("trials", 0, "trials must be >= 1"),
             ("samples", "x", "samples must be an integer"),
-            ("samples", 0, "samples must be >= 1"),
+            ("samples", 0, "samples must be >= 2"),
             ("seed", "x", "seed must be an integer"),
+            ("samples", 1, "samples must be >= 2"),
+            ("refrence", "analytic", "unknown config key 'refrence'; did you mean 'reference'?"),
         ],
-        ids=["trials", "trials-zero", "samples", "samples-zero", "seed"],
+        ids=["trials", "trials-zero", "samples", "samples-zero", "seed", "samples-one",
+             "reference-misspelled"],
     )
     def test_check_mistyped_key_exit_two(self, tmp_path, capsys, key, value, message):
         doc = {"potential": RUN_DOC["potential"], "reference": "analytic", key: value}
@@ -658,11 +671,12 @@ class TestSweepCommand:
             ("init", [[0.0] * 16, [0.0] * 16], "explicit init must have shape (2, 32)"),
             ("potential", dict(RUN_DOC["potential"], claimed=0),
              "potential.claimed must be a mapping"),
+            ("replicatons", 2, "unknown config key 'replicatons'; did you mean 'replications'?"),
         ],
         ids=[
             "N_list", "replications", "T", "seed", "metrics_every", "init-point",
             *UNREAD_POTENTIAL_IDS, "init-mapping", "init-ragged", "init-shape-of-first-count",
-            "claimed-zero",
+            "claimed-zero", "replications-misspelled",
         ],
     )
     def test_sweep_mistyped_key_exit_two(self, tmp_path, capsys, key, value, message):
@@ -689,6 +703,19 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert json.loads((tmp_path / "o" / "sweep.json").read_text())["config"]["T"] == 0
+
+    def test_sweep_writes_to_output_unless_out_is_given(self, tmp_path, monkeypatch):
+        # --out wins over the config's output; with neither, nothing is written
+        monkeypatch.chdir(tmp_path)
+        doc = dict(RUN_DOC, N_list=[16, 32, 64], replications=2, T=4, output="from_config")
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        (tmp_path / "from_config" / "sweep.json").unlink()
+        assert main(["sweep", "--config", str(cfg), "--out", "from_flag"]) == 0
+        (tmp_path / "from_flag" / "sweep.json").unlink()
+        del doc["output"]
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["config.yaml"]
 
     def test_sweep_empty_N_list_exit_two(self, tmp_path, capsys):
         doc = dict(RUN_DOC, N_list=[], replications=2, T=40)
