@@ -199,14 +199,20 @@ def cmd_run(doc, out_dir=None, seed=None, threads=None, resume=False) -> Converg
     A run is one sequential chain: ``threads`` (argument or config key) is
     accepted and unused, so configs and callers that set it keep working.  A
     corollary schedule that breaks the step-size guard runs anyway, with one
-    warning line on stderr.
+    warning line on stderr.  The schedule, the init, the checkpoint a resume
+    needs and the reference are checked before that line and before the
+    output directory is made.
     """
     doc = _read(doc, "N", "T", seed=seed)
     pot = potential_from_config(doc["potential"])
     cfg = dynamics.RunConfig(**{f.name: doc[f.name] for f in fields(dynamics.RunConfig)})
-    _warn_unless_guarded(dynamics.step_guard(pot, *dynamics.validate_config(pot, cfg)))
-    ref = build_reference(doc["reference"], pot)
+    guard = dynamics.step_guard(pot, *dynamics.validate_config(pot, cfg))
+    _check_init(pot, [cfg.N], doc["init"])
     out = Path(out_dir or doc["output"] or "pavi_out")
+    if resume and not (out / CHECKPOINT_FILE).exists():
+        raise ConfigError("resume requested but no checkpoint file found")
+    ref = build_reference(doc["reference"], pot)
+    _warn_unless_guarded(guard)
     out.mkdir(parents=True, exist_ok=True)
     report = dynamics.run(
         pot,
@@ -219,6 +225,14 @@ def cmd_run(doc, out_dir=None, seed=None, threads=None, resume=False) -> Converg
     )
     report.save(out)
     return report
+
+
+def _check_init(pot, N_list, init):
+    """Refuse an unknown init spec, or a point or explicit init that does not
+    fit (m, N) for every N, before anything runs or is written."""
+    if not (isinstance(init, str) and init == "standard_normal"):
+        for N in N_list:
+            init_particles(pot.m, N, init)
 
 
 def _warn_unless_guarded(guard):
@@ -309,8 +323,10 @@ def _spread(run, items, costs):
 def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     """Replicate runs across particle counts and fit the steady-state slope.
 
-    Each N uses the corollary schedule, with no batch size for the exact
-    algorithm; the fitted quantity is log(mean steady-state W2) against
+    Each N runs the configured schedule: the corollary one by default, with
+    no batch size for the exact algorithm, or an explicit ``h`` and ``B``
+    that every N takes, each checked against the step-size guard before any
+    run starts; the fitted quantity is log(mean steady-state W2) against
     log N by least squares.  Each run is one N and one chunk of seeds that
     advance together as one stacked state (:func:`run_replications`); from
     ``_FORK_MIN`` work T m R sum(N) on, the runs are spread over the CPUs of
@@ -335,14 +351,11 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
         )
     R, T, init = doc["replications"], doc["T"], doc["init"]
     seeds = [doc["seed"] + r for r in range(R)]
-    if not isinstance(init, str):
-        # an explicit init fits every particle count, or the sweep runs nothing
-        for N in N_list:
-            init_particles(pot.m, N, init)
+    # the init fits every particle count, or the sweep runs nothing
+    _check_init(pot, N_list, init)
 
-    common = dict(T=T, schedule="corollary", algorithm=doc["algorithm"],
-                  metrics_every=doc["metrics_every"])
-    cfgs = [dynamics.RunConfig(N=N, **common) for N in N_list]
+    common = {key: doc[key] for key in ("h", "B", "schedule", "algorithm", "metrics_every")}
+    cfgs = [dynamics.RunConfig(N=N, T=T, **common) for N in N_list]
     # the (h, B) the runs use: B is None for the exact algorithm
     schedules = [dynamics.validate_config(pot, cfg) for cfg in cfgs]
 

@@ -122,14 +122,29 @@ def _hermite_cubics(x, y, d) -> np.ndarray:
 
 
 def _eval_cubics(x, c, t) -> np.ndarray:
-    """Piecewise cubic with knots x and coefficients c at t in [x[0], x[-1]]."""
-    k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
-    s = t - x[k]
+    """Piecewise cubic with knots x and coefficients c at ascending t.
+
+    Each t takes the cubic of the interval [x[k], x[k+1]) that holds it; t
+    below x[1] takes the first and t from x[-2] on the last.  Since t
+    ascends, each interval's t form one run, counted by where the inner
+    knots fall among the t, and the interval's knot and coefficients are
+    repeated over its run in one pass.
+    """
+    counts = np.diff(np.searchsorted(t, x[1:-1]), prepend=0, append=t.size)
+    c0, c1, c2, c3, s = np.repeat(np.vstack((c, x[:-1])), counts, axis=1)
+    np.subtract(t, s, out=s)
     s2 = s * s
-    # summed by ascending power rather than by Horner's rule: this order
-    # reproduces earlier pavi versions' quantiles, and so their references,
-    # bit for bit
-    return c[3, k] + c[2, k] * s + c[1, k] * s2 + c[0, k] * (s2 * s)
+    # c3 + c2 s + c1 s^2 + c0 (s^2 s), summed by ascending power rather than
+    # by Horner's rule, in place: this order reproduces earlier pavi
+    # versions' quantiles, and so their references, bit for bit
+    c2 *= s
+    c2 += c3
+    c1 *= s2
+    c2 += c1
+    s2 *= s
+    c0 *= s2
+    c2 += c0
+    return c2
 
 
 def _check_nodes(nodes) -> float:
@@ -204,6 +219,8 @@ class GridDensity:
         """Monotone quantile function: the PCHIP of the nodes against the CDF.
 
         Its knots and cubics, like its W2 midpoint table, are built once and kept.
+        ``u`` may have any shape and order; unsorted levels are evaluated in
+        ascending order and put back in place.
         """
         if self._knots is None:
             cdf = self._cdf_values()
@@ -217,8 +234,14 @@ class GridDensity:
         # u beyond the last knot lies in the dropped tail mass: it maps to the
         # last kept node rather than off the interpolant
         u = np.clip(np.asarray(u, dtype=float), knots[0], knots[-1])
-        out = _eval_cubics(knots, self._cubics, u)
-        return np.clip(out, self.nodes[0], self.nodes[-1])
+        flat = u.ravel()
+        if np.all(flat[1:] >= flat[:-1]):
+            out = _eval_cubics(knots, self._cubics, flat)
+        else:
+            order = np.argsort(flat, kind="stable")
+            out = np.empty_like(flat)
+            out[order] = _eval_cubics(knots, self._cubics, flat[order])
+        return np.clip(out.reshape(u.shape), self.nodes[0], self.nodes[-1])
 
     def _w2_quantiles(self) -> np.ndarray:
         if self._w2_table is None:
@@ -285,6 +308,11 @@ def coordinate_grids(pot, G=DEFAULT_GRID_SIZE, half_width=None):
     1/alpha, so a half width of 8 of those standard deviations keeps the
     truncated mass far below the boundary tolerance.
     """
+    return _centered_grids(pot, G, half_width)[1]
+
+
+def _centered_grids(pot, G, half_width):
+    """The minimizer and :func:`coordinate_grids`, from one minimizer search."""
     G = int(G)
     if G < 9:
         raise ConfigError("grid size must be at least 9 nodes")
@@ -296,7 +324,7 @@ def coordinate_grids(pot, G=DEFAULT_GRID_SIZE, half_width=None):
             _check_nodes(nodes)
     except ConfigError as err:
         raise ConfigError(f"half_width {hw!r} gives no usable grid: {err}") from None
-    return grids
+    return center, grids
 
 
 def initial_grid_product(pot, G=DEFAULT_GRID_SIZE, kind="uniform", half_width=None):
@@ -306,8 +334,7 @@ def initial_grid_product(pot, G=DEFAULT_GRID_SIZE, kind="uniform", half_width=No
     minimizer (a smoothed point mass, used to cross-check that different
     starts reach the same fixed point).
     """
-    grids = coordinate_grids(pot, G, half_width)
-    center = minimizer(pot)
+    center, grids = _centered_grids(pot, G, half_width)
     marginals = []
     for i, nodes in enumerate(grids):
         if kind == "uniform":
@@ -387,12 +414,16 @@ def fixed_point_solve(
 ) -> GridProduct:
     """Cyclic coordinate iteration to the fixed point of the marginal update.
 
-    Sweeps coordinates in order, optionally damping in log space, until every
-    per-coordinate W2 residual between successive marginals is below ``tol``;
-    a final verification pass re-applies the update at the candidate before
-    declaring convergence.  The pass's coordinate-0 update is the next sweep's
-    first one, since no marginal changes in between.  Raises if mass reaches a
-    grid boundary or the sweep budget runs out.
+    Sweeps coordinates in order, optionally damping in log space.  After each
+    sweep a verification pass re-applies the update at the committed product,
+    without committing it, and measures each coordinate's W2 residual; the
+    solve converges once every residual is below ``tol``.  The pass always
+    computes coordinate 0, whose update is the next sweep's first one since
+    no marginal changes in between, and stops at the first residual at or
+    above ``tol``, which already rules convergence out.  On the last sweep of
+    the budget it computes every coordinate, so the error names the largest
+    residual.  Raises if mass reaches a grid boundary or the sweep budget
+    runs out.
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
@@ -405,7 +436,8 @@ def fixed_point_solve(
     # coordinate 0's update at the committed product, from the last
     # verification pass: the next sweep starts from that same product
     first = None
-    for sweep in range(1, int(max_iter) + 1):
+    last = int(max_iter)
+    for sweep in range(1, last + 1):
         max_w2 = 0.0
         max_sup = 0.0
         for i in range(q.m):
@@ -427,10 +459,14 @@ def fixed_point_solve(
             )
             q.marginals[i] = new_i
         history.append((sweep, max_w2, max_sup))
-        # verification pass: residual of re-applying the update at the
+        # verification pass: residuals of re-applying the update at the
         # committed product, measured without committing
-        updates = [apply_transform(pot, i, q) for i in range(q.m)]
-        resid = [d.w2_to(q.marginals[i]) for i, d in enumerate(updates)]
+        first = apply_transform(pot, 0, q)
+        resid = [first.w2_to(q.marginals[0])]
+        for i in range(1, q.m):
+            if resid[-1] >= tol and sweep < last:
+                break
+            resid.append(apply_transform(pot, i, q).w2_to(q.marginals[i]))
         if max(resid) < tol:
             q.residual = ResidualReport(
                 sweeps=sweep,
@@ -440,7 +476,6 @@ def fixed_point_solve(
                 history=history,
             )
             return q
-        first = updates[0]
     tail = ", ".join(f"({n}, {w2:.3e}, {sup:.3e})" for n, w2, sup in history[-3:])
     raise OracleConvergenceError(
         f"fixed-point iteration did not reach tol={tol} in {max_iter} sweeps "
@@ -524,10 +559,21 @@ def _finite_fields(path, entry, *keys):
 
 
 def load_reference(path) -> ReferenceProduct:
-    """Inverse of :func:`save_reference`; a corrupt file raises ConfigError."""
+    """Inverse of :func:`save_reference`; a corrupt file raises ConfigError.
+
+    So does a residual that is not null or a converged solve's record, since
+    :func:`fixed_point_solve` returns only converged products.
+    """
     doc = read_json(path)
     if doc.get("format") != _FORMAT:
         raise ConfigError(f"{path} is not a reference document")
+    residual = doc.get("residual")
+    if residual is not None and not (
+        isinstance(residual, dict) and residual.get("converged") is True
+    ):
+        raise ConfigError(f"{path} holds a residual that is not a converged solve's")
+    if not isinstance(doc.get("provenance"), str):
+        raise ConfigError(f"{path} holds a provenance that is not a string")
     marginals = []
     try:
         for entry in doc["marginals"]:
@@ -544,6 +590,6 @@ def load_reference(path) -> ReferenceProduct:
                     raise ConfigError(f"{path} holds a malformed grid ({err})") from None
             else:
                 raise ConfigError(f"{path} holds an unknown marginal type {entry['type']!r}")
-        return ReferenceProduct(marginals, doc["provenance"], doc.get("residual"))
+        return ReferenceProduct(marginals, doc["provenance"], residual)
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path} is a malformed reference ({err!r})") from None

@@ -139,6 +139,31 @@ class TestCmdRun:
         with pytest.raises(ConfigError, match="quadratic"):
             cmd_run(doc, out_dir=tmp_path / "out")
 
+    @pytest.mark.parametrize(
+        "overrides, resume, match",
+        [
+            ({"init": "uniform"}, False, "unknown init spec"),
+            ({"init": {"point": [1.0, -1.0, 0.0]}}, False, "length-2"),
+            ({"init": [[0.0] * 64]}, False, r"shape \(2, 64\)"),
+            ({}, True, "no checkpoint"),
+            ({"reference": "missing.json"}, False, "missing.json"),
+        ],
+        ids=["spec", "point", "shape", "resume", "reference"],
+    )
+    def test_bad_input_refused_before_warning_and_output(
+        self, tmp_path, capsys, overrides, resume, match
+    ):
+        # N=64 breaks the guard under the corollary schedule, so a warning
+        # printed before the check would show
+        assert not dynamics.step_guard(
+            potential_from_config(BASE_POTENTIAL),
+            *corollary_schedule(potential_from_config(BASE_POTENTIAL).lip, 64),
+        )["holds"]
+        with pytest.raises(ConfigError, match=match):
+            cmd_run(run_doc(**overrides), out_dir=tmp_path / "out", resume=resume)
+        assert capsys.readouterr().err == ""
+        assert not (tmp_path / "out").exists()
+
     def test_point_init(self, tmp_path):
         doc = run_doc(T=0, init={"point": [1.0, -1.0]})
         report = cmd_run(doc, out_dir=tmp_path / "out")
@@ -212,6 +237,40 @@ class TestCmdSweep:
         ]
         saved = json.loads((tmp_path / "sweep.json").read_text())
         assert [e["B"] for e in saved["entries"]] == [None, None, None]
+
+    @pytest.mark.parametrize("algorithm, B", [("pavi", 4), ("exact", None)])
+    def test_explicit_schedule_runs_at_every_N(self, tmp_path, algorithm, B):
+        # each N takes the given h and B; a run of that N alone under the
+        # explicit schedule gives the same steady means
+        doc = run_doc(schedule="explicit", h=0.01, B=B, algorithm=algorithm,
+                      N_list=[16, 32, 64], replications=2, T=20)
+        result = cmd_sweep(doc, out_dir=tmp_path)
+        assert [(e.h, e.B) for e in result.entries] == [(0.01, B)] * 3
+        saved = json.loads((tmp_path / "sweep.json").read_text())
+        assert [(e["h"], e["B"]) for e in saved["entries"]] == [(0.01, B)] * 3
+        pot = potential_from_config(BASE_POTENTIAL)
+        cfg = dynamics.RunConfig(N=32, T=20, h=0.01, B=B, schedule="explicit",
+                                 algorithm=algorithm, seed=result.seeds[1])
+        alone = dynamics.run(pot, cfg, build_reference("analytic", pot))
+        assert result.entries[1].per_seed[1] == alone.summary["steady_mean"]
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"schedule": "explicit", "h": 0.5, "B": 4}, "violates"),
+            ({"schedule": "explicit", "B": 4}, "requires a step size"),
+            ({"h": 0.01}, "corollary schedule derives h and B"),
+            ({"init": "uniform"}, "unknown init spec"),
+        ],
+        ids=["guard", "no-h", "corollary-h", "init"],
+    )
+    def test_bad_schedule_or_init_refused_before_any_run(self, monkeypatch, overrides, match):
+        runs = []
+        monkeypatch.setattr(dynamics, "run", lambda *a, **k: runs.append(a))
+        doc = run_doc(N_list=[16, 32, 64], replications=2, T=20, **overrides)
+        with pytest.raises(ConfigError, match=match):
+            cmd_sweep(doc)
+        assert runs == []
 
     def test_threaded_matches_serial(self, monkeypatch):
         # threads is accepted and ignored: the stacked replications of each

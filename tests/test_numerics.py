@@ -74,6 +74,36 @@ def grid_log_densities(draw):
     return nodes, logd
 
 
+def searchsorted_cubics(x, c, t):
+    """The cubic evaluator as earlier pavi versions wrote it: one binary
+    search per level, clipped to the intervals."""
+    k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+    s = t - x[k]
+    s2 = s * s
+    return c[3, k] + c[2, k] * s + c[1, k] * s2 + c[0, k] * (s2 * s)
+
+
+@st.composite
+def shaped_densities(draw):
+    """Grid densities of 9 to 1100 nodes: flat, skewed, or so narrow that
+    the quantile function drops tail knots."""
+    G = draw(st.integers(9, 1100))
+    nodes = np.linspace(-1.0, 1.0, G) * draw(st.floats(0.5, 20.0))
+    shape = draw(st.sampled_from(["flat", "skewed", "narrow"]))
+    if shape == "flat":
+        return shape, GridDensity(nodes, np.zeros(G))
+    center = draw(st.floats(float(nodes[0]), float(nodes[-1])))
+    if shape == "skewed":
+        width = draw(st.floats(0.05, 2.0)) * nodes[-1]
+        tilt = draw(st.floats(-3.0, 3.0))
+        return shape, GridDensity(nodes, -0.5 * ((nodes - center) / width) ** 2
+                                  + tilt * np.tanh(nodes - center))
+    # a node spacing is at least 12 widths, so all but the nearest nodes hold
+    # CDF increments far below the knots' 1e-12
+    width = (nodes[1] - nodes[0]) / 12
+    return shape, GridDensity(nodes, -0.5 * ((nodes - center) / width) ** 2)
+
+
 def parent_quantile(d, u):
     """The quantile function as built from scipy's PchipInterpolator."""
     cdf = cumulative_simpson(d.density(), x=d.nodes, initial=0.0)
@@ -114,6 +144,40 @@ class TestGridKernels:
         # node): the quantile stays at the last kept node instead of NaN
         beyond = d.quantile(np.concatenate((u[~inside], [1.0])))
         assert np.all(beyond == d.quantile(last_knot))
+
+    @settings(max_examples=150, deadline=None)
+    @given(shaped_densities(), st.integers(1, 4096), st.data())
+    def test_counted_intervals_match_binary_search(self, case, K, data):
+        # ascending levels: midpoints, every knot exactly, and some beyond
+        # either end, which take the first and the last cubic
+        shape, d = case
+        d.quantile(0.5)
+        x, c = d._knots, d._cubics
+        if shape == "narrow":
+            assert x.size < d.nodes.size
+        if shape == "flat":
+            assert x.size == d.nodes.size
+        t = np.concatenate(((np.arange(K) + 0.5) / K, x))
+        if data.draw(st.booleans()):
+            t = np.concatenate((t, [-0.25, 1.5]))
+        t = np.sort(t)
+        assert np.array_equal(_eval_cubics(x, c, t), searchsorted_cubics(x, c, t))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shaped_densities(), st.integers(1, 600), st.integers(0, 2**32 - 1))
+    def test_unsorted_levels_through_quantile(self, case, K, seed):
+        # quantile evaluates levels in any order and shape as the ascending
+        # evaluator does, each at its own place
+        _, d = case
+        d.quantile(0.5)
+        x, c = d._knots, d._cubics
+        u = np.concatenate(((np.arange(K) + 0.5) / K, x, [0.0, 1.0, -0.25]))
+        u = np.random.default_rng(seed).permutation(u)
+        expected = np.clip(searchsorted_cubics(x, c, np.clip(u, x[0], x[-1])),
+                           d.nodes[0], d.nodes[-1])
+        assert np.array_equal(d.quantile(u), expected)
+        if u.size % 2 == 0:
+            assert np.array_equal(d.quantile(u.reshape(2, -1)), expected.reshape(2, -1))
 
     @pytest.mark.parametrize("G", [9, 10])
     @pytest.mark.parametrize("where", [0, 4, -1])

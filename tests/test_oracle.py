@@ -123,6 +123,26 @@ class TestMinimizerAndGrids:
         x = minimizer(perturbed2)
         assert np.linalg.norm(perturbed2.gradient_cols(x[:, None])) < 1e-9
 
+    @pytest.mark.parametrize("kind", ["uniform", "narrow"])
+    def test_initial_product_searches_minimizer_once(self, monkeypatch, perturbed2, kind):
+        from pavi import oracle
+
+        center, grids = minimizer(perturbed2), coordinate_grids(perturbed2, 33)
+        searches = []
+
+        def counted(pot):
+            searches.append(pot)
+            return minimizer(pot)
+
+        monkeypatch.setattr(oracle, "minimizer", counted)
+        start = initial_grid_product(perturbed2, 33, kind)
+        assert searches == [perturbed2]
+        for d, nodes, c in zip(start.marginals, grids, center):
+            s = 4.0 * (nodes[1] - nodes[0])
+            logd = np.zeros(33) if kind == "uniform" else -0.5 * ((nodes - c) / s) ** 2
+            assert np.array_equal(d.nodes, nodes)
+            assert np.array_equal(d.log_density, GridDensity(nodes, logd).log_density)
+
     def test_grids_centered_with_half_width(self, gauss21):
         grids = coordinate_grids(gauss21, G=65)
         for nodes, c in zip(grids, [1.0, -1.0]):
@@ -288,9 +308,9 @@ class TestFixedPointSolve:
 
     @pytest.mark.parametrize("damping", [1.0, 0.7])
     def test_verification_update_reused(self, monkeypatch, damping):
-        # the verification pass's coordinate-0 update starts the next sweep:
-        # each sweep after the first applies one transform fewer, and the
-        # marginals are those of recomputing it every time
+        # the verification pass's coordinate-0 update starts the next sweep,
+        # and the pass stops at coordinate 0 while its residual is at or above
+        # tol; the marginals are those of recomputing every update every time
         from pavi import oracle
 
         pot = PerturbedQuadraticPotential([[2.0, 0.7], [0.7, 1.5]], [0.8, -0.5], [1.5, 0.5])
@@ -313,9 +333,29 @@ class TestFixedPointSolve:
         monkeypatch.setattr(oracle, "apply_transform", counted)
         solved = fixed_point_solve(pot, init, 1e-8, 100, damping)
         assert solved.residual.sweeps == sweeps > 2
-        assert len(calls) == 2 * 2 * sweeps - (sweeps - 1)
+        assert calls == [0, 1, 0] + [1, 0] * (sweeps - 2) + [1, 0, 1]
         for a, b in zip(solved.marginals, q.marginals):
             assert np.array_equal(a.log_density, b.log_density)
+
+    def test_verification_stops_at_first_unconverged_coordinate(self, monkeypatch):
+        # at m = 3 each sweep but the last verifies coordinate 0 only; the
+        # last sweep of the budget verifies all three for the error message
+        from pavi import oracle
+
+        pot = PerturbedQuadraticPotential(
+            [[2.0, 0.6, 0.3], [0.6, 2.0, 0.6], [0.3, 0.6, 2.0]], [0.8, -0.9, 0.75], [1.0, 0.95, 1.05]
+        )
+        init = initial_grid_product(pot, 33)
+        calls, real = [], oracle.apply_transform
+
+        def counted(pot, i, q):
+            calls.append(i)
+            return real(pot, i, q)
+
+        monkeypatch.setattr(oracle, "apply_transform", counted)
+        with pytest.raises(OracleConvergenceError, match="in 4 sweeps"):
+            fixed_point_solve(pot, init, 1e-12, 4)
+        assert calls == [0, 1, 2, 0] + [1, 2, 0] * 2 + [1, 2, 0, 1, 2]
 
     @pytest.mark.parametrize("damping", [1.0, 0.7])
     def test_w2_table_evaluated_once_per_density(self, monkeypatch, damping):
@@ -545,6 +585,31 @@ class TestSerialization:
         u = np.linspace(0.01, 0.99, 99)
         for a, b in zip(ref.marginals, again.marginals):
             assert np.allclose(a.quantile(u), b.quantile(u), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "update, match",
+        [
+            ({"residual": {"converged": False}}, "residual"),
+            ({"residual": {"sweeps": 3}}, "residual"),
+            ({"residual": [1.0]}, "residual"),
+            ({"residual": "converged"}, "residual"),
+            ({"provenance": 0}, "provenance"),
+            ({"provenance": None}, "provenance"),
+        ],
+        ids=["not-converged", "no-converged", "list", "string", "number-provenance",
+             "null-provenance"],
+    )
+    def test_unconverged_or_mistyped_record_is_config_error(
+        self, perturbed2, tmp_path, update, match
+    ):
+        path = tmp_path / "ref.json"
+        solved = fixed_point_solve(perturbed2, initial_grid_product(perturbed2, 33), 1e-6, 100)
+        save_reference(path, grid_reference(solved))
+        load_reference(path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **update)))
+        with pytest.raises(ConfigError, match=match) as err:
+            load_reference(path)
+        assert str(path) in str(err.value)
 
     @pytest.mark.parametrize(
         "gaussian, update, match",
