@@ -69,7 +69,7 @@ from .particles import (
     init_particles,
     sample_product,  # noqa: F401  (perfbench/spans.py wraps dynamics.sample_product)
 )
-from .potentials import potential_fingerprint, row_over_contexts
+from .potentials import potential_fingerprint
 # perfbench/spans.py wraps dynamics.stochastic_grad_at, and tests import it from here
 from .potentials import stochastic_grad_at  # noqa: F401
 from .reports import (
@@ -100,7 +100,7 @@ class RunConfig:
     T: int
     h: float | None = None
     B: int | None = None
-    schedule: str = "explicit"  # "explicit" | "corollary"
+    schedule: str = "corollary"  # "corollary" | "explicit"
     algorithm: str = "pavi"  # "pavi" | "exact"
     seed: int = 0
     metrics_every: int | None = None
@@ -206,24 +206,6 @@ def validate_config(pot, cfg: RunConfig):
     if not guard["holds"]:
         raise ConfigError(guard_violation(guard))
     return h, B
-
-
-# gradient estimators ----------------------------------------------------------
-
-
-def exact_grad_profile(pot, X, i, xs) -> np.ndarray:
-    """Exact conditional gradient under the other coordinates' marginals.
-
-    Row i of ``partials_over_contexts`` on the atoms of ``X`` with ``product``
-    set (``row_over_contexts``): under affine coupling the partial at the
-    coordinate means, otherwise the average over all N^(m-1) atom
-    combinations, gated at 10^6 of them and computed for row i alone.
-    """
-    i = int(i)
-    if not 0 <= i < X.m:
-        raise ConfigError(f"coordinate index {i} out of range for dimension {X.m}")
-    xs = np.asarray(xs, dtype=float).ravel()
-    return row_over_contexts(pot, i, xs, X.values, product=True)
 
 
 # stepping -----------------------------------------------------------------------
@@ -401,6 +383,9 @@ def read_checkpoint(path):
         if m < 1 or N < 2:
             raise ValueError(f"shape {[m, N]}")
         text = doc["particles"]
+        start = as_integer(doc["next_iteration"])
+        if start is None or start < 0:
+            raise ValueError(f"next_iteration {doc['next_iteration']!r} is not an integer >= 0")
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path} is a malformed checkpoint ({err!r})") from None
     return doc, ParticleArray(decode_f8(text, m * N, path).reshape(m, N))
@@ -422,8 +407,8 @@ def _load_checkpoint(path, pot, cfg):
         if not (isinstance(wall_times, list) and all(map(is_number, wall_times))):
             raise TypeError(f"wall_times must be a list of numbers, got {wall_times!r}")
         start = as_integer(doc["next_iteration"])
-        if start is None or not 0 <= start <= cfg.T:
-            raise ValueError(f"next_iteration {doc['next_iteration']!r} is not in [0, {cfg.T}]")
+        if start > cfg.T:
+            raise ValueError(f"next_iteration {start} is past T = {cfg.T}")
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path} is a malformed checkpoint ({err!r})") from None
     return X, rows, wall_times, start

@@ -145,7 +145,7 @@ _KEYS = {
     "T": (_integer, None),
     "h": (finite_number, None),
     "B": (_integer, None),
-    "schedule": (partial(_instance, str, "corollary or explicit"), "corollary"),
+    "schedule": (partial(_instance, str, "corollary or explicit"), dynamics.RunConfig.schedule),
     "algorithm": (partial(_instance, str, "pavi or exact"), "pavi"),
     "seed": (_integer, 0),
     "metrics_every": (_integer, None),

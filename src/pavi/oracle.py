@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, OracleConvergenceError
 from .metrics import GaussianMarginal, ReferenceProduct
 from .potentials import PerturbedQuadraticPotential, QuadraticPotential
-from .reports import decode_f8, encode_f8, read_json, write_atomic
+from .reports import as_integer, decode_f8, encode_f8, read_json, write_atomic
 
 DEFAULT_GRID_SIZE = 1025
 _BOUNDARY_TOL = 1e-8
@@ -578,18 +578,21 @@ def load_reference(path) -> ReferenceProduct:
     try:
         for entry in doc["marginals"]:
             if entry["type"] == "gaussian":
-                mean, var = _finite_fields(path, entry, "mean", "var")
-                marginals.append(GaussianMarginal(mean, var))
+                make, args = GaussianMarginal, _finite_fields(path, entry, "mean", "var")
             elif entry["type"] == "grid":
                 lo, hi = _finite_fields(path, entry, "lo", "hi")
-                count = int(entry["count"])
+                count = as_integer(entry["count"])
+                if count is None:
+                    raise ValueError(f"count {entry['count']!r} is not an integer")
                 logd = decode_f8(entry["log_density"], count, path)
-                try:
-                    marginals.append(GridDensity(np.linspace(lo, hi, count), logd))
-                except ConfigError as err:
-                    raise ConfigError(f"{path} holds a malformed grid ({err})") from None
+                make, args = GridDensity, (np.linspace(lo, hi, count), logd)
             else:
                 raise ConfigError(f"{path} holds an unknown marginal type {entry['type']!r}")
+            try:
+                marginals.append(make(*args))
+            except ConfigError as err:
+                kind = entry["type"]
+                raise ConfigError(f"{path} holds a malformed {kind} marginal ({err})") from None
         return ReferenceProduct(marginals, doc["provenance"], residual)
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path} is a malformed reference ({err!r})") from None

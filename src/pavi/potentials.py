@@ -1,11 +1,13 @@
 """Strongly log-concave target potentials with analytic convexity constants.
 
 A potential evaluates ``V``, one partial derivative, or the full gradient on a
-batch of points given as the columns of an ``(m, K)`` array, and carries the
-constants ``alpha <= lip`` sandwiching its Hessian
-spectrum plus a bound ``third_bound`` on ``|d^3 V / dx_i^3|``.  The built-in
-families keep all three constants exact so step-size guards downstream can
-trust them; a ``check`` command re-validates them by sampling.
+batch of points given as the columns of an ``(m, K)`` array, and the drift,
+every partial averaged over contexts (``partials_over_contexts``), its one
+hook for both algorithms.  It carries the constants ``alpha <= lip``
+sandwiching its Hessian spectrum plus a bound ``third_bound`` on
+``|d^3 V / dx_i^3|``.  The built-in families keep all three constants exact
+so step-size guards downstream can trust them; a ``check`` command
+re-validates them by sampling.
 """
 
 from __future__ import annotations
@@ -59,33 +61,6 @@ def stochastic_grad_at(pot, z, i, xs) -> np.ndarray:
     return np.asarray(pot.partial_cols(i, cols), dtype=float).reshape(B, K).mean(axis=0)
 
 
-def row_over_contexts(pot, i, xs, z, product=False, out=None):
-    """Row i of ``partials_over_contexts`` at the points ``xs`` for one (m, B)
-    context array ``z``: under affine coupling of the potential's hook, else of
-    the base hook's average, which computes no other row."""
-    if pot.affine_coupling:
-        points = np.broadcast_to(xs, (1, pot.m, xs.size))
-        return pot.partials_over_contexts(points, z[None], product)[0, i]
-    out = np.empty(xs.size) if out is None else out
-    m, B = z.shape
-    if product:
-        combos = B ** (m - 1)
-        if combos > _EXHAUSTIVE_MAX:
-            raise ConfigError(
-                f"exhaustive averaging needs {combos} combinations (> {_EXHAUSTIVE_MAX}); "
-                "use the stochastic algorithm instead"
-            )
-        others = [z[k] for k in range(m) if k != i]
-        grids = np.array([g.ravel() for g in np.meshgrid(*others, indexing="ij")])
-        # row i of the contexts is a placeholder that stochastic_grad_at overwrites
-        z = np.insert(grids.reshape(m - 1, combos), i, 0.0, axis=0)
-    # about _EXHAUSTIVE_MAX partials per stochastic_grad_at call
-    chunk = max(1, _EXHAUSTIVE_MAX // z.shape[1])
-    for s in range(0, out.size, chunk):
-        out[s : s + chunk] = stochastic_grad_at(pot, z, i, xs[s : s + chunk])
-    return out
-
-
 class Potential:
     """Base class for potentials with ``alpha I <= Hess V <= lip I``."""
 
@@ -115,44 +90,46 @@ class Potential:
     def gradient_cols(self, cols) -> np.ndarray:
         raise NotImplementedError
 
-    def partials_at_context(self, values, c, out=None) -> np.ndarray:
-        """Row i: partial_i V at each point of ``values[i]``, the rest at ``c``.
-
-        ``values`` has shape (m, K) and ``c`` is one context column of length
-        m; only families with affine coupling provide it, and through it
-        ``partials_over_contexts``.  Stacked inputs, ``values`` of shape
-        (R, m, K) and ``c`` of shape (R, m), give each replication r the
-        result for ``values[r]`` at ``c[r]``, bit for bit.  Given an array
-        ``out`` of the values' shape that shares no memory with them, the
-        result is written there and ``out`` is returned.
-        """
-        raise NotImplementedError
-
     def partials_over_contexts(self, points, contexts, product=False, out=None) -> np.ndarray:
         """The drift: partial_i V at ``points[r, i]``, averaged over contexts.
 
         ``points`` has shape (R, m, K) and ``contexts`` (R, m, B).  The average
         is over the B columns of ``contexts[r]`` (the stochastic algorithm) or,
         with ``product``, over every combination of the other rows' atoms (the
-        exact algorithm), at most ``_EXHAUSTIVE_MAX`` of them.  Under affine
-        coupling either is the partial at the mean column of ``contexts[r]``,
-        one ``partials_at_context`` call; otherwise each row is averaged by
-        ``stochastic_grad_at``.  ``out`` is as for ``partials_at_context``.
+        exact algorithm).  This generic average takes each row through
+        ``stochastic_grad_at``, at most ``_EXHAUSTIVE_MAX`` combinations under
+        ``product``; a family whose partials are affine in the other
+        coordinates overrides it with the partial at the mean column of
+        ``contexts[r]``, which both averages equal.  Each replication r gets
+        the result for ``points[r]`` and ``contexts[r]`` alone, bit for bit.
+        Given an array ``out`` of the points' shape that shares no memory with
+        them, the result is written there and ``out`` is returned.
         """
-        if self.affine_coupling:
-            return self.partials_at_context(points, contexts.mean(axis=-1), out)
         out = np.empty(np.shape(points)) if out is None else out
         for r, i in np.ndindex(contexts.shape[:2]):
-            row_over_contexts(self, i, points[r, i], contexts[r], product, out[r, i])
+            xs, z = points[r, i], contexts[r]
+            m, B = z.shape
+            if product:
+                combos = B ** (m - 1)
+                if combos > _EXHAUSTIVE_MAX:
+                    raise ConfigError(
+                        f"exhaustive averaging needs {combos} combinations "
+                        f"(> {_EXHAUSTIVE_MAX}); use the stochastic algorithm instead"
+                    )
+                others = [z[k] for k in range(m) if k != i]
+                grids = np.array([g.ravel() for g in np.meshgrid(*others, indexing="ij")])
+                # row i of the contexts is a placeholder that stochastic_grad_at overwrites
+                z = np.insert(grids.reshape(m - 1, combos), i, 0.0, axis=0)
+            # about _EXHAUSTIVE_MAX partials per stochastic_grad_at call
+            chunk = max(1, _EXHAUSTIVE_MAX // z.shape[1])
+            for s in range(0, xs.size, chunk):
+                out[r, i, s : s + chunk] = stochastic_grad_at(self, z, i, xs[s : s + chunk])
         return out
 
-    # True only when every partial_i V is affine in the other coordinates:
-    # its average over any set of context points then equals its value at
-    # their mean (the base ``partials_over_contexts`` relies on this, through
-    # the whole-array hook ``partials_at_context`` that every family setting
-    # the flag provides), and V is one-coordinate terms plus bilinear cross
-    # terms, so its expectation over the other coordinates is V at their
-    # means up to a constant (the oracle's update)
+    # True only when every partial_i V is affine in the other coordinates, so
+    # V is one-coordinate terms plus bilinear cross terms: its expectation
+    # over the other coordinates is then V at their means up to a constant,
+    # which the oracle's ``vbar_on_grid`` reads this flag for
     affine_coupling = False
 
     def to_config(self) -> dict:
@@ -208,11 +185,13 @@ class QuadraticPotential(Potential):
         d = np.asarray(cols, dtype=float) - self.mean[:, None]
         return self.precision @ d
 
-    def partials_at_context(self, values, c, out=None):
-        # A[i] @ (c - mean) with x_i in place of c_i, for every row at once:
-        # diag(A) * (values - c) + shift, each operation written into out
-        values = np.asarray(values, dtype=float)
-        c = np.asarray(c, dtype=float)
+    def partials_over_contexts(self, points, contexts, product=False, out=None):
+        # partial_i V is affine in the other coordinates, so either average is
+        # A[i] @ (c - mean) at the mean column c with x_i in place of c_i, for
+        # every row at once: diag(A) * (points - c) + shift, each operation
+        # written into out
+        values = np.asarray(points, dtype=float)
+        c = np.asarray(contexts, dtype=float).mean(axis=-1)
         shift = c - self.mean
         # one matrix-vector product per context, the product a lone context
         # takes, so every replication keeps its bits
@@ -278,9 +257,9 @@ class PerturbedQuadraticPotential(QuadraticPotential):
         cols = np.asarray(cols, dtype=float)
         return super().gradient_cols(cols) + self.weights[:, None] * np.tanh(cols)
 
-    def partials_at_context(self, values, c, out=None):
-        values = np.asarray(values, dtype=float)
-        out = super().partials_at_context(values, c, out)
+    def partials_over_contexts(self, points, contexts, product=False, out=None):
+        values = np.asarray(points, dtype=float)
+        out = super().partials_over_contexts(values, contexts, product, out)
         # the bump one coordinate at a time, so the only temporary holds one
         # row per replication
         bump = np.empty(values.shape[:-2] + values.shape[-1:])

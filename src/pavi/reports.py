@@ -320,10 +320,11 @@ class ConvergenceReport:
     def load(cls, outdir) -> "ConvergenceReport":
         """Read a saved report; a missing or malformed file is a ConfigError."""
         outdir = Path(outdir)
-        sidecar = read_json(outdir / SUMMARY_FILE)
+        path = outdir / SUMMARY_FILE
+        sidecar = read_json(path)
         rows = _read_rows(outdir / METRICS_FILE)
         try:
-            return cls(
+            report = cls(
                 potential_fingerprint=sidecar["potential_fingerprint"],
                 config=sidecar["config"],
                 seed=sidecar["seed"],
@@ -334,7 +335,13 @@ class ConvergenceReport:
                 wall_total=sidecar["wall_total"],
             )
         except KeyError as missing:
-            raise ConfigError(f"{outdir / SUMMARY_FILE} has no key {missing}") from None
+            raise ConfigError(f"{path} has no key {missing}") from None
+        if not isinstance(report.summary, dict):
+            raise ConfigError(f"{path} holds a summary that is not a mapping")
+        steady = report.summary.get("steady_mean")
+        if not (steady is None or is_number(steady)):
+            raise ConfigError(f"{path} holds a steady_mean {steady!r}, not a number or null")
+        return report
 
 
 def _read_rows(path) -> list:
@@ -398,15 +405,3 @@ class SweepResult:
             "config": self.config,
         }
         write_atomic(path, json.dumps(doc, sort_keys=True, indent=2).encode())
-
-    @classmethod
-    def load(cls, path) -> "SweepResult":
-        doc = read_json(path)
-        entries = [SweepEntry(**e) for e in doc["entries"]]
-        return cls(
-            entries=entries,
-            slope=doc["slope"],
-            slope_stderr=doc["slope_stderr"],
-            seeds=doc["seeds"],
-            config=doc.get("config", {}),
-        )

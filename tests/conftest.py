@@ -51,6 +51,18 @@ class TanhCoupled(pavi.Potential):
         return {"family": "test-tanh-coupled", "m": self.m, "c": self.c}
 
 
+def exact_row(pot, X, i, xs, generic=False):
+    """Row i of the drift hook at the points xs, averaged over every
+    combination of the other rows' atoms of X (the exact algorithm's drift).
+
+    With ``generic`` the base class's average takes it, whatever the family.
+    """
+    hook = pavi.Potential.partials_over_contexts if generic else type(pot).partials_over_contexts
+    xs = np.asarray(xs, dtype=float).ravel()
+    points = np.broadcast_to(xs, (1, X.m, xs.size))
+    return hook(pot, points, X.values[None], product=True)[0, i]
+
+
 def grid_variance(d):
     """Trapezoid variance of a GridDensity about its trapezoid mean."""
     dev = d.nodes - d.mean()

@@ -34,10 +34,9 @@ from pavi import (
     w2_reference_profile,
 )
 from pavi.cli import main
-from pavi.dynamics import exact_grad_profile
 from pavi.harness import cmd_run
 
-from conftest import w2_1d_bruteforce
+from conftest import exact_row, w2_1d_bruteforce
 
 
 def report(num, detail):
@@ -124,7 +123,7 @@ def test_criterion_03_stochastic_grad_unbiased(unbias_setup):
         z = sample_product(X, draws, RngStream(500 + i).generator(0, "context"))
         for x in probes:
             vals = per_context(pot, z, i, x)
-            exact = float(exact_grad_profile(exhaustive, X, i, [x])[0])  # 16 contexts
+            exact = float(exact_row(exhaustive, X, i, [x], generic=True)[0])  # 16 contexts
             se = vals.std(ddof=1) / math.sqrt(draws)
             sigmas = abs(vals.mean() - exact) / se
             worst_sigma = max(worst_sigma, sigmas)

@@ -45,6 +45,15 @@ def truncate(path):
     path.write_text(text[: len(text) // 2])
 
 
+def json_edit(edit):
+    """A damage function that applies ``edit`` to a JSON file's document."""
+    def damage(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return damage
+
+
 class TestRunCommand:
     def test_success_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, RUN_DOC)
@@ -379,6 +388,27 @@ class TestOracleAndCompare:
         assert main(["compare", str(out), str(ref)]) == 2
         assert "checkpoint.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda doc: doc.pop("next_iteration"), lambda doc: doc.update(next_iteration=-1)],
+        ids=["next-iteration-missing", "next-iteration-negative"],
+    )
+    def test_compare_mistyped_checkpoint_exit_two(self, tmp_path, capsys, edit):
+        cfg = write_config(tmp_path, RUN_DOC)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        ocfg = write_config(
+            tmp_path, {"potential": RUN_DOC["potential"]}, name="oracle.yaml"
+        )
+        ref = tmp_path / "ref.json"
+        assert main(["oracle", "--config", str(ocfg), "--out", str(ref)]) == 0
+        ck = out / "checkpoint.json"
+        json_edit(edit)(ck)
+        capsys.readouterr()
+        assert main(["compare", str(out), str(ref)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(ck) in err[0]
+
     def test_unknown_marginal_type_names_file(self, tmp_path, capsys):
         ocfg = write_config(tmp_path, {"potential": RUN_DOC["potential"]}, name="oracle.yaml")
         ref = tmp_path / "ref.json"
@@ -407,6 +437,8 @@ class TestOracleAndCompare:
             ("metrics.jsonl", truncate),
             ("metrics.jsonl", lambda path: path.write_text('{"iteration": 0, "w2": "a"}\n')),
             ("metrics.jsonl", lambda path: path.write_text('{"iteration": 0, "grad_rms": [1]}\n')),
+            ("summary.json", json_edit(lambda doc: doc.update(summary=[]))),
+            ("summary.json", json_edit(lambda doc: doc["summary"].update(steady_mean="x"))),
         ],
         ids=[
             "missing-summary",
@@ -415,6 +447,8 @@ class TestOracleAndCompare:
             "corrupt-metrics",
             "mistyped-w2",
             "mistyped-grad-rms",
+            "summary-list",
+            "steady-mean-string",
         ],
     )
     def test_compare_unreadable_report_exit_two(self, tmp_path, capsys, name, damage):

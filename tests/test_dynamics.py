@@ -1,4 +1,3 @@
-import copy
 import json
 import os
 import subprocess
@@ -37,38 +36,38 @@ from pavi import (
     validate_config,
     w2_reference_profile,
 )
-from pavi.dynamics import exact_grad_profile, read_checkpoint, stochastic_grad_at
+from pavi.dynamics import read_checkpoint, stochastic_grad_at
 from pavi.errors import DivergenceError
 from pavi.reports import encode_f8
 
-from conftest import AD_CRIT_1E3, TanhCoupled, anderson_darling_normal
+from conftest import AD_CRIT_1E3, TanhCoupled, anderson_darling_normal, exact_row
 
 
 class TestValidateConfig:
     def test_batch_bound_violated(self, gauss21):
-        cfg = RunConfig(N=16, T=10, h=0.05, B=1)
+        cfg = RunConfig(N=16, T=10, h=0.05, B=1, schedule="explicit")
         with pytest.raises(ConfigError) as err:
             validate_config(gauss21, cfg)
         msg = str(err.value)
         assert "0.5" in msg and "0.0277778" in msg
 
     def test_valid_step(self, gauss21):
-        cfg = RunConfig(N=16, T=10, h=0.02, B=1)
+        cfg = RunConfig(N=16, T=10, h=0.02, B=1, schedule="explicit")
         assert validate_config(gauss21, cfg) == (0.02, 1)
 
     def test_zero_step_rejected(self):
         pot = QuadraticPotential(np.eye(2))
-        cfg = RunConfig(N=16, T=10, h=0.0, B=10**6)
+        cfg = RunConfig(N=16, T=10, h=0.0, B=10**6, schedule="explicit")
         with pytest.raises(ConfigError, match="0 < h"):
             validate_config(pot, cfg)
 
     def test_boundary_equality_rejected(self, gauss21):
-        cfg = RunConfig(N=16, T=10, h=1.0 / 36.0, B=1)
+        cfg = RunConfig(N=16, T=10, h=1.0 / 36.0, B=1, schedule="explicit")
         with pytest.raises(ConfigError):
             validate_config(gauss21, cfg)
 
     def test_single_particle_rejected(self, gauss21):
-        cfg = RunConfig(N=1, T=10, h=0.01, B=4)
+        cfg = RunConfig(N=1, T=10, h=0.01, B=4, schedule="explicit")
         with pytest.raises(ConfigError, match="N >= 2"):
             validate_config(gauss21, cfg)
 
@@ -83,15 +82,15 @@ class TestValidateConfig:
             validate_config(gauss21, cfg)
 
     def test_exact_without_batch(self, gauss21):
-        cfg = RunConfig(N=16, T=10, h=0.3, algorithm="exact")
+        cfg = RunConfig(N=16, T=10, h=0.3, schedule="explicit", algorithm="exact")
         h, B = validate_config(gauss21, cfg)
         assert B is None
-        cfg_bad = RunConfig(N=16, T=10, h=0.6, algorithm="exact")
+        cfg_bad = RunConfig(N=16, T=10, h=0.6, schedule="explicit", algorithm="exact")
         with pytest.raises(ConfigError):
             validate_config(gauss21, cfg_bad)
 
     def test_exact_takes_no_batch(self, gauss21):
-        cfg = RunConfig(N=16, T=10, h=0.3, B=4, algorithm="exact")
+        cfg = RunConfig(N=16, T=10, h=0.3, B=4, schedule="explicit", algorithm="exact")
         with pytest.raises(ConfigError, match="the exact algorithm takes no batch size B"):
             validate_config(gauss21, cfg)
         cfg = RunConfig(N=16, T=10, schedule="corollary", algorithm="exact")
@@ -196,7 +195,7 @@ class TestStochasticGrad:
             grad_at(gauss21_centered, np.array([[0.0], [atom]]), 0, x)
             for atom in X.values[1]
         ]
-        exact = exact_grad_profile(gauss21_centered, X, 0, [x])[0]
+        exact = exact_row(gauss21_centered, X, 0, [x])[0]
         assert np.mean(vals) == pytest.approx(exact, abs=1e-12)
 
     def test_vectorized_matches_scalar(self, perturbed2):
@@ -222,8 +221,8 @@ class TestStochasticGrad:
     def test_affine_coupling_average_equals_mean_context(self, case):
         pot, z, values = case
         assert pot.affine_coupling
-        # the whole-array hook at the mean column, checked row by row
-        hook = pot.partials_at_context(values, z.mean(axis=1))
+        # the family's drift hook, checked row by row
+        hook = pot.partials_over_contexts(values[None], z[None])[0]
         assert hook.shape == values.shape
         for i, xs in enumerate(values):
             full = stochastic_grad_at(pot, z, i, xs)
@@ -244,10 +243,8 @@ class TestStochasticGrad:
         hook = pot.partials_over_contexts(values, z, product=product)
         assert hook.shape == values.shape
         # the base class's route, which averages over every context column
-        generic_pot = copy.copy(pot)
-        generic_pot.affine_coupling = False
         out = np.empty_like(values)
-        assert generic_pot.partials_over_contexts(values, z, product=product, out=out) is out
+        assert pavi.Potential.partials_over_contexts(pot, values, z, product, out) is out
         for r, i in np.ndindex(*values.shape[:2]):
             cols = product_columns(z[r], i) if product else z[r]
             xs = values[r, i]
@@ -260,19 +257,15 @@ class TestStochasticGrad:
 class TestExactMeanFieldGrad:
     def test_hand_value_both_paths(self, gauss21_centered):
         X = ParticleArray([[5.0, -5.0], [0.0, 1.0]])
-        got = exact_grad_profile(gauss21_centered, X, 0, [1.0])[0]
+        got = exact_row(gauss21_centered, X, 0, [1.0])[0]
         assert got == pytest.approx(2.5, abs=1e-14)
-
-        class NoCap(QuadraticPotential):
-            affine_coupling = False
-
-        brute = exact_grad_profile(NoCap([[2.0, 1.0], [1.0, 2.0]]), X, 0, [1.0])[0]
+        brute = exact_row(gauss21_centered, X, 0, [1.0], generic=True)[0]
         assert brute == pytest.approx(2.5, abs=1e-14)
 
     def test_one_dim(self):
         X = init_particles(1, 5, "standard_normal", 0)
         for pot in (QuadraticPotential([[3.0]], [0.2]), TanhCoupled(1)):
-            assert exact_grad_profile(pot, X, 0, [1.0])[0] == pytest.approx(
+            assert exact_row(pot, X, 0, [1.0])[0] == pytest.approx(
                 pot.partial_cols(0, np.c_[[1.0]])[0], abs=1e-15
             )
 
@@ -281,17 +274,12 @@ class TestExactMeanFieldGrad:
         A = rng.standard_normal((3, 3))
         A = A @ A.T + 3 * np.eye(3)
         pot = PerturbedQuadraticPotential(A, rng.standard_normal(3), rng.random(3))
-
-        class NoCap(PerturbedQuadraticPotential):
-            affine_coupling = False
-
-        nocap = NoCap(A, pot.mean, pot.weights)
         X = init_particles(3, 5, "standard_normal", 2)
         for i in range(3):
             xs = rng.standard_normal(4)
             np.testing.assert_allclose(
-                exact_grad_profile(pot, X, i, xs),
-                exact_grad_profile(nocap, X, i, xs),
+                exact_row(pot, X, i, xs),
+                exact_row(pot, X, i, xs, generic=True),
                 rtol=0, atol=1e-10,
             )
 
@@ -309,37 +297,20 @@ class TestExactMeanFieldGrad:
                 for x in xs
             ]
             np.testing.assert_allclose(
-                exact_grad_profile(pot, X, i, xs), brute, rtol=1e-13, atol=1e-13
+                exact_row(pot, X, i, xs), brute, rtol=1e-13, atol=1e-13
             )
 
-    def test_non_affine_profile_computes_row_i_only(self):
-        # the exhaustive average of one row is m times cheaper than all m rows
-        class Counting(TanhCoupled):
-            def partial_cols(self, i, cols):
-                rows.append(i)
-                return super().partial_cols(i, cols)
-
-        X = init_particles(3, 6, "standard_normal", 4)
-        for i in range(3):
-            rows = []
-            exact_grad_profile(Counting(3), X, i, X.values[i])
-            assert rows and set(rows) == {i}
-
     def test_scale_gate(self):
-        class NoCap(QuadraticPotential):
-            affine_coupling = False
-
-        pot = NoCap(np.eye(4) + 0.05)
         X = init_particles(4, 200, "standard_normal", 0)
+        affine = QuadraticPotential(np.eye(4) + 0.05)
         with pytest.raises(ConfigError, match="stochastic"):
-            exact_grad_profile(pot, X, 0, [0.0])
-        cfg = RunConfig(N=200, T=1, h=0.01, algorithm="exact")
+            exact_row(affine, X, 0, [0.0], generic=True)
+        cfg = RunConfig(N=200, T=1, h=0.01, schedule="explicit", algorithm="exact")
         with pytest.raises(ConfigError, match="stochastic"):
-            run(pot, cfg)
-        # with affine coupling there is no gate: the partial at the means
-        affine = QuadraticPotential(pot.precision)
+            run(TanhCoupled(4), cfg)
+        # the affine family's own hook has no gate: the partial at the means
         at_means = np.insert(X.values[1:].mean(axis=1), 0, 0.3)
-        assert exact_grad_profile(affine, X, 0, [0.3])[0] == pytest.approx(
+        assert exact_row(affine, X, 0, [0.3])[0] == pytest.approx(
             affine.partial_cols(0, np.c_[at_means])[0], abs=1e-14
         )
 
@@ -374,8 +345,8 @@ class TestSteps:
     def reconstruct_pavi_step(self, pot, X, h, B, rng, n, reduce):
         z = sample_product(X, B, rng.generator(n, "context"))
         if reduce:
-            # one whole-array call of the hook at the batch's mean column
-            grads = pot.partials_at_context(X.values, z.mean(axis=1))
+            # the affine family's hook: the partial at the batch's mean column
+            grads = pot.partials_over_contexts(X.values[None], z[None])[0]
         else:
             grads = [stochastic_grad_at(pot, z, i, X.values[i]) for i in range(X.m)]
         manual = np.empty_like(X.values)
@@ -414,14 +385,12 @@ class TestSteps:
         b = exact_step(pot, X, h, rng, n)
         z = sample_product(X, B, rng.generator(n, "context"))
         if reduce:
-            # the hook at the batch's mean column
-            grads_a = pot.partials_at_context(X.values, z.mean(axis=1))
+            # the affine family's hook: the partial at the batch's mean column
+            grads_a = pot.partials_over_contexts(X.values[None], z[None])[0]
         else:
             grads_a = [stochastic_grad_at(pot, z, i, X.values[i]) for i in range(2)]
-        # for an affine family exact_grad_profile is the hook at the coordinate
-        # means, so the exact step is rebuilt from the profile the exhaustive
-        # tests above check
-        grads_b = [exact_grad_profile(pot, X, i, X.values[i]) for i in range(2)]
+        # the exact step is rebuilt from the rows the exhaustive tests above check
+        grads_b = [exact_row(pot, X, i, X.values[i]) for i in range(2)]
         noise = noise_rows(rng, n, h, 2, 6)
         for i in range(2):
             drift_a = X.values[i] - h * grads_a[i]
@@ -501,7 +470,7 @@ class TestDriftHook:
     def test_run_takes_the_hook_drift(self, tmp_path, algorithm):
         pot, h, T = ZeroDrift(3), 0.02, 4
         B = 2 if algorithm == "pavi" else None
-        cfg = RunConfig(N=8, T=T, h=h, B=B, algorithm=algorithm, seed=6)
+        cfg = RunConfig(N=8, T=T, h=h, B=B, schedule="explicit", algorithm=algorithm, seed=6)
         path = tmp_path / "checkpoint.json"
         run(pot, cfg, checkpoint_path=path)
         expected = init_particles(3, 8, "standard_normal", 6).values
@@ -527,7 +496,7 @@ class TestEstimatorStatistics:
         for i in range(2):
             for x in (-0.5, 0.8):
                 vals = per_context(perturbed2, z, i, x)
-                exact = exact_grad_profile(perturbed2, X, i, [x])[0]
+                exact = exact_row(perturbed2, X, i, [x])[0]
                 se = vals.std(ddof=1) / np.sqrt(draws)
                 assert abs(vals.mean() - exact) <= 4.0 * se
 
@@ -703,7 +672,7 @@ class TestRun:
 
     def test_divergence_keeps_last_checkpoint(self, tmp_path):
         pot = Lying()
-        cfg = RunConfig(N=4, T=2000, h=0.2, B=2, seed=0, metrics_every=1000)
+        cfg = RunConfig(N=4, T=2000, h=0.2, B=2, schedule="explicit", seed=0, metrics_every=1000)
         ck = tmp_path / "ck.json"
         init = np.full((1, 4), 1.0)
         with np.errstate(over="ignore"):
@@ -716,7 +685,9 @@ class TestRun:
         assert doc["next_iteration"] == diverged
         # the kept state is the one the same run reaches when it stops there
         stopped = tmp_path / "stopped.json"
-        cfg_stop = RunConfig(N=4, T=diverged, h=0.2, B=2, seed=0, metrics_every=1000)
+        cfg_stop = RunConfig(
+            N=4, T=diverged, h=0.2, B=2, schedule="explicit", seed=0, metrics_every=1000
+        )
         run(pot, cfg_stop, init=init, checkpoint_path=stopped)
         assert np.array_equal(read_checkpoint(stopped)[1].values, kept.values)
         assert np.all(init == 1.0)
@@ -868,7 +839,7 @@ class TestStackedRuns:
 
     def test_divergence_names_first_replication_to_diverge(self):
         pot = Lying()
-        cfg = RunConfig(N=4, T=2000, h=0.2, B=2, metrics_every=1000)
+        cfg = RunConfig(N=4, T=2000, h=0.2, B=2, schedule="explicit", metrics_every=1000)
         init = np.full((1, 4), 1.0)
         seeds = [5, 2, 3, 1, 4, 9, 6]
         alone = []
@@ -1069,8 +1040,9 @@ class TestDrawAhead:
         run(gauss21, cfg, ref, seeds=[0, 1])
         assert threading.enumerate() == before
         # a divergence, with the worker drawing the next iteration
+        diverging = RunConfig(N=4, T=2000, h=0.2, B=2, schedule="explicit")
         with np.errstate(over="ignore"), pytest.raises(DivergenceError):
-            run(Lying(), RunConfig(N=4, T=2000, h=0.2, B=2), init=np.full((1, 4), 1.0))
+            run(Lying(), diverging, init=np.full((1, 4), 1.0))
         assert threading.enumerate() == before
         # a failed metrics row, as a crash while recording
         with pytest.raises(Crash):

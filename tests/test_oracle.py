@@ -621,10 +621,13 @@ class TestSerialization:
             (True, {"var": float("inf")}, "non-finite"),
             (False, {"count": 5, "log_density": encode_f8(np.zeros(5))}, "at least 9"),
             (False, {"lo": 2.0, "hi": -2.0}, "strictly ascending"),
+            (True, {"var": -1.0}, "variance must be nonnegative"),
+            (False, {"count": 33.5}, "not an integer"),
         ],
         ids=[
             "truncated", "bad-base64", "size-mismatch", "non-finite-grid",
             "non-finite-gaussian", "too-few-nodes", "descending-grid",
+            "negative-variance", "fractional-count",
         ],
     )
     def test_corrupt_file_is_config_error(

@@ -241,7 +241,7 @@ class TestMarginalViews:
 
 def _checkpoint(path, values):
     m, N = values.shape
-    cfg = RunConfig(N=N, T=1, h=0.1, B=1)
+    cfg = RunConfig(N=N, T=1, h=0.1, B=1, schedule="explicit")
     pot = QuadraticPotential(np.eye(m))
     _write_checkpoint(path, pot, cfg, 1, ParticleArray(values), [], [])
 

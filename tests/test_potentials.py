@@ -235,16 +235,16 @@ class TestDerivativeProperties:
         assert quot.max() <= pot.lip + 1e-3
 
     @pytest.mark.parametrize("family", ["quadratic", "perturbed"])
-    def test_partials_at_context_into_out(self, family, gauss21, perturbed2):
+    def test_partials_over_contexts_into_out(self, family, gauss21, perturbed2):
         # the in-place form the run's step uses gives the allocating form's bits
         pot = gauss21 if family == "quadratic" else perturbed2
         rng = np.random.default_rng(10)
-        values = rng.standard_normal((pot.m, 257)) * 3.0
-        c = rng.standard_normal(pot.m)
-        buf = np.full_like(values, np.nan)
-        got = pot.partials_at_context(values, c, out=buf)
+        points = rng.standard_normal((1, pot.m, 257)) * 3.0
+        contexts = rng.standard_normal((1, pot.m, 5))
+        buf = np.full_like(points, np.nan)
+        got = pot.partials_over_contexts(points, contexts, out=buf)
         assert got is buf
-        assert np.array_equal(buf, pot.partials_at_context(values, c))
+        assert np.array_equal(buf, pot.partials_over_contexts(points, contexts))
 
     def test_batched_evaluators_closed_form(self):
         # V = 0.5 (x-mu)' A (x-mu) + sum_i c_i logcosh(x_i) and its gradient
