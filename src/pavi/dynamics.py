@@ -409,6 +409,22 @@ def _load_checkpoint(path, pot, cfg):
         start = as_integer(doc["next_iteration"])
         if start > cfg.T:
             raise ValueError(f"next_iteration {start} is past T = {cfg.T}")
+        # the rows a run records up to and including next_iteration: 0, each
+        # multiple of metrics_every, and T
+        me = cfg.resolved_metrics_every()
+        schedule = list(range(0, start + 1, me))
+        if start == cfg.T and start % me:
+            schedule.append(start)
+        got = [r.iteration for r in rows]
+        if got != schedule:
+            k, a, b = next((k, a, b) for k, (a, b) in enumerate(
+                zip(got + [None], schedule + [None])) if a != b)
+            raise ValueError(
+                f"row {k} is at iteration {a}, where the recording schedule up to "
+                f"next_iteration {start} (0, every {me}, and T = {cfg.T}) has {b}"
+            )
+        if len(wall_times) != len(rows):
+            raise ValueError(f"{len(wall_times)} wall_times for {len(rows)} rows")
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path} is a malformed checkpoint ({err!r})") from None
     return X, rows, wall_times, start

@@ -408,13 +408,13 @@ def cmd_oracle(doc, out_path=None):
             raise ConfigError("analytic oracle is only available for the quadratic family")
         ref = oracle.gaussian_mfvi_solution(pot)
     elif method == "grid":
-        def solve(kind):
-            start = oracle.initial_grid_product(pot, doc["grid_size"], kind, doc["half_width"])
-            return oracle.fixed_point_solve(pot, start, doc["tol"], doc["max_iter"], doc["damping"])
-
-        solved = solve("uniform")
-        if doc["check_inits"]:
-            other = solve("narrow")
+        kinds = ("uniform", "narrow") if doc["check_inits"] else ("uniform",)
+        starts = oracle.initial_grid_products(pot, doc["grid_size"], kinds, doc["half_width"])
+        solved, *others = [
+            oracle.fixed_point_solve(pot, start, doc["tol"], doc["max_iter"], doc["damping"])
+            for start in starts
+        ]
+        for other in others:
             agreement = max(a.w2_to(b) for a, b in zip(solved.marginals, other.marginals))
             solved.residual.init_agreement_w2 = float(agreement)
         ref = oracle.grid_reference(solved)

@@ -13,12 +13,12 @@ means up to a constant, at any dimension; other potentials take tensor
 quadrature over the other grids, up to m = 3.  The converged product serves as
 ground truth for the particle dynamics.
 
-A grid density's CDF is the cumulative composite Simpson rule, and its
-quantile function is the monotone piecewise cubic Hermite interpolant (PCHIP)
-of the nodes against the CDF: weighted-harmonic-mean interior slopes, zero
-where the secants change sign, and the three-point end condition (Fritsch &
-Carlson, "Monotone piecewise cubic interpolation", SIAM J. Numer. Anal. 1980,
-with the end condition of Moler's pchiptx).
+A grid is checked once per coordinate and holds what its densities share.  A
+grid density's CDF is the cumulative composite Simpson rule, and its quantile
+function is the monotone piecewise cubic Hermite interpolant (PCHIP) of the
+nodes against the CDF (Fritsch & Carlson, "Monotone piecewise cubic
+interpolation", SIAM J. Numer. Anal. 1980, with the three-point end condition
+of Moler's pchiptx).  Both axes strictly ascend, so every secant is positive.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ from .errors import ConfigError, OracleConvergenceError
 from .metrics import GaussianMarginal, ReferenceProduct
 from .potentials import PerturbedQuadraticPotential, QuadraticPotential
 from .reports import as_integer, decode_f8, encode_f8, read_json, write_atomic
+
+try:  # the ufunc behind np.clip, without its Python wrappers
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 DEFAULT_GRID_SIZE = 1025
 _BOUNDARY_TOL = 1e-8
@@ -51,87 +56,99 @@ def _log_sum_exp(a) -> float:
 
     The maximal entries are taken out of the sum and enter through log1p.
     """
-    top = np.max(a)
+    top = np.maximum.reduce(a)
     at_top = a == top
     terms = np.exp(a - top)
     terms[at_top] = 0.0
     count = np.count_nonzero(at_top)
-    return float(np.log1p(terms.sum() / count) + np.log(count) + top)
+    return float(np.log1p(np.add.reduce(terms) / count) + np.log(count) + top)
 
 
-def _simpson_parts(f1, f2, f3, h21, h32):
-    """Simpson integral over [x1, x2] of the parabola through three points."""
-    a = h21 / (h21 + h32)
-    b = a * (h21 / h32)
-    return h21 / 6 * ((3 - a) * f1 + (3 + b + a) * f2 - b * f3)
+def _trapezoid(h, y) -> float:
+    """np.trapezoid(y, x) for the node differences h of x."""
+    return float(np.add.reduce(h * (y[1:] + y[:-1]) / 2.0))
 
 
-def _cumulative_simpson(f, x) -> np.ndarray:
-    """Integral of the samples f from x[0] to each node (at least 3 nodes).
+class _Grid:
+    """Uniform nodes, checked once: their differences ``h``, trapezoid
+    weights and log weights, and the weights of the cumulative Simpson rule.
 
-    Intervals 0, 2, 4, ... take the parabola through their own nodes and the
-    next one; intervals 1, 3, 5, ... and always the last one take the parabola
-    through the previous node instead, for odd and even node counts alike.
+    Simpson interval k integrates the parabola through nodes k, k+1, k+2 for
+    k = 0, 2, 4, ..., and through k+1, k, k-1 for odd k and always the last
+    interval: h[k] / 6 * ((3 - a) f1 + (3 + b + a) f2 - b f3), with
+    a = h[k] / (h[k] + h32), b = a h[k] / h32 and h32 the other interval's width.
     """
-    h = np.diff(x)
-    parts = _simpson_parts(f[:-2], f[1:-1], f[2:], h[:-1], h[1:])
-    back = _simpson_parts(f[2:], f[1:-1], f[:-2], h[1:], h[:-1])
-    parts = np.append(parts, 0.0)
-    parts[1::2] = back[::2]
-    parts[-1] = back[-1]
-    return np.concatenate(([0.0], np.cumsum(parts)))
+
+    __slots__ = ("nodes", "step", "h", "weights", "log_weights",
+                 "simpson_idx", "simpson_w", "simpson_c")
+
+    def __init__(self, nodes):
+        nodes = np.asarray(nodes, dtype=float)
+        if nodes.ndim != 1 or nodes.size < 9:
+            raise ConfigError("grid needs at least 9 ascending nodes")
+        h = nodes[1:] - nodes[:-1]
+        if np.any(h <= 0):
+            raise ConfigError("grid nodes must be strictly ascending")
+        if np.max(np.abs(h - h[0])) > 1e-9 * (nodes[-1] - nodes[0]):
+            raise ConfigError("grid nodes must be uniformly spaced")
+        self.nodes, self.step, self.h = nodes, float(h[0]), h
+        self.weights = np.full(nodes.size, self.step)
+        self.weights[0] = self.weights[-1] = 0.5 * self.step
+        self.log_weights = np.log(self.weights)
+        k = np.arange(h.size)
+        back = (k % 2 == 1) | (k == h.size - 1)
+        self.simpson_idx = np.where(back, [k + 1, k, k - 1], [k, k + 1, k + 2])
+        h32 = h[np.where(back, k - 1, k + 1)]
+        a = h / (h + h32)
+        b = a * (h / h32)
+        self.simpson_w = np.stack((3 - a, 3 + b + a, -b))
+        self.simpson_c = h / 6
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    """Three-point end slope, zeroed or capped at 3 m0 to keep the shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+def _cumulative_simpson(f, grid: _Grid) -> np.ndarray:
+    """Integral of the samples f on the grid from its first node to each node."""
+    parts = f[grid.simpson_idx]
+    parts *= grid.simpson_w
+    out = parts[0]
+    out += parts[1]
+    out += parts[2]
+    out *= grid.simpson_c
+    cdf = np.zeros(f.size)
+    out.cumsum(out=cdf[1:])
+    return cdf
 
 
-def _pchip_slopes(x, y) -> np.ndarray:
-    """PCHIP node slopes of y(x) for strictly ascending x."""
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if m.size == 1:
-        return np.array([m[0], m[0]])
-    d = np.zeros_like(y)
-    interior = (np.sign(m[:-1]) == np.sign(m[1:])) & (m[1:] != 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    # zero secants divide by zero (masked out below) and tiny ones overflow
-    # (giving the slope 1 / inf = 0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-    d[1:-1][interior] = 1.0 / whmean[interior]
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    return d
+def _pchip_cubics(x, y) -> np.ndarray:
+    """The PCHIP of y(x), for strictly ascending x and y (at least 2 knots),
+    as a (5, n-1) block: each interval's power-basis coefficients in
+    s = t - x[k], highest degree first, then x[k]."""
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    d = np.full(y.size, m[0])  # with two knots, both slopes are the one secant
+    if m.size > 1:
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        np.divide(1.0, (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2), out=d[1:-1])
+        for j, k in ((0, 1), (-1, -2)):  # three-point ends, zeroed unless positive
+            e = ((2 * h[j] + h[k]) * m[j] - h[j] * m[k]) / (h[j] + h[k])
+            d[j] = e if e > 0 else 0.0
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.array((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1], x[:-1]))
 
 
-def _hermite_cubics(x, y, d) -> np.ndarray:
-    """(4, n-1) power-basis coefficients of each interval's Hermite cubic in
-    s = t - x[k], highest degree first."""
-    h = np.diff(x)
-    slope = np.diff(y) / h
-    t = (d[:-1] + d[1:] - 2 * slope) / h
-    return np.stack((t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1]))
-
-
-def _eval_cubics(x, c, t) -> np.ndarray:
-    """Piecewise cubic with knots x and coefficients c at ascending t.
+def _eval_cubics(c, t) -> np.ndarray:
+    """Piecewise cubic of a :func:`_pchip_cubics` block at ascending t.
 
     Each t takes the cubic of the interval [x[k], x[k+1]) that holds it; t
     below x[1] takes the first and t from x[-2] on the last.  Since t
     ascends, each interval's t form one run, counted by where the inner
-    knots fall among the t, and the interval's knot and coefficients are
-    repeated over its run in one pass.
+    knots fall among the t, and the interval's column is repeated over its
+    run in one pass.
     """
-    counts = np.diff(np.searchsorted(t, x[1:-1]), prepend=0, append=t.size)
-    c0, c1, c2, c3, s = np.repeat(np.vstack((c, x[:-1])), counts, axis=1)
+    edges = np.empty(c.shape[1] + 1, dtype=np.intp)
+    edges[0], edges[-1] = 0, t.size
+    edges[1:-1] = t.searchsorted(c[4, 1:])
+    c0, c1, c2, c3, s = c.repeat(edges[1:] - edges[:-1], axis=1)
     np.subtract(t, s, out=s)
     s2 = s * s
     # c3 + c2 s + c1 s^2 + c0 (s^2 s), summed by ascending power rather than
@@ -147,56 +164,46 @@ def _eval_cubics(x, c, t) -> np.ndarray:
     return c2
 
 
-def _check_nodes(nodes) -> float:
-    """The step of a grid of at least 9 strictly ascending, uniform nodes."""
-    if nodes.ndim != 1 or nodes.size < 9:
-        raise ConfigError("grid needs at least 9 ascending nodes")
-    steps = np.diff(nodes)
-    if np.any(steps <= 0):
-        raise ConfigError("grid nodes must be strictly ascending")
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * (nodes[-1] - nodes[0]):
-        raise ConfigError("grid nodes must be uniformly spaced")
-    return float(steps[0])
-
-
 class GridDensity:
     """Normalized probability density on a uniform 1-D grid, kept in log space.
 
-    Its quantile function makes it usable directly as a reference marginal.
-    Nothing changes it once built, so it keeps what it derives on first use:
-    CDF, quantile knots and cubics, W2 midpoint quantile table, and mean.
+    ``nodes`` are raw nodes, checked here, or the ``_Grid`` of a density
+    already built, which is taken as it is.  The density is exponentiated
+    once and checked to normalize; its CDF, mean and quadrature weights reuse
+    it.  Its quantile function makes it usable directly as a reference
+    marginal.  Nothing changes it once built, so it keeps what it derives on
+    first use: CDF, quantile knots and cubics, W2 midpoint quantile table, and
+    mean.
     """
 
-    __slots__ = ("nodes", "log_density", "_cdf", "_knots", "_cubics", "_w2_table", "_mean")
+    __slots__ = ("grid", "nodes", "log_density", "_density", "_cdf", "_knots",
+                 "_cubics", "_w2_table", "_mean")
 
     def __init__(self, nodes, log_values):
-        nodes = np.asarray(nodes, dtype=float)
+        grid = nodes if isinstance(nodes, _Grid) else _Grid(nodes)
         log_values = np.asarray(log_values, dtype=float)
-        step = _check_nodes(nodes)
-        if log_values.shape != nodes.shape:
+        if log_values.shape != grid.nodes.shape:
             raise ConfigError("log-density values must match the grid shape")
-        if np.any(np.isnan(log_values)) or np.any(log_values == np.inf):
+        top = np.maximum.reduce(log_values)
+        if not top < np.inf:
             raise OracleConvergenceError("log-density values must be < +inf and not NaN")
-        if np.all(np.isneginf(log_values)):
+        if top == -np.inf:
             raise OracleConvergenceError("all log-density values are -inf on the grid")
-        w = np.full(nodes.size, step)
-        w[0] = w[-1] = 0.5 * step
-        log_z = _log_sum_exp(log_values + np.log(w))
-        self.nodes = nodes
+        log_z = _log_sum_exp(log_values + grid.log_weights)
+        self.grid, self.nodes = grid, grid.nodes
         self.log_density = log_values - log_z
+        self._density = np.exp(self.log_density)
+        self._density.flags.writeable = False
         self._cdf = self._knots = self._cubics = self._w2_table = self._mean = None
-        total = float(np.trapezoid(np.exp(self.log_density), self.nodes))
+        total = _trapezoid(grid.h, self._density)
         if abs(total - 1.0) > 1e-10:
             raise OracleConvergenceError(
                 f"grid density failed to normalize (trapezoid mass {total})"
             )
 
-    @property
-    def step(self) -> float:
-        return float(self.nodes[1] - self.nodes[0])
-
     def density(self) -> np.ndarray:
-        return np.exp(self.log_density)
+        """The kept (read-only) density values."""
+        return self._density
 
     def boundary_density(self) -> float:
         d = self.log_density
@@ -204,54 +211,56 @@ class GridDensity:
 
     def mean(self) -> float:
         if self._mean is None:
-            self._mean = float(np.trapezoid(self.nodes * self.density(), self.nodes))
+            self._mean = _trapezoid(self.grid.h, self.nodes * self._density)
         return self._mean
 
-    def _cdf_values(self) -> np.ndarray:
-        if self._cdf is None:
-            cdf = _cumulative_simpson(self.density(), self.nodes)
-            cdf = np.maximum.accumulate(np.clip(cdf, 0.0, None))
+    def _interpolant(self):
+        """CDF, quantile knots and their cubics, built on first use."""
+        if self._knots is None:
+            self._cdf = cdf = _cumulative_simpson(self._density, self.grid)
+            np.maximum(cdf, 0.0, out=cdf)
+            np.maximum.accumulate(cdf, out=cdf)
             cdf /= cdf[-1]
-            self._cdf = cdf
-        return self._cdf
+            # denormal CDF increments in the far tails would overflow the
+            # interpolant's slopes; dropping them discards ~1e-12 of u-mass
+            keep = np.ones(cdf.size, dtype=bool)
+            np.greater(cdf[1:] - cdf[:-1], 1e-12, out=keep[1:])
+            self._knots = cdf[keep]
+            self._cubics = _pchip_cubics(self._knots, self.nodes[keep])
+        return self._knots, self._cubics
 
     def quantile(self, u):
         """Monotone quantile function: the PCHIP of the nodes against the CDF.
 
-        Its knots and cubics, like its W2 midpoint table, are built once and kept.
         ``u`` may have any shape and order; unsorted levels are evaluated in
         ascending order and put back in place.
         """
-        if self._knots is None:
-            cdf = self._cdf_values()
-            # denormal CDF increments in the far tails would overflow the
-            # interpolant's slopes; dropping them discards ~1e-12 of u-mass
-            keep = np.concatenate(([True], np.diff(cdf) > 1e-12))
-            knots, nodes = cdf[keep], self.nodes[keep]
-            self._cubics = _hermite_cubics(knots, nodes, _pchip_slopes(knots, nodes))
-            self._knots = knots
-        knots = self._knots
+        knots, cubics = self._interpolant()
         # u beyond the last knot lies in the dropped tail mass: it maps to the
         # last kept node rather than off the interpolant
         u = np.clip(np.asarray(u, dtype=float), knots[0], knots[-1])
         flat = u.ravel()
         if np.all(flat[1:] >= flat[:-1]):
-            out = _eval_cubics(knots, self._cubics, flat)
+            out = _eval_cubics(cubics, flat)
         else:
             order = np.argsort(flat, kind="stable")
             out = np.empty_like(flat)
-            out[order] = _eval_cubics(knots, self._cubics, flat[order])
+            out[order] = _eval_cubics(cubics, flat[order])
         return np.clip(out.reshape(u.shape), self.nodes[0], self.nodes[-1])
 
     def _w2_quantiles(self) -> np.ndarray:
+        """quantile(_W2_U), kept: the levels ascend, so no order check."""
         if self._w2_table is None:
-            self._w2_table = self.quantile(_W2_U)
+            knots, cubics = self._interpolant()
+            out = _eval_cubics(cubics, _clip(_W2_U, knots[0], knots[-1]))
+            self._w2_table = _clip(out, self.nodes[0], self.nodes[-1])
         return self._w2_table
 
     def w2_to(self, other: "GridDensity") -> float:
         """W2 between two grid densities through their midpoint quantile tables."""
         d = self._w2_quantiles() - other._w2_quantiles()
-        return float(math.sqrt(np.mean(d * d)))
+        d *= d
+        return math.sqrt(np.add.reduce(d) / d.size)
 
 
 @dataclass
@@ -308,50 +317,45 @@ def coordinate_grids(pot, G=DEFAULT_GRID_SIZE, half_width=None):
     1/alpha, so a half width of 8 of those standard deviations keeps the
     truncated mass far below the boundary tolerance.
     """
-    return _centered_grids(pot, G, half_width)[1]
+    return [grid.nodes for grid in _centered_grids(pot, G, half_width)[1]]
 
 
 def _centered_grids(pot, G, half_width):
-    """The minimizer and :func:`coordinate_grids`, from one minimizer search."""
+    """The minimizer and a checked grid per coordinate, from one search."""
     G = int(G)
     if G < 9:
         raise ConfigError("grid size must be at least 9 nodes")
     center = minimizer(pot)
     hw = 8.0 / math.sqrt(pot.alpha) if half_width is None else float(half_width)
-    grids = [np.linspace(c - hw, c + hw, G) for c in center]
     try:
-        for nodes in grids:
-            _check_nodes(nodes)
+        grids = [_Grid(np.linspace(c - hw, c + hw, G)) for c in center]
     except ConfigError as err:
         raise ConfigError(f"half_width {hw!r} gives no usable grid: {err}") from None
     return center, grids
 
 
-def initial_grid_product(pot, G=DEFAULT_GRID_SIZE, kind="uniform", half_width=None):
-    """Starting point for the fixed-point iteration.
+def initial_grid_products(pot, G=DEFAULT_GRID_SIZE, kinds=("uniform",), half_width=None):
+    """Starting points for the fixed-point iteration, one per kind, on the
+    grids of one minimizer search.
 
     "uniform" is flat over each grid; "narrow" is a tight Gaussian bump at the
     minimizer (a smoothed point mass, used to cross-check that different
     starts reach the same fixed point).
     """
     center, grids = _centered_grids(pot, G, half_width)
-    marginals = []
-    for i, nodes in enumerate(grids):
-        if kind == "uniform":
-            logd = np.zeros(nodes.size)
-        elif kind == "narrow":
-            s = 4.0 * (nodes[1] - nodes[0])
-            logd = -0.5 * ((nodes - center[i]) / s) ** 2
-        else:
+    for kind in kinds:
+        if kind not in ("uniform", "narrow"):
             raise ConfigError(f"unknown init kind {kind!r}")
-        marginals.append(GridDensity(nodes, logd))
-    return GridProduct(marginals)
+    return [GridProduct(
+        GridDensity(g, np.zeros(g.nodes.size) if kind == "uniform"
+                    else -0.5 * ((g.nodes - c) / (4.0 * g.step)) ** 2)
+        for g, c in zip(grids, center)
+    ) for kind in kinds]
 
 
-def _quadrature_weights(d: GridDensity) -> np.ndarray:
-    w = np.full(d.nodes.size, d.step)
-    w[0] = w[-1] = 0.5 * d.step
-    return w * d.density()
+def initial_grid_product(pot, G=DEFAULT_GRID_SIZE, kind="uniform", half_width=None):
+    """The one start of :func:`initial_grid_products` of the given kind."""
+    return initial_grid_products(pot, G, (kind,), half_width)[0]
 
 
 def vbar_on_grid(pot, i, q: GridProduct) -> np.ndarray:
@@ -369,7 +373,7 @@ def vbar_on_grid(pot, i, q: GridProduct) -> np.ndarray:
         raise ConfigError(f"coordinate index {i} out of range for dimension {m}")
     nodes = q.marginals[i].nodes
     if pot.affine_coupling:
-        cols = np.repeat([[d.mean()] for d in q.marginals], nodes.size, axis=1)
+        cols = np.array([[d.mean()] for d in q.marginals]).repeat(nodes.size, axis=1)
         cols[i] = nodes
         return np.asarray(pot.value_cols(cols), dtype=float)
     if m > 3:
@@ -384,7 +388,7 @@ def vbar_on_grid(pot, i, q: GridProduct) -> np.ndarray:
     for k in others:
         d = q.marginals[k]
         ctx = np.vstack([np.repeat(ctx, d.nodes.size, axis=1), np.tile(d.nodes, w.size)])
-        w = np.outer(w, _quadrature_weights(d)).ravel()
+        w = np.outer(w, d.grid.weights * d.density()).ravel()
     P = w.size
     chunk = max(1, _CHUNK_BUDGET // P)
     cols = np.empty((m, min(chunk, nodes.size) * P))
@@ -402,7 +406,7 @@ def vbar_on_grid(pot, i, q: GridProduct) -> np.ndarray:
 def apply_transform(pot, i, q: GridProduct) -> GridDensity:
     """Optimal single-coordinate update: normalize exp(-vbar_i) on the grid."""
     vbar = vbar_on_grid(pot, i, q)
-    return GridDensity(q.marginals[i].nodes, -vbar)
+    return GridDensity(q.marginals[i].grid, -vbar)
 
 
 def fixed_point_solve(
@@ -443,20 +447,16 @@ def fixed_point_solve(
         for i in range(q.m):
             new_i = first if i == 0 and first is not None else apply_transform(pot, i, q)
             if damping < 1.0:
-                mixed = (
-                    damping * new_i.log_density
-                    + (1.0 - damping) * q.marginals[i].log_density
-                )
-                new_i = GridDensity(new_i.nodes, mixed)
+                mixed = damping * new_i.log_density + (1.0 - damping) * q.marginals[i].log_density
+                new_i = GridDensity(new_i.grid, mixed)
             if new_i.boundary_density() > _BOUNDARY_TOL:
                 raise OracleConvergenceError(
                     f"mass reached the boundary of coordinate {i}'s grid "
                     f"(density {new_i.boundary_density():.3e}); widen the grid"
                 )
             max_w2 = max(max_w2, new_i.w2_to(q.marginals[i]))
-            max_sup = max(
-                max_sup, float(np.max(np.abs(new_i.log_density - q.marginals[i].log_density)))
-            )
+            change = np.abs(new_i.log_density - q.marginals[i].log_density)
+            max_sup = max(max_sup, float(np.maximum.reduce(change)))
             q.marginals[i] = new_i
         history.append((sweep, max_w2, max_sup))
         # verification pass: residuals of re-applying the update at the

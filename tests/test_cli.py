@@ -342,6 +342,38 @@ class TestRunCommand:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert str(ck) in lines[0] and "malformed checkpoint" in lines[0]
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: (doc["rows"].pop(3), doc["wall_times"].pop(3)),
+            lambda doc: (doc["rows"].insert(3, doc["rows"][3]),
+                         doc["wall_times"].insert(3, doc["wall_times"][3])),
+            lambda doc: doc["rows"][3].update(iteration=35),
+            lambda doc: doc.update(next_iteration=20),
+            lambda doc: doc.update(rows=doc["rows"][:2], wall_times=doc["wall_times"][:2]),
+            lambda doc: doc["wall_times"].pop(),
+        ],
+        ids=["row-dropped", "row-duplicated", "row-moved", "next-iteration-moved",
+             "rows-cut", "wall-time-dropped"],
+    )
+    def test_resume_off_schedule_checkpoint_exit_two(self, tmp_path, capsys, edit):
+        # the finished checkpoint (next_iteration 60) holds rows 0, 10, ..., 60;
+        # rows that are not that schedule, or that a wall time does not match
+        # one for one, would resume into a metrics.jsonl no run writes
+        cfg = write_config(tmp_path, dict(RUN_DOC, checkpoint_every=20))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        ck = out / "checkpoint.json"
+        json_edit(edit)(ck)
+        before = (out / "metrics.jsonl").read_bytes()
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--resume"]) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if not line.startswith("warning: ")]
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(ck) in lines[0] and "malformed checkpoint" in lines[0]
+        assert (out / "metrics.jsonl").read_bytes() == before
+
     def test_resume_older_checkpoint_exit_two(self, tmp_path, capsys):
         # a checkpoint of the older draw scheme would resume on other draws
         cfg = write_config(tmp_path, dict(RUN_DOC, checkpoint_every=20))

@@ -5,6 +5,7 @@ normalisation, the cumulative Simpson CDF and the PCHIP quantile function
 itself; scipy (a test-only dependency) provides the reference values.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -23,9 +24,9 @@ from pavi.oracle import (
     GridDensity,
     _cumulative_simpson,
     _eval_cubics,
-    _hermite_cubics,
+    _Grid,
     _log_sum_exp,
-    _pchip_slopes,
+    _pchip_cubics,
 )
 
 
@@ -129,7 +130,7 @@ class TestGridKernels:
         nodes, logd = case
         f = GridDensity(nodes, logd).density()
         reference = cumulative_simpson(f, x=nodes, initial=0.0)
-        assert np.max(np.abs(_cumulative_simpson(f, nodes) - reference)) <= 1e-13
+        assert np.max(np.abs(_cumulative_simpson(f, _Grid(nodes)) - reference)) <= 1e-13
 
     @settings(max_examples=150, deadline=None)
     @given(grid_log_densities(), st.integers(1, 4096))
@@ -161,7 +162,7 @@ class TestGridKernels:
         if data.draw(st.booleans()):
             t = np.concatenate((t, [-0.25, 1.5]))
         t = np.sort(t)
-        assert np.array_equal(_eval_cubics(x, c, t), searchsorted_cubics(x, c, t))
+        assert np.array_equal(_eval_cubics(c, t), searchsorted_cubics(x, c, t))
 
     @settings(max_examples=100, deadline=None)
     @given(shaped_densities(), st.integers(1, 600), st.integers(0, 2**32 - 1))
@@ -197,19 +198,116 @@ class TestGridKernels:
         st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=40),
         st.data(),
     )
-    def test_pchip_general(self, steps, data):
-        # non-monotone data exercises the zero slopes at sign changes of the
-        # secants and both cases of the three-point end rule
+    def test_pchip_ascending(self, steps, data):
+        # strictly ascending knots and values, the only ones the quantile
+        # function builds: uneven secants exercise the harmonic means and
+        # both outcomes of the three-point end rule
         x = np.concatenate(([0.0], np.cumsum(steps)))
-        y = np.array(data.draw(st.lists(
-            st.floats(-10.0, 10.0), min_size=x.size, max_size=x.size)))
+        y = data.draw(st.floats(-10.0, 10.0)) + np.concatenate(([0.0], np.cumsum(data.draw(
+            st.lists(st.floats(1e-3, 10.0), min_size=x.size - 1, max_size=x.size - 1)))))
         t = np.linspace(x[0], x[-1], 257)
-        ours = _eval_cubics(x, _hermite_cubics(x, y, _pchip_slopes(x, y)), t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            reference = PchipInterpolator(x, y)
-        np.testing.assert_allclose(_pchip_slopes(x, y), reference.derivative()(x),
-                                   rtol=1e-13, atol=1e-13)
-        assert np.max(np.abs(ours - reference(t))) <= 1e-13 * max(1.0, np.max(np.abs(y)))
+        c = _pchip_cubics(x, y)
+        reference = PchipInterpolator(x, y)
+        np.testing.assert_array_equal(c[4], x[:-1])
+        np.testing.assert_allclose(c[2], reference.derivative()(x[:-1]), rtol=1e-13, atol=1e-13)
+        assert np.max(np.abs(_eval_cubics(c, t) - reference(t))) <= 1e-13 * max(
+            1.0, np.max(np.abs(y)))
+
+
+@st.composite
+def finite_log_densities(draw):
+    """Finite log-densities on uniform grids: a bump, a tilt and independent
+    noise of any size, so that the CDF may have flat runs of dropped knots."""
+    G = draw(st.integers(9, 300))
+    nodes = draw(st.floats(-10.0, 10.0)) + np.linspace(-1.0, 1.0, G) * draw(st.floats(0.1, 30.0))
+    center = draw(st.floats(float(nodes[0]), float(nodes[-1])))
+    width = draw(st.floats(0.01, 3.0)) * (nodes[-1] - nodes[0])
+    noise = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=G, max_size=G)))
+    logd = (-0.5 * ((nodes - center) / width) ** 2 + draw(st.floats(-3.0, 3.0)) * np.tanh(nodes)
+            + draw(st.floats(0.0, 60.0)) * noise + draw(st.floats(-500.0, 500.0)))
+    return nodes, logd
+
+
+def earlier_tables(nodes, logd, u):
+    """Log-density, CDF, knots, cubics, W2 table, mean and quantiles at u of a
+    grid density as earlier pavi versions computed them: np.diff, np.trapezoid
+    and np.mean, both Simpson parabolas on every interval, PCHIP slopes masked
+    at sign changes of the secants, and one binary search per level."""
+    step = float(np.diff(nodes)[0])
+    w = np.full(nodes.size, step)
+    w[0] = w[-1] = 0.5 * step
+    a = logd + np.log(w)
+    top = np.max(a)
+    terms = np.exp(a - top)
+    terms[a == top] = 0.0
+    count = np.count_nonzero(a == top)
+    logd = logd - float(np.log1p(terms.sum() / count) + np.log(count) + top)
+    f = np.exp(logd)
+    assert abs(float(np.trapezoid(f, nodes)) - 1.0) <= 1e-10
+    h = np.diff(nodes)
+
+    def simpson(f1, f2, f3, h21, h32):
+        a = h21 / (h21 + h32)
+        b = a * (h21 / h32)
+        return h21 / 6 * ((3 - a) * f1 + (3 + b + a) * f2 - b * f3)
+
+    parts = np.append(simpson(f[:-2], f[1:-1], f[2:], h[:-1], h[1:]), 0.0)
+    back = simpson(f[2:], f[1:-1], f[:-2], h[1:], h[:-1])
+    parts[1::2] = back[::2]
+    parts[-1] = back[-1]
+    cdf = np.maximum.accumulate(np.clip(np.concatenate(([0.0], np.cumsum(parts))), 0.0, None))
+    cdf /= cdf[-1]
+    keep = np.concatenate(([True], np.diff(cdf) > 1e-12))
+    x, y = cdf[keep], nodes[keep]
+    hx = np.diff(x)
+    m = np.diff(y) / hx
+    d = np.array([m[0], m[0]]) if m.size == 1 else np.zeros_like(y)
+    if m.size > 1:
+        interior = (np.sign(m[:-1]) == np.sign(m[1:])) & (m[1:] != 0)
+        w1, w2 = 2 * hx[1:] + hx[:-1], hx[1:] + 2 * hx[:-1]
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][interior] = 1.0 / whmean[interior]
+        for j, k in ((0, 1), (-1, -2)):
+            e = ((2 * hx[j] + hx[k]) * m[j] - hx[j] * m[k]) / (hx[j] + hx[k])
+            if np.sign(e) != np.sign(m[j]):
+                e = 0.0
+            elif np.sign(m[j]) != np.sign(m[k]) and abs(e) > 3.0 * abs(m[j]):
+                e = 3.0 * m[j]
+            d[j] = e
+    t = (d[:-1] + d[1:] - 2 * m) / hx
+    cubics = np.stack((t / hx, (m - d[:-1]) / hx - t, d[:-1], y[:-1]))
+
+    def quantile(levels):
+        levels = np.clip(levels, x[0], x[-1])
+        order = np.argsort(levels, kind="stable")
+        out = np.empty_like(levels)
+        out[order] = searchsorted_cubics(x, cubics, levels[order])
+        return np.clip(out, nodes[0], nodes[-1])
+
+    table = quantile((np.arange(4096) + 0.5) / 4096)
+    mean = float(np.trapezoid(nodes * f, nodes))
+    return logd, cdf, x, cubics, table, mean, quantile(u)
+
+
+class TestKeptGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(finite_log_densities(), st.integers(0, 2**32 - 1))
+    def test_raw_nodes_and_passed_grid_keep_earlier_bits(self, case, seed):
+        # a density on raw nodes checks and builds its own grid; one on the
+        # grid of another density takes it as it is: both reproduce the
+        # earlier arithmetic bit for bit
+        nodes, logd = case
+        u = np.concatenate((np.linspace(-0.1, 1.1, 301), [0.0, 1.0, 0.5]))
+        u = np.random.default_rng(seed).permutation(u)
+        expected = earlier_tables(nodes, logd, u)
+        other = GridDensity(nodes, np.zeros(nodes.size))
+        for d in (GridDensity(nodes, logd), GridDensity(other.grid, logd)):
+            table = d._w2_quantiles()
+            got = (d.log_density, d._cdf, d._knots, d._cubics[:4], table, d.mean(), d.quantile(u))
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
+            assert np.array_equal(d._cubics[4], expected[2][:-1])
+            assert d.w2_to(other) == math.sqrt(np.mean((table - other._w2_quantiles()) ** 2))
 
 
 def test_cli_import_loads_no_scipy():

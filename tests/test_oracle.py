@@ -143,6 +143,27 @@ class TestMinimizerAndGrids:
             assert np.array_equal(d.nodes, nodes)
             assert np.array_equal(d.log_density, GridDensity(nodes, logd).log_density)
 
+    def test_oracle_starts_share_one_search_and_grids(self, monkeypatch, tmp_path):
+        from pavi import oracle
+        from pavi.harness import cmd_oracle
+
+        searches, starts = [], []
+        minimize, solve = oracle.minimizer, oracle.fixed_point_solve
+        monkeypatch.setattr(oracle, "minimizer", lambda pot: searches.append(pot) or minimize(pot))
+        monkeypatch.setattr(oracle, "fixed_point_solve",
+                            lambda pot, start, *args: starts.append(start) or solve(pot, start, *args))
+        doc = {
+            "potential": {"family": "perturbed_quadratic", "precision": [[2.0, 0.7], [0.7, 1.5]],
+                          "mean": [0.8, -0.5], "weights": [1.5, 0.5]},
+            "method": "grid",
+            "grid_size": 65,
+            "check_inits": True,
+        }
+        cmd_oracle(doc, tmp_path / "ref.json")
+        assert len(searches) == 1 and len(starts) == 2
+        for uniform, narrow in zip(*(start.marginals for start in starts)):
+            assert uniform.grid is narrow.grid
+
     def test_grids_centered_with_half_width(self, gauss21):
         grids = coordinate_grids(gauss21, G=65)
         for nodes, c in zip(grids, [1.0, -1.0]):
@@ -337,6 +358,29 @@ class TestFixedPointSolve:
         for a, b in zip(solved.marginals, q.marginals):
             assert np.array_equal(a.log_density, b.log_density)
 
+    def test_damped_history_is_the_raw_node_arithmetic(self):
+        # at damping 0.5 the solver builds each update and each mix on the
+        # grid of the density it replaces; building both from raw nodes, each
+        # checked again, gives the same W2 history and marginals bit for bit
+        pot = PerturbedQuadraticPotential([[2.0, 0.7], [0.7, 1.5]], [0.8, -0.5], [1.5, 0.5])
+        init = initial_grid_product(pot, 129)
+        solved = fixed_point_solve(pot, init, 1e-8, 100, 0.5)
+        q, history = init.copy(), []
+        for sweep in range(1, solved.residual.sweeps + 1):
+            max_w2 = max_sup = 0.0
+            for i in range(2):
+                old = q.marginals[i]
+                new = GridDensity(old.nodes.copy(), -vbar_on_grid(pot, i, q))
+                new = GridDensity(old.nodes.copy(), 0.5 * new.log_density + 0.5 * old.log_density)
+                max_w2 = max(max_w2, new.w2_to(old))
+                max_sup = max(max_sup, float(np.max(np.abs(new.log_density - old.log_density))))
+                q.marginals[i] = new
+            history.append((sweep, max_w2, max_sup))
+        assert solved.residual.sweeps > 2
+        assert solved.residual.history == history
+        for a, b in zip(solved.marginals, q.marginals):
+            assert np.array_equal(a.log_density, b.log_density)
+
     def test_verification_stops_at_first_unconverged_coordinate(self, monkeypatch):
         # at m = 3 each sweep but the last verifies coordinate 0 only; the
         # last sweep of the budget verifies all three for the error message
@@ -360,17 +404,17 @@ class TestFixedPointSolve:
     @pytest.mark.parametrize("damping", [1.0, 0.7])
     def test_w2_table_evaluated_once_per_density(self, monkeypatch, damping):
         # every W2 table is one _eval_cubics call at the midpoint levels; the
-        # knots array names the density, and holding it keeps its id unique
+        # cubics block names the density, and holding it keeps its id unique
         from pavi import oracle
 
         pot = PerturbedQuadraticPotential([[2.0, 0.7], [0.7, 1.5]], [0.8, -0.5], [1.5, 0.5])
         init = initial_grid_product(pot, 129)
         tables, real = [], oracle._eval_cubics
 
-        def counted(x, c, t):
+        def counted(c, t):
             if t.size == oracle._W2_LEVELS:
-                tables.append(x)
-            return real(x, c, t)
+                tables.append(c)
+            return real(c, t)
 
         monkeypatch.setattr(oracle, "_eval_cubics", counted)
         solved = fixed_point_solve(pot, init, 1e-8, 100, damping)
