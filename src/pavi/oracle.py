@@ -124,7 +124,7 @@ def _pchip_cubics(x, y) -> np.ndarray:
     s = t - x[k], highest degree first, then x[k]."""
     h = x[1:] - x[:-1]
     m = (y[1:] - y[:-1]) / h
-    d = np.full(y.size, m[0])  # with two knots, both slopes are the one secant
+    d = m[:1].repeat(y.size)  # with two knots, both slopes are the one secant
     if m.size > 1:
         w1 = 2 * h[1:] + h[:-1]
         w2 = h[1:] + 2 * h[:-1]
@@ -223,8 +223,7 @@ class GridDensity:
             cdf /= cdf[-1]
             # denormal CDF increments in the far tails would overflow the
             # interpolant's slopes; dropping them discards ~1e-12 of u-mass
-            keep = np.ones(cdf.size, dtype=bool)
-            np.greater(cdf[1:] - cdf[:-1], 1e-12, out=keep[1:])
+            keep = np.concatenate(([True], cdf[1:] - cdf[:-1] > 1e-12))
             self._knots = cdf[keep]
             self._cubics = _pchip_cubics(self._knots, self.nodes[keep])
         return self._knots, self._cubics
