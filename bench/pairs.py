@@ -39,7 +39,7 @@ MIN_PAIRS = 10
 WIN_SHARE = 0.9
 NOTES = [
     "peak_rss_mb is the perfbench worker's ru_maxrss; Linux carries it over from "
-    "the parent across fork and exec, so it still includes the driver's (run.py's) peak",
+    "the parent across fork and exec, so it still includes the peak of run.py, which spawns it",
     "a forked sweep's figures cover only the calling process",
     "each sample is one run's figure: the median over its untraced operations",
 ]

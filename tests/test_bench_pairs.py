@@ -1,4 +1,4 @@
-"""The pair driver's summary, on synthetic perfbench result.json documents."""
+"""bench/pairs.py's summary, on synthetic perfbench result.json documents."""
 
 import importlib.util
 from pathlib import Path
