@@ -13,12 +13,12 @@ from ``/proc/stat`` before and after each pair.  Seeds are taken in turn.
 It writes ``BENCH_<workload>_<short sha>.json`` (``--out``, default ``bench/``)
 with, for each side, the median, quartiles and sample count of every
 end-to-end metric over the runs, and failed of attempted operations; the pair
-wins on the claimed metric, the median gap against the parent's
-interquartile range, and the verdict of the pair protocol:
+wins on the claimed metric (``wall_s``, lower is better), the median gap
+against the parent's interquartile range, and the verdict of the pair protocol:
 
 - at least 10 pairs,
 - the change wins at least 9 in 10 of them,
-- its median is better than the parent's by more than the parent's IQR,
+- its median is lower than the parent's by more than the parent's IQR,
 - and no larger share of its operations fails.
 """
 
@@ -35,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work"
+CLAIMED = "wall_s"
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
 NOTES = [
@@ -79,7 +80,7 @@ def run_summary(doc):
     }
 
 
-def summarize(pairs, claimed="wall_s", better="lower"):
+def summarize(pairs):
     """Both sides' figures, the pair wins and the verdict of the pair protocol.
 
     Each pair is ``{"parent": run, "change": run, ...}`` where a run is a
@@ -100,20 +101,19 @@ def summarize(pairs, claimed="wall_s", better="lower"):
             "metrics": {n: quartiles([r["values"][n] for r in done
                                       if r["values"].get(n) is not None]) for n in names},
         }
-    sign = 1.0 if better == "lower" else -1.0
 
     def won(p):
         if not (p["parent"]["ok"] and p["change"]["ok"]):
             return False
-        return sign * (p["parent"]["values"][claimed] - p["change"]["values"][claimed]) > 0
+        return p["change"]["values"][CLAIMED] < p["parent"]["values"][CLAIMED]
 
     wins = sum(map(won, pairs))
     needed = math.ceil(WIN_SHARE * max(len(pairs), MIN_PAIRS))
-    par = sides["parent"]["metrics"].get(claimed, quartiles([]))
-    chg = sides["change"]["metrics"].get(claimed, quartiles([]))
+    par = sides["parent"]["metrics"].get(CLAIMED, quartiles([]))
+    chg = sides["change"]["metrics"].get(CLAIMED, quartiles([]))
     gap = iqr = None
     if par["n"] and chg["n"]:
-        gap = sign * (par["median"] - chg["median"])
+        gap = par["median"] - chg["median"]
         iqr = par["q3"] - par["q1"]
     reasons = []
     if len(pairs) < MIN_PAIRS:
@@ -135,7 +135,7 @@ def summarize(pairs, claimed="wall_s", better="lower"):
             f"change: {sides['change']['failed']} of {sides['change']['attempted']} operations "
             f"failed, parent: {sides['parent']['failed']} of {sides['parent']['attempted']}")
     protocol = {
-        "claimed": claimed, "better": better, "pairs": len(pairs), "wins": wins,
+        "claimed": CLAIMED, "pairs": len(pairs), "wins": wins,
         "wins_needed": needed, "median_gap": gap, "parent_iqr": iqr,
         "verdict": "claim_not_met" if reasons else "claim_met", "reasons": reasons,
     }
@@ -192,7 +192,6 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--claimed", default="wall_s")
     parser.add_argument("--out", type=Path, default=ROOT / "bench")
     args = parser.parse_args(argv)
 
@@ -220,12 +219,12 @@ def main(argv=None):
             pair["steal"] = (steal1 - steal0) / (total1 - total0) if total1 > total0 else None
             pairs.append(pair)
             print(f"pair {k}: seed {seed} " + "  ".join(
-                f"{s} {pair[s]['values'][args.claimed]:.6g}" if pair[s]["ok"] else f"{s} failed"
+                f"{s} {pair[s]['values'][CLAIMED]:.6g}" if pair[s]["ok"] else f"{s} failed"
                 for s in ("parent", "change"))
                 + f"  capacity {capacity['ratio']:.2f}  steal {pair['steal']}", flush=True)
     finally:
         git("worktree", "remove", "--force", str(tree))
-    sides, protocol = summarize(pairs, args.claimed)
+    sides, protocol = summarize(pairs)
     machine = None
     for p in pairs:
         for s in ("parent", "change"):

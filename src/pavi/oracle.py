@@ -34,11 +34,6 @@ from .metrics import GaussianMarginal, ReferenceProduct
 from .potentials import PerturbedQuadraticPotential, QuadraticPotential
 from .reports import as_integer, decode_f8, encode_f8, read_json, write_atomic
 
-try:  # the ufunc behind np.clip, without its Python wrappers
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _clip
-
 DEFAULT_GRID_SIZE = 1025
 _BOUNDARY_TOL = 1e-8
 # midpoint quantile levels of the W2 between two grid densities
@@ -176,8 +171,8 @@ class GridDensity:
     mean.
     """
 
-    __slots__ = ("grid", "nodes", "log_density", "_density", "_cdf", "_knots",
-                 "_cubics", "_w2_table", "_mean")
+    __slots__ = ("grid", "nodes", "log_density", "_density", "_knots", "_cubics",
+                 "_w2_table", "_mean")
 
     def __init__(self, nodes, log_values):
         grid = nodes if isinstance(nodes, _Grid) else _Grid(nodes)
@@ -194,7 +189,7 @@ class GridDensity:
         self.log_density = log_values - log_z
         self._density = np.exp(self.log_density)
         self._density.flags.writeable = False
-        self._cdf = self._knots = self._cubics = self._w2_table = self._mean = None
+        self._knots = self._cubics = self._w2_table = self._mean = None
         total = _trapezoid(grid.h, self._density)
         if abs(total - 1.0) > 1e-10:
             raise OracleConvergenceError(
@@ -215,9 +210,9 @@ class GridDensity:
         return self._mean
 
     def _interpolant(self):
-        """CDF, quantile knots and their cubics, built on first use."""
+        """Quantile knots (the CDF) and their cubics, built on first use."""
         if self._knots is None:
-            self._cdf = cdf = _cumulative_simpson(self._density, self.grid)
+            cdf = _cumulative_simpson(self._density, self.grid)
             np.maximum(cdf, 0.0, out=cdf)
             np.maximum.accumulate(cdf, out=cdf)
             cdf /= cdf[-1]
@@ -234,25 +229,28 @@ class GridDensity:
         ``u`` may have any shape and order; unsorted levels are evaluated in
         ascending order and put back in place.
         """
-        knots, cubics = self._interpolant()
-        # u beyond the last knot lies in the dropped tail mass: it maps to the
-        # last kept node rather than off the interpolant
-        u = np.clip(np.asarray(u, dtype=float), knots[0], knots[-1])
+        u = np.asarray(u, dtype=float)
         flat = u.ravel()
         if np.all(flat[1:] >= flat[:-1]):
-            out = _eval_cubics(cubics, flat)
+            out = self._ascending_quantile(flat)
         else:
             order = np.argsort(flat, kind="stable")
             out = np.empty_like(flat)
-            out[order] = _eval_cubics(cubics, flat[order])
-        return np.clip(out.reshape(u.shape), self.nodes[0], self.nodes[-1])
+            out[order] = self._ascending_quantile(flat[order])
+        return out.reshape(u.shape)
+
+    def _ascending_quantile(self, u) -> np.ndarray:
+        """The quantile at 1-D ascending levels u."""
+        knots, cubics = self._interpolant()
+        # u beyond the last knot lies in the dropped tail mass: it maps to the
+        # last kept node rather than off the interpolant
+        out = _eval_cubics(cubics, np.clip(u, knots[0], knots[-1]))
+        return np.clip(out, self.nodes[0], self.nodes[-1])
 
     def _w2_quantiles(self) -> np.ndarray:
         """quantile(_W2_U), kept: the levels ascend, so no order check."""
         if self._w2_table is None:
-            knots, cubics = self._interpolant()
-            out = _eval_cubics(cubics, _clip(_W2_U, knots[0], knots[-1]))
-            self._w2_table = _clip(out, self.nodes[0], self.nodes[-1])
+            self._w2_table = self._ascending_quantile(_W2_U)
         return self._w2_table
 
     def w2_to(self, other: "GridDensity") -> float:

@@ -113,7 +113,3 @@ def test_run_without_result_is_no_win(side):
     assert protocol["verdict"] == "claim_not_met"
     assert any(r.startswith(f"{side}: 1 of 10 runs") for r in protocol["reasons"])
 
-
-def test_higher_is_better():
-    _, protocol = pairs.summarize(pair_list(CHANGE, PARENT), better="higher")
-    assert protocol["wins"] == 10 and protocol["verdict"] == "claim_met"

@@ -303,7 +303,9 @@ class TestKeptGrid:
         other = GridDensity(nodes, np.zeros(nodes.size))
         for d in (GridDensity(nodes, logd), GridDensity(other.grid, logd)):
             table = d._w2_quantiles()
-            got = (d.log_density, d._cdf, d._knots, d._cubics[:4], table, d.mean(), d.quantile(u))
+            cdf = np.maximum.accumulate(np.maximum(_cumulative_simpson(d.density(), d.grid), 0.0))
+            got = (d.log_density, cdf / cdf[-1], d._knots, d._cubics[:4], table, d.mean(),
+                   d.quantile(u))
             for a, b in zip(got, expected):
                 assert np.array_equal(a, b)
             assert np.array_equal(d._cubics[4], expected[2][:-1])
