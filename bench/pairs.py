@@ -12,7 +12,9 @@ from ``/proc/stat`` before and after each pair.  Seeds are taken in turn.
 
 It writes ``BENCH_<workload>_<short sha>.json`` (``--out``, default ``bench/``)
 with, for each side, the median, quartiles and sample count of every
-end-to-end metric over the runs, and failed of attempted operations; the pair
+end-to-end metric over the runs and of ``ns_per_pci`` (a run's ``wall_s`` over
+perfbench's particle-coordinate-iteration count of the workload, in ns; null for
+the oracle), and failed of attempted operations; the pair
 wins on the claimed metric (``wall_s``, lower is better), the median gap
 against the parent's interquartile range, and the verdict of the pair protocol:
 
@@ -35,6 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work"
+# perfbench's inputs and work counts, imported, not copied
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 CLAIMED = "wall_s"
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
@@ -68,12 +73,21 @@ def quartiles(values):
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def run_summary(doc):
-    """One run's end-to-end figures and operation counts from its result.json."""
+def pci(workload, seed):
+    """Particle-coordinate-iterations of one operation of ``workload`` on the
+    inputs perfbench makes from ``seed``; None for the oracle."""
+    return workloads.pci(workload, workloads.make_inputs(workload, seed, WORK)["doc"])
+
+
+def run_summary(doc, pci=None):
+    """One run's end-to-end figures and operation counts from its result.json,
+    with ``ns_per_pci`` from its ``wall_s`` and the operation's ``pci`` count."""
     records = doc["records"]
+    values = {name: m["value"] for name, m in doc["metrics"].items()}
+    values["ns_per_pci"] = None if pci is None else values["wall_s"] / pci * 1e9
     return {
         "ok": True,
-        "values": {name: m["value"] for name, m in doc["metrics"].items()},
+        "values": values,
         "attempted": len(records),
         "failed": sum(not r["ok"] for r in records),
         "ops": sum(1 for r in records if "wall_s" in r and not r["trace"]),
@@ -172,7 +186,7 @@ def git(*args):
                           text=True).stdout.strip()
 
 
-def run_side(tree, workload, seed, seconds):
+def run_side(tree, workload, seed, seconds, count):
     result = tree / ".bench_work" / f"{workload}-seed{seed}-trace0" / "result.json"
     result.unlink(missing_ok=True)
     proc = subprocess.run(
@@ -182,7 +196,7 @@ def run_side(tree, workload, seed, seconds):
     if proc.returncode != 0 or not result.is_file():
         return {"ok": False, "detail": proc.stderr.strip()[-500:], "attempted": 0, "failed": 0}
     doc = json.loads(result.read_text())
-    return dict(run_summary(doc), machine=doc["machine"])
+    return dict(run_summary(doc, count), machine=doc["machine"])
 
 
 def main(argv=None):
@@ -214,7 +228,7 @@ def main(argv=None):
             pair = {"seed": seed, "order": list(order), "capacity": capacity}
             for side in order:
                 pair[side] = run_side(tree if side == "parent" else ROOT, args.workload, seed,
-                                      args.seconds)
+                                      args.seconds, pci(args.workload, seed))
             steal1, total1 = read_cpu()
             pair["steal"] = (steal1 - steal0) / (total1 - total0) if total1 > total0 else None
             pairs.append(pair)

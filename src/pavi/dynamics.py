@@ -23,7 +23,10 @@ contexts and noise, and keeps its own drift and ``grad_rms``.  The drift,
 the noise scaling, the state update, the finiteness check and the W2 record
 are done once for all R; they are elementwise, or reduce each replication's
 rows on their own, so every replication keeps the bits of a run under its
-seed alone.  A sweep stacks its seeds in chunks (``harness.run_replications``)
+seed alone.  A record keeps its numbers as the lists of floats that the
+arrays give, with one finiteness check over them; the rows (``StepTrace``)
+are built from those lists only when a checkpoint, the sink or the reports
+need them.  A sweep stacks its seeds in chunks (``harness.run_replications``)
 and, from ``harness._FORK_MIN`` work on, spreads its runs over the CPUs of
 the affinity mask by fork (``harness._spread``); ``threads`` is still ignored.
 
@@ -49,6 +52,9 @@ their results are independent arrays.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import json
 import math
 import queue
@@ -90,6 +96,9 @@ _CHECKPOINT_FORMAT = "pavi-checkpoint-v2"
 # (R, m, N) = (1, 2, 2048) about 50% slower and one of (4, 2, 2048) about 20%
 # slower, and steps of (1, 30, 1024) and (4, 2, 4096) about 15% faster
 _DRAW_AHEAD_MIN = 2**15
+# the floating-point warnings a step ignores: its finiteness check reports an
+# overflow, or the invalid value an overflow leads to, as one divergence
+_STEP_ERRORS = {"over": "ignore", "invalid": "ignore"}
 
 
 @dataclass
@@ -230,6 +239,15 @@ def _draw(rngs, gens, n, B, noise):
     return contexts
 
 
+@functools.lru_cache(maxsize=16)
+def _row_starts(R, m, N):
+    """The flat index of the first element of each row of an (R, m, N) array,
+    shape (R, m, 1)."""
+    starts = np.arange(0, R * m * N, N).reshape(R, m, 1)
+    starts.flags.writeable = False
+    return starts
+
+
 def _step_parts(pot, X, h, rngs, n, contexts, new, drift, noise):
     """Advance R stacked replications one iteration; returns (array, grad_rms).
 
@@ -250,26 +268,32 @@ def _step_parts(pot, X, h, rngs, n, contexts, new, drift, noise):
     each keeps the bits of a run of its own.  The new values are checked for
     finiteness once, by ``ParticleArray``; a non-finite entry is reported as a
     divergence at its location, in the lowest-index replication that has one.
+    The caller ignores overflow and invalid-value warnings around the step
+    (``_STEP_ERRORS``), so that such an entry is reported once, that way.
     """
-    R, m = new.shape[:2]
+    R, m, N = new.shape
     values = X.values.reshape(new.shape)
-    # an overflow anywhere in the update is reported once, as a divergence
-    with np.errstate(over="ignore", invalid="ignore"):
-        if contexts is None:
-            z = values
-        else:
-            # every replication's batch in one gather, shape (R, m, B)
-            z = values[np.arange(R)[:, None, None], np.arange(m)[:, None], contexts]
-        pot.partials_over_contexts(values, z, product=contexts is None, out=drift)
-        # new holds the squared drift until the update overwrites it
-        np.multiply(drift, drift, out=new)
-        mean_squares = new.mean(axis=(1, 2))
-        grad_rms = [finite_rms(drift[r], mean_squares[r], new[r]) for r in range(R)]
-        # new = values - h * drift + sqrt(2 h) * noise, in that order
-        np.multiply(h, drift, out=drift)
-        np.subtract(values, drift, out=new)
-        np.multiply(math.sqrt(2.0 * h), noise, out=noise)
-        np.add(new, noise, out=new)
+    if contexts is None:
+        z = values
+    else:
+        # every replication's batch in one gather, shape (R, m, B): the flat
+        # index of values[r, i, contexts[r, i, b]]
+        z = X.values.take(contexts + _row_starts(R, m, N))
+    pot.partials_over_contexts(values, z, product=contexts is None, out=drift)
+    # new holds the squared drift until the update overwrites it; the mean
+    # squares are the arithmetic of new.mean(axis=(1, 2))
+    np.multiply(drift, drift, out=new)
+    mean_squares = np.add.reduce(new, axis=(1, 2)) / (m * N)
+    grad_rms = np.sqrt(mean_squares).tolist()
+    for r, rms in enumerate(grad_rms):
+        if math.isinf(rms):
+            # the squares of a finite drift can overflow: rescale them
+            grad_rms[r] = finite_rms(drift[r], mean_squares[r], new[r])
+    # new = values - h * drift + sqrt(2 h) * noise, in that order
+    np.multiply(h, drift, out=drift)
+    np.subtract(values, drift, out=new)
+    np.multiply(math.sqrt(2.0 * h), noise, out=noise)
+    np.add(new, noise, out=new)
     try:
         out = ParticleArray(new.reshape(X.values.shape))
     except ConfigError:
@@ -283,7 +307,8 @@ def _one_step(pot, X, h, B, rng, n):
     # three fresh (1, m, N) work arrays: the result is an independent array
     new, drift, noise = (np.empty((1, X.m, X.N)) for _ in range(3))
     contexts = _draw([rng], [rng.generator()], n, B, noise)
-    return _step_parts(pot, X, h, [rng], n, contexts, new, drift, noise)[0]
+    with np.errstate(**_STEP_ERRORS):
+        return _step_parts(pot, X, h, [rng], n, contexts, new, drift, noise)[0]
 
 
 def pavi_step(pot, X: ParticleArray, h, B, rng: RngStream, n):
@@ -404,6 +429,8 @@ def _load_checkpoint(path, pot, cfg):
         if not isinstance(rows, list):
             raise TypeError(f"rows must be a list, got {rows!r}")
         rows = [StepTrace.from_dict(r) for r in rows]
+        for row in rows:
+            row.validate()
         if not (isinstance(wall_times, list) and all(map(is_number, wall_times))):
             raise TypeError(f"wall_times must be a list of numbers, got {wall_times!r}")
         start = as_integer(doc["next_iteration"])
@@ -458,6 +485,13 @@ def run(
     alone.  The work arrays then hold R m N elements each, so a caller bounds
     R.  Checkpoints, resume and ``sink`` take a single seed.
 
+    Each record keeps the W2 values and ``grad_rms`` of every replication as
+    lists of floats, the arrays' ``tolist()``, and checks them once: a
+    non-finite one is a ConfigError naming the record's iteration.  The rows
+    are built from these lists before each checkpoint write, for the sink, and
+    at the end, so ``run`` checks each row once and ``ConvergenceReport.save``
+    once more.
+
     The loop takes the draws from one iterator.  From ``_DRAW_AHEAD_MIN``
     elements R m N on, it is ``_drawn_ahead``: a worker thread makes each
     iteration's draws while the step before it runs, into the one of two noise
@@ -478,6 +512,11 @@ def run(
     # once the loop starts only the draws of its iterations touch them
     rngs = [RngStream(c.seed) for c in cfgs]
     gens = [rng.generator(0, "init") for rng in rngs]
+    # a record is its iteration and, one entry per replication, the W2
+    # totals, the per-coordinate W2 and grad_rms, as the lists of floats the
+    # rows hold; ``traces`` builds their StepTraces when a checkpoint, the
+    # sink or the reports need them
+    records: list[tuple] = []
     rows: list[list[StepTrace]] = [[] for _ in cfgs]
     wall_times: list[float] = []
     t0 = time.perf_counter()
@@ -489,27 +528,35 @@ def run(
     # and the drift array is free for W2's scratch between steps
     target, spare, drift = (np.empty(shape) for _ in range(3))
     noises = [np.empty(shape) for _ in range(2 if ahead else 1)]
+    # a diagnostic a record has not got: each replication's entry is None
+    absent = [None] * R
 
     def draw(n):
         noise = noises[n % len(noises)]
         return _draw(rngs, gens, n, B, noise), noise
 
-    def record(iteration, X, grad_rms):
+    def record(iteration, X, grad_rms=absent):
+        w2 = per = absent
+        numbers = [] if grad_rms is absent else grad_rms
         if reference is not None:
-            values = X.values.reshape(shape)
-            per, w2_total = w2_reference_profile(values, reference, out=drift)
+            per, w2 = w2_reference_profile(X.values.reshape(shape), reference, out=drift)
+            per, w2 = per.tolist(), w2.tolist()
+            numbers = itertools.chain(numbers, w2, *per)
+        # one check over every number of the record
+        if not all(map(math.isfinite, numbers)):
+            raise ConfigError(f"non-finite diagnostic at iteration {iteration}")
         wall_times.append(time.perf_counter() - t0)
-        for r in range(R):
-            row = StepTrace(
-                int(iteration),
-                None if reference is None else float(w2_total[r]),
-                None if reference is None else [float(p) for p in per[r]],
-                grad_rms[r],
-            )
-            row.validate()
-            rows[r].append(row)
-            if sink is not None:
-                sink(row)
+        records.append((iteration, w2, per, grad_rms))
+        if sink is not None:
+            sink(traces()[0][-1])
+
+    def traces():
+        """Each replication's rows, once the records not yet built are built."""
+        for iteration, w2, per, grad_rms in records:
+            for r, c_rows in enumerate(rows):
+                c_rows.append(StepTrace(iteration, w2[r], per[r], grad_rms[r]))
+        records.clear()
+        return rows
 
     start = 0
     if resume:
@@ -520,36 +567,35 @@ def run(
         X = ParticleArray(
             np.concatenate([init_particles(pot.m, cfg.N, init, gen=g).values for g in gens])
         )
-        record(0, X, [None] * R)
+        record(0, X)
 
     iterations = range(start, cfg.T)
     draws = _drawn_ahead(draw, start, cfg.T) if ahead else (draw(n) for n in iterations)
-    try:
+    # the step's warnings are ignored for the whole loop (``_STEP_ERRORS``);
+    # closing the draws stops and joins a draw-ahead worker
+    with contextlib.closing(draws), np.errstate(**_STEP_ERRORS):
         for n, (contexts, noise) in zip(iterations, draws):
             try:
                 X, grad_rms = _step_parts(pot, X, h, rngs, n, contexts, target, drift, noise)
             except DivergenceError:
                 # X is still the last good state: the step wrote only into target
                 if checkpoint_path is not None:
-                    _write_checkpoint(checkpoint_path, pot, cfg, n, X, rows[0], wall_times)
+                    _write_checkpoint(checkpoint_path, pot, cfg, n, X, traces()[0], wall_times)
                 raise
             target, spare = spare, target
             k = n + 1
             if k % me == 0 or k == cfg.T:
                 record(k, X, grad_rms)
             if checkpoint_every and k % int(checkpoint_every) == 0 and checkpoint_path:
-                _write_checkpoint(checkpoint_path, pot, cfg, k, X, rows[0], wall_times)
-    finally:
-        draws.close()
+                _write_checkpoint(checkpoint_path, pot, cfg, k, X, traces()[0], wall_times)
 
     if checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, pot, cfg, cfg.T, X, rows[0], wall_times)
+        _write_checkpoint(checkpoint_path, pot, cfg, cfg.T, X, traces()[0], wall_times)
     fingerprint = potential_fingerprint(pot)
     guard = step_guard(pot, h, B)
     wall_total = time.perf_counter() - t0
-    reports = []
-    for c, c_rows in zip(cfgs, rows):
-        report = ConvergenceReport(
+    reports = [
+        ConvergenceReport(
             potential_fingerprint=fingerprint,
             config=asdict(c),
             seed=c.seed,
@@ -559,6 +605,6 @@ def run(
             wall_times=list(wall_times),
             wall_total=wall_total,
         )
-        report.validate()
-        reports.append(report)
+        for c, c_rows in zip(cfgs, traces())
+    ]
     return reports[0] if seeds is None else reports

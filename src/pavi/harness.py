@@ -50,6 +50,8 @@ _STACK_BUDGET = 2**17
 # the work T m R sum(N) from which a sweep forks (_spread): on 2 vCPUs a fork
 # costs about 4 ms, and a sweep of 4 counts breaks even near 3e5
 _FORK_MIN = 2**19
+# the seeds that name distinct streams (particles.RngStream)
+_SEEDS = 2**64
 
 
 def _not_json(name):
@@ -113,6 +115,15 @@ def _integer(key, value, low=None) -> int:
     return n
 
 
+def _seed(key, value) -> int:
+    """A seed in [0, _SEEDS): ``RngStream`` reads a seed mod 2**64, so any
+    other integer would give the streams of a seed in that range."""
+    n = _integer(key, value)
+    if not 0 <= n < _SEEDS:
+        raise ConfigError(f"{key} must be an integer in [0, 2**64), got {value!r}")
+    return n
+
+
 def _integers(key, value) -> list:
     return [_integer(key, n) for n in _instance((list, tuple), "a list of integers", key, value)]
 
@@ -147,7 +158,7 @@ _KEYS = {
     "B": (_integer, None),
     "schedule": (partial(_instance, str, "corollary or explicit"), dynamics.RunConfig.schedule),
     "algorithm": (partial(_instance, str, "pavi or exact"), "pavi"),
-    "seed": (_integer, 0),
+    "seed": (_seed, 0),
     "metrics_every": (_integer, None),
     "checkpoint_every": (partial(_integer, low=0), None),
     "init": (_init, "standard_normal"),
@@ -350,6 +361,11 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
             "(duplicates make the design matrix degenerate)"
         )
     R, T, init = doc["replications"], doc["T"], doc["init"]
+    if doc["seed"] + R > _SEEDS:
+        raise ConfigError(
+            f"the sweep's last seed, seed + replications - 1 = {doc['seed'] + R - 1}, "
+            "must be below 2**64"
+        )
     seeds = [doc["seed"] + r for r in range(R)]
     # the init fits every particle count, or the sweep runs nothing
     _check_init(pot, N_list, init)

@@ -210,15 +210,18 @@ def w2_reference_profile(X, ref: ReferenceProduct, out=None):
     np.copyto(d, values)
     d.sort(axis=-1)
     np.subtract(d, table, out=d)
+    # the arithmetic of d.mean(axis=-1) and np.sum, without their wrappers
     with np.errstate(over="ignore"):
         np.multiply(d, d, out=d)
-        per = np.sqrt(d.mean(axis=-1))
-        total = np.sqrt(np.sum(per * per, axis=-1))
+        per = np.add.reduce(d, axis=-1)
+        np.divide(per, N, out=per)
+        np.sqrt(per, out=per)
+        total = np.sqrt(np.add.reduce(per * per, axis=-1))
         if not np.isfinite(total).all():
             for k in map(tuple, np.argwhere(np.isinf(per))):
                 per[k] = finite_rms(np.sort(values[k]) - table[k[-1]], math.inf)
             # a 0-d array for one state, so that an entry can be replaced
-            total = np.array(np.sqrt(np.sum(per * per, axis=-1)))
+            total = np.array(np.sqrt(np.add.reduce(per * per, axis=-1)))
             for k in map(tuple, np.argwhere(np.isinf(total))):
                 total[k] = math.sqrt(m) * finite_rms(per[k], math.inf)
     return per, (float(total) if total.ndim == 0 else total)

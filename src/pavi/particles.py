@@ -95,7 +95,7 @@ class ParticleArray:
                 f"N >= 2 required (got N={N}); the convergence guarantee "
                 "needs at least two particles"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ConfigError("particle values must be finite")
         self.values = v
 

@@ -191,15 +191,17 @@ class QuadraticPotential(Potential):
         # every row at once: diag(A) * (points - c) + shift, each operation
         # written into out
         values = np.asarray(points, dtype=float)
-        c = np.asarray(contexts, dtype=float).mean(axis=-1)
-        shift = c - self.mean
-        # one matrix-vector product per context, the product a lone context
-        # takes, so every replication keeps its bits
-        for row in shift.reshape(-1, self.m):
-            row[:] = self.precision @ row
-        out = np.subtract(values, c[..., None], out=out)
-        np.multiply(np.diag(self.precision)[:, None], out, out=out)
-        np.add(out, shift[..., None], out=out)
+        contexts = np.asarray(contexts, dtype=float)
+        # c = contexts.mean(axis=-1) with the mean's arithmetic, a sum and one
+        # division, kept as a column
+        c = np.add.reduce(contexts, axis=-1, keepdims=True)
+        np.divide(c, contexts.shape[-1], out=c)
+        # matmul makes one matrix-vector product per context, the product a
+        # lone context takes, so every replication keeps its bits
+        shift = np.matmul(self.precision, c - self.mean[:, None])
+        out = np.subtract(values, c, out=out)
+        np.multiply(self.precision.diagonal()[:, None], out, out=out)
+        np.add(out, shift, out=out)
         return out
 
     # partial_i V = A[i] @ (x - mean); the perturbed family's logcosh bump
@@ -260,13 +262,10 @@ class PerturbedQuadraticPotential(QuadraticPotential):
     def partials_over_contexts(self, points, contexts, product=False, out=None):
         values = np.asarray(points, dtype=float)
         out = super().partials_over_contexts(values, contexts, product, out)
-        # the bump one coordinate at a time, so the only temporary holds one
-        # row per replication
-        bump = np.empty(values.shape[:-2] + values.shape[-1:])
-        for i, w in enumerate(self.weights):
-            np.tanh(values[..., i, :], out=bump)
-            np.multiply(w, bump, out=bump)
-            np.add(out[..., i, :], bump, out=out[..., i, :])
+        # the bump weights[i] * tanh(values[..., i, :]) of every row at once
+        bump = np.tanh(values)
+        np.multiply(self.weights[:, None], bump, out=bump)
+        np.add(out, bump, out=out)
         return out
 
     def to_config(self):

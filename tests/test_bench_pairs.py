@@ -113,3 +113,28 @@ def test_run_without_result_is_no_win(side):
     assert protocol["verdict"] == "claim_not_met"
     assert any(r.startswith(f"{side}: 1 of 10 runs") for r in protocol["reasons"])
 
+
+
+def test_ns_per_pci_on_each_side():
+    # wall_s over the operation's particle-coordinate-iterations, in ns, from
+    # perfbench's count on its inputs; null where that count is
+    count = pairs.pci("sweep-m2-nongauss", 3)
+    assert count == 2 * 200 * 4 * (256 + 512 + 1024 + 2048)
+    assert pairs.pci("run-m30-gauss", 3) == 30 * 4096 * 20
+    assert pairs.pci("oracle-m3-nongauss", 3) is None
+    found = []
+    for k, (p, c) in enumerate(zip(PARENT, CHANGE)):
+        found.append({"seed": k, "parent": pairs.run_summary(result_doc(p), count),
+                      "change": pairs.run_summary(result_doc(c), count)})
+    sides, _ = pairs.summarize(found)
+    for side, walls in (("parent", PARENT), ("change", CHANGE)):
+        ns = sides[side]["metrics"]["ns_per_pci"]
+        q1, median, q3 = np.percentile(np.array(walls) / count * 1e9, [25, 50, 75])
+        assert [ns["q1"], ns["median"], ns["q3"]] == pytest.approx([q1, median, q3])
+        assert ns["n"] == 10
+    oracle = [{"seed": 0, "parent": pairs.run_summary(result_doc(0.03)),
+               "change": pairs.run_summary(result_doc(0.02))}]
+    sides, _ = pairs.summarize(oracle)
+    for side in ("parent", "change"):
+        assert sides[side]["metrics"]["ns_per_pci"] == {
+            "median": None, "q1": None, "q3": None, "n": 0}

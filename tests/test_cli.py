@@ -90,6 +90,20 @@ class TestRunCommand:
         b = (tmp_path / "b" / "metrics.jsonl").read_text()
         assert a != b
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
+    def test_seed_outside_the_streams_exit_two(self, tmp_path, capsys, seed):
+        # RngStream reads a seed mod 2**64: 2**64 + 1 would write seed 1's
+        # metrics under another seed's name, so it is refused, as a flag and
+        # in the config, before anything is written
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, RUN_DOC)
+        assert main(["run", "--config", str(cfg), "--out", str(out), f"--seed={seed}"]) == 2
+        cfg = write_config(tmp_path, dict(RUN_DOC, seed=int(seed)))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: seed must be an integer in [0, 2**64), got {int(seed)}"] * 2
+        assert not out.exists()
+
     def test_thread_flag_reproduces_metrics(self, tmp_path):
         cfg = write_config(tmp_path, RUN_DOC)
         main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -804,6 +818,21 @@ class TestSweepCommand:
         assert len(err) == 1, err
         assert err[0].startswith("error: non-finite particle update at iteration 2, ")
         assert err[0].endswith(", seed 7")
+
+    def test_sweep_last_seed_past_the_streams_exit_two(self, tmp_path, capsys):
+        # seeds 2**64 - 1 and 2**64: the second would run seed 0's streams
+        doc = dict(RUN_DOC, N_list=[16, 32, 64], replications=2, T=4, seed=2**64 - 1)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: the sweep's last seed, seed + replications - 1 = {2**64}, "
+            "must be below 2**64"
+        ]
+        assert not out.exists()
+        # the last seed that names its own streams runs
+        doc = dict(doc, seed=2**64 - 2)
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
 
     def test_sweep_usage_error(self, tmp_path, capsys):
         doc = dict(RUN_DOC, N_list=[16, 16, 64], replications=2, T=40)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -691,6 +692,54 @@ class TestRun:
         run(pot, cfg_stop, init=init, checkpoint_path=stopped)
         assert np.array_equal(read_checkpoint(stopped)[1].values, kept.values)
         assert np.all(init == 1.0)
+
+    def test_checkpoints_hold_the_rows_up_to_their_iteration(
+        self, gauss21, tmp_path, monkeypatch
+    ):
+        # a run keeps its records as lists until a checkpoint needs rows: each
+        # checkpoint written mid-run holds exactly the final report's rows up
+        # to its next_iteration, and one wall time per row
+        ref = gaussian_mfvi_solution(gauss21)
+        cfg = RunConfig(N=16, T=10, schedule="corollary", seed=3, metrics_every=2)
+        ck = tmp_path / "ck.json"
+        written = []
+        write = pavi.dynamics._write_checkpoint
+
+        def write_and_read(path, *args):
+            write(path, *args)
+            written.append(json.loads(Path(path).read_text()))
+
+        monkeypatch.setattr(pavi.dynamics, "_write_checkpoint", write_and_read)
+        report = run(gauss21, cfg, ref, checkpoint_path=ck, checkpoint_every=3)
+        assert [doc["next_iteration"] for doc in written] == [3, 6, 9, 10]
+        for doc in written:
+            rows = [r.to_dict() for r in report.rows if r.iteration <= doc["next_iteration"]]
+            assert doc["rows"] == rows
+            assert len(doc["wall_times"]) == len(rows)
+        assert [len(doc["rows"]) for doc in written] == [2, 4, 5, 6]
+
+    @pytest.mark.parametrize("seeds", [None, [5, 6, 7]], ids=["single", "stacked"])
+    @pytest.mark.parametrize("where", ["total", "coordinate"])
+    def test_non_finite_w2_is_reported_at_its_record(self, gauss21, monkeypatch, where, seeds):
+        # the fourth record, at iteration 6, reads inf in its last replication
+        profile = pavi.dynamics.w2_reference_profile
+        calls = []
+
+        def spoiled(*args, **kwargs):
+            per, total = profile(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 4:
+                if where == "total":
+                    total[-1] = math.inf
+                else:
+                    per[-1, -1] = math.inf
+            return per, total
+
+        monkeypatch.setattr(pavi.dynamics, "w2_reference_profile", spoiled)
+        cfg = RunConfig(N=16, T=10, schedule="corollary", seed=0, metrics_every=2)
+        with pytest.raises(ConfigError, match=r"^non-finite diagnostic at iteration 6$"):
+            run(gauss21, cfg, gaussian_mfvi_solution(gauss21), seeds=seeds)
+        assert len(calls) == 4
 
     def test_sink_receives_rows(self, gauss21):
         ref = gaussian_mfvi_solution(gauss21)

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import pavi
 from pavi import (
@@ -245,6 +248,44 @@ class TestDerivativeProperties:
         got = pot.partials_over_contexts(points, contexts, out=buf)
         assert got is buf
         assert np.array_equal(buf, pot.partials_over_contexts(points, contexts))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_hooks_keep_the_bits_of_the_row_loops(self, data):
+        # the one-pass hooks against the earlier per-row arithmetic: a
+        # matrix-vector product per context and a tanh bump per coordinate
+        R = data.draw(st.integers(1, 4), label="R")
+        m = data.draw(st.integers(1, 3), label="m")
+        N = data.draw(st.integers(2, 64), label="N")
+        B = data.draw(st.integers(1, 8), label="B")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        A = (q * rng.uniform(0.5, 5.0, m)) @ q.T
+        pot = PerturbedQuadraticPotential(
+            0.5 * (A + A.T), rng.standard_normal(m), rng.uniform(0.0, 2.0, m))
+        finite = st.floats(-1e6, 1e6, allow_subnormal=False)
+        points = data.draw(arrays(np.float64, (R, m, N), elements=finite), label="points")
+        contexts = data.draw(arrays(np.float64, (R, m, B), elements=finite), label="contexts")
+
+        c = contexts.mean(axis=-1)
+        shift = c - pot.mean
+        for row in shift.reshape(-1, m):
+            row[:] = pot.precision @ row
+        quadratic = np.diag(pot.precision)[:, None] * (points - c[..., None]) + shift[..., None]
+        perturbed = quadratic.copy()
+        bump = np.empty((R, N))
+        for i, w in enumerate(pot.weights):
+            np.tanh(points[..., i, :], out=bump)
+            np.multiply(w, bump, out=bump)
+            np.add(perturbed[..., i, :], bump, out=perturbed[..., i, :])
+
+        got = QuadraticPotential.partials_over_contexts(pot, points, contexts)
+        assert np.array_equal(got, quadratic)
+        assert np.array_equal(pot.partials_over_contexts(points, contexts), perturbed)
+        # the hook's mean context is the sum's arithmetic, as np.mean's is
+        mean = np.add.reduce(contexts, axis=-1, keepdims=True)
+        np.divide(mean, B, out=mean)
+        assert np.array_equal(mean[..., 0], c)
 
     def test_batched_evaluators_closed_form(self):
         # V = 0.5 (x-mu)' A (x-mu) + sum_i c_i logcosh(x_i) and its gradient
