@@ -429,6 +429,7 @@ def _load_checkpoint(path, pot, cfg):
         if not isinstance(rows, list):
             raise TypeError(f"rows must be a list, got {rows!r}")
         rows = [StepTrace.from_dict(r) for r in rows]
+        # a run checks its rows as it records them; these are checked here
         for row in rows:
             row.validate()
         if not (isinstance(wall_times, list) and all(map(is_number, wall_times))):
@@ -452,7 +453,7 @@ def _load_checkpoint(path, pot, cfg):
             )
         if len(wall_times) != len(rows):
             raise ValueError(f"{len(wall_times)} wall_times for {len(rows)} rows")
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, ConfigError) as err:
         raise ConfigError(f"{path} is a malformed checkpoint ({err!r})") from None
     return X, rows, wall_times, start
 

@@ -324,6 +324,7 @@ class TestRunCommand:
         "edit",
         [
             lambda doc: doc["rows"][0].update(w2="a"),
+            lambda doc: doc["rows"][2].update(w2=math.inf),
             lambda doc: doc["rows"].append(["not", "a", "row"]),
             lambda doc: doc.pop("rows"),
             lambda doc: doc.update(rows={"iteration": 0}),
@@ -335,7 +336,7 @@ class TestRunCommand:
             lambda doc: doc.update(shape=[1, 128]),
         ],
         ids=[
-            "row-w2-string", "row-not-mapping", "rows-missing", "rows-mapping",
+            "row-w2-string", "row-w2-infinite", "row-not-mapping", "rows-missing", "rows-mapping",
             "wall-times-missing", "wall-times-string", "next-iteration-missing",
             "next-iteration-string", "next-iteration-negative", "shape-mismatch",
         ],
