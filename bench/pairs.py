@@ -2,13 +2,18 @@
 
     python bench/pairs.py --parent REV --workload NAME --seeds 3 4 --pairs 10 --seconds 40
 
-Run from a git checkout.  The parent revision is checked out once, as a git
-worktree under ``.bench_work/``.  Each pair runs the parent's own
-``perfbench/run.py --trace 0`` and this checkout's, on the same seed, and
-alternates which side runs first.  Before each pair it probes the host: it
-times one copy of a fixed numpy sort loop alone, then two copies at once, and
-records the ratio (1 means two CPUs' worth of capacity).  It reads CPU steal
-from ``/proc/stat`` before and after each pair.  Seeds are taken in turn.
+Run from a git checkout.  The parent revision's files are exported once
+(``git archive``) to a directory under ``.bench_work/``, removed at the end.
+Each pair runs the parent's own ``perfbench/run.py --trace 0`` and this
+checkout's, on the same seed, and alternates which side runs first.  Before
+each side's run it probes the host: it times one copy of a fixed numpy sort
+loop alone, then two copies at once, and records the ratio (about 1 means two
+CPUs' worth of capacity, about 2 one CPU's).  It reads CPU steal from
+``/proc/stat`` before each side and after the pair, so each side has the share
+of steal over its own run.  A pair whose two probes fall on different sides of
+``ONE_CPU_RATIO`` ran its sides in different host states: it is flagged
+``mixed_state``, and the protocol lists it, without changing the verdict.
+Seeds are taken in turn.
 
 It writes ``BENCH_<workload>_<short sha>.json`` (``--out``, default ``bench/``)
 with, for each side, the median, quartiles and sample count of every
@@ -29,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,6 +49,9 @@ import workloads  # noqa: E402
 CLAIMED = "wall_s"
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
+# a capacity ratio from which the host gives one CPU's worth, not two: the
+# midpoint of the two states' ratios, 1 and 2
+ONE_CPU_RATIO = 1.5
 NOTES = [
     "peak_rss_mb is the perfbench worker's ru_maxrss; Linux carries it over from "
     "the parent across fork and exec, so it still includes the peak of run.py, which spawns it",
@@ -152,13 +161,31 @@ def summarize(pairs):
         "claimed": CLAIMED, "pairs": len(pairs), "wins": wins,
         "wins_needed": needed, "median_gap": gap, "parent_iqr": iqr,
         "verdict": "claim_not_met" if reasons else "claim_met", "reasons": reasons,
+        "mixed_state_pairs": [k for k, p in enumerate(pairs) if p.get("mixed_state")],
     }
     return sides, protocol
+
+
+def host_state(capacity):
+    """"one_cpu" or "two_cpus", from a :func:`probe_capacity` reading."""
+    return "one_cpu" if capacity["ratio"] >= ONE_CPU_RATIO else "two_cpus"
+
+
+def mixed_state(capacity):
+    """Whether a pair's two sides, probed as ``{side: reading}``, ran in
+    different host states."""
+    return host_state(capacity["parent"]) != host_state(capacity["change"])
 
 
 def span(values):
     values = [v for v in values if v is not None]
     return [min(values), max(values)] if values else None
+
+
+def steal_share(before, after):
+    """The share of CPU time stolen between two :func:`read_cpu` readings."""
+    (steal0, total0), (steal1, total1) = before, after
+    return (steal1 - steal0) / (total1 - total0) if total1 > total0 else None
 
 
 def read_cpu():
@@ -184,6 +211,15 @@ def probe_capacity():
 def git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def export(rev, tree):
+    """Write the files of the git revision ``rev`` into a new directory ``tree``."""
+    shutil.rmtree(tree, ignore_errors=True)
+    tree.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
 
 
 def run_side(tree, workload, seed, seconds, count):
@@ -214,30 +250,28 @@ def main(argv=None):
     if git("status", "--porcelain", "--", "src", "perfbench"):
         change += "-dirty"
     tree = WORK / f"parent-{parent}"
-    if not (tree / "perfbench" / "run.py").is_file():
-        WORK.mkdir(exist_ok=True)
-        git("worktree", "prune")
-        git("worktree", "add", "--detach", str(tree), parent)
     pairs = []
     try:
+        export(parent, tree)
         for k in range(args.pairs):
             seed = args.seeds[k % len(args.seeds)]
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            capacity = probe_capacity()
-            steal0, total0 = read_cpu()
-            pair = {"seed": seed, "order": list(order), "capacity": capacity}
+            pair = {"seed": seed, "order": list(order), "capacity": {}, "steal": {}}
             for side in order:
+                pair["capacity"][side] = probe_capacity()
+                before = read_cpu()
                 pair[side] = run_side(tree if side == "parent" else ROOT, args.workload, seed,
                                       args.seconds, pci(args.workload, seed))
-            steal1, total1 = read_cpu()
-            pair["steal"] = (steal1 - steal0) / (total1 - total0) if total1 > total0 else None
+                pair["steal"][side] = steal_share(before, read_cpu())
+            pair["mixed_state"] = mixed_state(pair["capacity"])
             pairs.append(pair)
             print(f"pair {k}: seed {seed} " + "  ".join(
-                f"{s} {pair[s]['values'][CLAIMED]:.6g}" if pair[s]["ok"] else f"{s} failed"
+                (f"{s} {pair[s]['values'][CLAIMED]:.6g}" if pair[s]["ok"] else f"{s} failed")
+                + f" (capacity {pair['capacity'][s]['ratio']:.2f}, steal {pair['steal'][s]})"
                 for s in ("parent", "change"))
-                + f"  capacity {capacity['ratio']:.2f}  steal {pair['steal']}", flush=True)
+                + ("  mixed state" if pair["mixed_state"] else ""), flush=True)
     finally:
-        git("worktree", "remove", "--force", str(tree))
+        shutil.rmtree(tree, ignore_errors=True)
     sides, protocol = summarize(pairs)
     machine = None
     for p in pairs:
@@ -246,15 +280,16 @@ def main(argv=None):
     doc = {
         "workload": args.workload, "parent": parent, "change": change, "seeds": args.seeds,
         "seconds": args.seconds, "machine": machine, "notes": NOTES,
-        "steal_range": span(p["steal"] for p in pairs),
-        "capacity_ratio_range": span(p["capacity"]["ratio"] for p in pairs),
+        "steal_range": span(v for p in pairs for v in p["steal"].values()),
+        "capacity_ratio_range": span(c["ratio"] for p in pairs for c in p["capacity"].values()),
         "sides": sides, "protocol": protocol, "pairs": pairs,
     }
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.workload}_{change}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"{protocol['verdict']}: {protocol['wins']} of {protocol['pairs']} wins, median gap "
-          f"{protocol['median_gap']} against parent IQR {protocol['parent_iqr']}; wrote {path}")
+          f"{protocol['median_gap']} against parent IQR {protocol['parent_iqr']}, mixed-state "
+          f"pairs {protocol['mixed_state_pairs']}; wrote {path}")
     return 0
 
 

@@ -26,9 +26,13 @@ rows on their own, so every replication keeps the bits of a run under its
 seed alone.  A record keeps its numbers as the lists of floats that the
 arrays give, with one finiteness check over them; the rows (``StepTrace``)
 are built from those lists only when a checkpoint, the sink or the reports
-need them.  A sweep stacks its seeds in chunks (``harness.run_replications``)
-and, from ``harness._FORK_MIN`` work on, spreads its runs over the CPUs of
-the affinity mask by fork (``harness._spread``); ``threads`` is still ignored.
+need them.  A step computes ``grad_rms`` only when its row is recorded (0,
+every ``metrics_every``, and T: ``reports.recording_schedule``), and a run
+can be told to record only from a later iteration on (``record_from``).  A
+sweep stacks its seeds in chunks (``harness.run_replications``), records only
+the steady window whose W2 it averages, and, from ``harness._FORK_MIN`` work
+on, spreads its runs over the CPUs of the affinity mask by fork
+(``harness._spread``); ``threads`` is still ignored.
 
 An iteration's draws depend only on their keys, never on the particles, so
 they are made apart from the step that uses them: ``_draw`` makes them and
@@ -86,6 +90,7 @@ from .reports import (
     f8_base64,
     is_number,
     read_json,
+    recording_schedule,
     summarize_rows,
     write_atomic,
 )
@@ -248,7 +253,7 @@ def _row_starts(R, m, N):
     return starts
 
 
-def _step_parts(pot, X, h, rngs, n, contexts, new, drift, noise):
+def _step_parts(pot, X, h, rngs, n, contexts, new, drift, noise, rms):
     """Advance R stacked replications one iteration; returns (array, grad_rms).
 
     ``X`` holds the replications' (m, N) states one under the other, R m rows
@@ -270,6 +275,8 @@ def _step_parts(pot, X, h, rngs, n, contexts, new, drift, noise):
     divergence at its location, in the lowest-index replication that has one.
     The caller ignores overflow and invalid-value warnings around the step
     (``_STEP_ERRORS``), so that such an entry is reported once, that way.
+    With ``rms`` false the step computes no ``grad_rms`` and returns None for
+    it; the new state is the same.
     """
     R, m, N = new.shape
     values = X.values.reshape(new.shape)
@@ -280,15 +287,17 @@ def _step_parts(pot, X, h, rngs, n, contexts, new, drift, noise):
         # index of values[r, i, contexts[r, i, b]]
         z = X.values.take(contexts + _row_starts(R, m, N))
     pot.partials_over_contexts(values, z, product=contexts is None, out=drift)
-    # new holds the squared drift until the update overwrites it; the mean
-    # squares are the arithmetic of new.mean(axis=(1, 2))
-    np.multiply(drift, drift, out=new)
-    mean_squares = np.add.reduce(new, axis=(1, 2)) / (m * N)
-    grad_rms = np.sqrt(mean_squares).tolist()
-    for r, rms in enumerate(grad_rms):
-        if math.isinf(rms):
-            # the squares of a finite drift can overflow: rescale them
-            grad_rms[r] = finite_rms(drift[r], mean_squares[r], new[r])
+    grad_rms = None
+    if rms:
+        # new holds the squared drift until the update overwrites it; the mean
+        # squares are the arithmetic of new.mean(axis=(1, 2))
+        np.multiply(drift, drift, out=new)
+        mean_squares = np.add.reduce(new, axis=(1, 2)) / (m * N)
+        grad_rms = np.sqrt(mean_squares).tolist()
+        for r, value in enumerate(grad_rms):
+            if math.isinf(value):
+                # the squares of a finite drift can overflow: rescale them
+                grad_rms[r] = finite_rms(drift[r], mean_squares[r], new[r])
     # new = values - h * drift + sqrt(2 h) * noise, in that order
     np.multiply(h, drift, out=drift)
     np.subtract(values, drift, out=new)
@@ -308,7 +317,7 @@ def _one_step(pot, X, h, B, rng, n):
     new, drift, noise = (np.empty((1, X.m, X.N)) for _ in range(3))
     contexts = _draw([rng], [rng.generator()], n, B, noise)
     with np.errstate(**_STEP_ERRORS):
-        return _step_parts(pot, X, h, [rng], n, contexts, new, drift, noise)[0]
+        return _step_parts(pot, X, h, [rng], n, contexts, new, drift, noise, rms=False)[0]
 
 
 def pavi_step(pot, X: ParticleArray, h, B, rng: RngStream, n):
@@ -437,12 +446,9 @@ def _load_checkpoint(path, pot, cfg):
         start = as_integer(doc["next_iteration"])
         if start > cfg.T:
             raise ValueError(f"next_iteration {start} is past T = {cfg.T}")
-        # the rows a run records up to and including next_iteration: 0, each
-        # multiple of metrics_every, and T
+        # the rows a run records up to and including next_iteration
         me = cfg.resolved_metrics_every()
-        schedule = list(range(0, start + 1, me))
-        if start == cfg.T and start % me:
-            schedule.append(start)
+        schedule = [k for k in recording_schedule(cfg.T, me) if k <= start]
         got = [r.iteration for r in rows]
         if got != schedule:
             k, a, b = next((k, a, b) for k, (a, b) in enumerate(
@@ -469,6 +475,7 @@ def run(
     checkpoint_path=None,
     checkpoint_every=None,
     resume=False,
+    record_from=None,
 ) -> ConvergenceReport | list[ConvergenceReport]:
     """Execute T iterations, recording W2 to the reference at a fixed cadence.
 
@@ -485,6 +492,16 @@ def run(
     for row and bit for bit, the report of a run of ``cfg`` under its seed
     alone.  The work arrays then hold R m N elements each, so a caller bounds
     R.  Checkpoints, resume and ``sink`` take a single seed.
+
+    With ``record_from`` k, the run records only the rows of that schedule at
+    iterations k and later; each is, bit for bit, the row a whole run records
+    there.  A step computes ``grad_rms`` only when its row is recorded, so the
+    steps before k compute none, while every step still checks its state's
+    finiteness, and a divergence is the same error.  The reports then hold
+    only those rows and no steady-state summary: ``summary`` is just
+    ``step_guard``, since the rows are not the whole series.  A sweep records
+    only the steady window it averages this way.  Checkpoints, resume and
+    ``sink`` need every row, so they refuse ``record_from``.
 
     Each record keeps the W2 values and ``grad_rms`` of every replication as
     lists of floats, the arrays' ``tolist()``, and checks them once: a
@@ -509,6 +526,16 @@ def run(
         raise ConfigError("seeds must name at least one seed")
     if R > 1 and (sink is not None or checkpoint_path is not None or resume):
         raise ConfigError("checkpoints, resume and sink take a single seed")
+    first = 0
+    if record_from is not None:
+        if sink is not None or checkpoint_path is not None or resume:
+            raise ConfigError("checkpoints, resume and sink take every row, not record_from")
+        first = as_integer(record_from)
+        if first is None or not 0 <= first <= cfg.T:
+            raise ConfigError(f"record_from must be an integer in [0, T = {cfg.T}], "
+                              f"got {record_from!r}")
+    # the iterations whose rows this run records
+    recorded = {k for k in recording_schedule(cfg.T, me) if k >= first}
     # one stream and one generator per replication serve all of its draws;
     # once the loop starts only the draws of its iterations touch them
     rngs = [RngStream(c.seed) for c in cfgs]
@@ -568,7 +595,8 @@ def run(
         X = ParticleArray(
             np.concatenate([init_particles(pot.m, cfg.N, init, gen=g).values for g in gens])
         )
-        record(0, X)
+        if 0 in recorded:
+            record(0, X)
 
     iterations = range(start, cfg.T)
     draws = _drawn_ahead(draw, start, cfg.T) if ahead else (draw(n) for n in iterations)
@@ -576,16 +604,19 @@ def run(
     # closing the draws stops and joins a draw-ahead worker
     with contextlib.closing(draws), np.errstate(**_STEP_ERRORS):
         for n, (contexts, noise) in zip(iterations, draws):
+            k = n + 1
+            recording = k in recorded
             try:
-                X, grad_rms = _step_parts(pot, X, h, rngs, n, contexts, target, drift, noise)
+                X, grad_rms = _step_parts(
+                    pot, X, h, rngs, n, contexts, target, drift, noise, recording
+                )
             except DivergenceError:
                 # X is still the last good state: the step wrote only into target
                 if checkpoint_path is not None:
                     _write_checkpoint(checkpoint_path, pot, cfg, n, X, traces()[0], wall_times)
                 raise
             target, spare = spare, target
-            k = n + 1
-            if k % me == 0 or k == cfg.T:
+            if recording:
                 record(k, X, grad_rms)
             if checkpoint_every and k % int(checkpoint_every) == 0 and checkpoint_path:
                 _write_checkpoint(checkpoint_path, pot, cfg, k, X, traces()[0], wall_times)
@@ -602,7 +633,10 @@ def run(
             seed=c.seed,
             version=__version__,
             rows=c_rows,
-            summary=dict(summarize_rows(c_rows), step_guard=dict(guard)),
+            summary=dict(
+                {} if record_from is not None else summarize_rows(c_rows),
+                step_guard=dict(guard),
+            ),
             wall_times=list(wall_times),
             wall_total=wall_total,
         )

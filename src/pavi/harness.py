@@ -29,6 +29,8 @@ from .reports import (
     number_array,
     rate_fit,
     read_json,
+    recording_schedule,
+    steady_window,
 )
 
 __all__ = [
@@ -258,16 +260,20 @@ def _seed_chunks(pot, N, seeds):
     return [seeds[start : start + chunk] for start in range(0, len(seeds), chunk)]
 
 
-def run_replications(pot, base_cfg, reference, seeds, *, init="standard_normal"):
+def run_replications(
+    pot, base_cfg, reference, seeds, *, init="standard_normal", record_from=None
+):
     """Run the same configuration under each seed; the reports come in seed order.
 
     The seeds advance together as one stacked state, one ``dynamics.run`` per
     chunk of seeds (``_seed_chunks``).  Each report equals that of a run under
-    its seed alone.
+    its seed alone; ``record_from`` is passed to each ``dynamics.run``.
     """
     reports = []
     for chunk in _seed_chunks(pot, base_cfg.N, [int(s) for s in seeds]):
-        reports += dynamics.run(pot, base_cfg, reference, seeds=chunk, init=init)
+        reports += dynamics.run(
+            pot, base_cfg, reference, seeds=chunk, init=init, record_from=record_from
+        )
     return reports
 
 
@@ -338,7 +344,12 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     no batch size for the exact algorithm, or an explicit ``h`` and ``B``
     that every N takes, each checked against the step-size guard before any
     run starts; the fitted quantity is log(mean steady-state W2) against
-    log N by least squares.  Each run is one N and one chunk of seeds that
+    log N by least squares.  A replication's steady-state W2 is the mean of
+    its rows in the trailing steady window (``reports.steady_window`` of its
+    recording schedule), the ``summary["steady_mean"]`` of a whole run, with
+    the same arithmetic; the runs record only the rows of that window
+    (``record_from``), so they compute no W2 and no ``grad_rms`` before it.
+    Each run is one N and one chunk of seeds that
     advance together as one stacked state (:func:`run_replications`); from
     ``_FORK_MIN`` work T m R sum(N) on, the runs are spread over the CPUs of
     the affinity mask by fork (:func:`_spread`).  ``threads`` (argument or
@@ -374,10 +385,15 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     cfgs = [dynamics.RunConfig(N=N, T=T, **common) for N in N_list]
     # the (h, B) the runs use: B is None for the exact algorithm
     schedules = [dynamics.validate_config(pot, cfg) for cfg in cfgs]
+    # every N records at the same iterations; the steady window's first
+    recorded = recording_schedule(T, cfgs[0].resolved_metrics_every())
+    window = recorded[steady_window(len(recorded))]
 
     def steady_means(run):
         cfg, chunk = run
-        return [r.summary["steady_mean"] for r in run_replications(pot, cfg, ref, chunk, init=init)]
+        reports = run_replications(pot, cfg, ref, chunk, init=init, record_from=window)
+        # the arithmetic of summarize_rows's steady_mean
+        return [float(np.array([row.w2_total for row in r.rows]).mean()) for r in reports]
 
     runs = [(cfg, chunk) for cfg in cfgs for chunk in _seed_chunks(pot, cfg.N, seeds)]
     results = _spread(steady_means, runs, [T * pot.m * cfg.N * len(c) for cfg, c in runs])

@@ -172,6 +172,15 @@ class RateFit:
     steady_state_level: float
 
 
+def recording_schedule(T: int, metrics_every: int) -> list:
+    """The iterations at which a run of T iterations records a row: 0, every
+    ``metrics_every``, and T."""
+    schedule = list(range(0, T + 1, metrics_every))
+    if T % metrics_every:
+        schedule.append(T)
+    return schedule
+
+
 def steady_window(n_points: int) -> int:
     """Index where the trailing 25% steady-state window starts."""
     if n_points < 1:

@@ -138,3 +138,38 @@ def test_ns_per_pci_on_each_side():
     for side in ("parent", "change"):
         assert sides[side]["metrics"]["ns_per_pci"] == {
             "median": None, "q1": None, "q3": None, "n": 0}
+
+
+def reading(ratio):
+    """A probe_capacity reading with the given ratio."""
+    return {"one_s": 0.2, "two_s": 0.2 * ratio, "ratio": ratio}
+
+
+@pytest.mark.parametrize("ratio, state", [(0.74, "two_cpus"), (1.49, "two_cpus"),
+                                          (1.5, "one_cpu"), (2.35, "one_cpu")])
+def test_host_state_from_the_capacity_ratio(ratio, state):
+    assert pairs.host_state(reading(ratio)) == state
+
+
+def test_pairs_whose_sides_ran_in_different_states_are_flagged():
+    # each side is probed before its own run; the verdict is unchanged
+    runs = pair_list(PARENT, CHANGE)
+    ratios = [(1.0, 1.1), (0.9, 2.0), (1.9, 2.1), (2.2, 0.8)] + [(1.0, 1.0)] * 6
+    for pair, (parent, change) in zip(runs, ratios):
+        pair["capacity"] = {"parent": reading(parent), "change": reading(change)}
+        pair["mixed_state"] = pairs.mixed_state(pair["capacity"])
+    assert [p["mixed_state"] for p in runs[:4]] == [False, True, False, True]
+    _, protocol = pairs.summarize(runs)
+    assert protocol["mixed_state_pairs"] == [1, 3]
+    assert protocol["verdict"] == "claim_met"
+
+
+def test_pairs_without_state_readings_are_not_flagged():
+    _, protocol = pairs.summarize(pair_list(PARENT, CHANGE))
+    assert protocol["mixed_state_pairs"] == []
+
+
+def test_steal_share_over_one_side():
+    assert pairs.steal_share((10, 1000), (13, 1300)) == pytest.approx(0.01)
+    # no jiffies passed: no share
+    assert pairs.steal_share((10, 1000), (10, 1000)) is None

@@ -37,7 +37,7 @@ from pavi import (
     validate_config,
     w2_reference_profile,
 )
-from pavi.dynamics import read_checkpoint, stochastic_grad_at
+from pavi.dynamics import _draw, _step_parts, read_checkpoint, stochastic_grad_at
 from pavi.errors import DivergenceError
 from pavi.reports import encode_f8
 
@@ -336,6 +336,25 @@ class TestSteps:
         X = init_particles(2, 6, ("point", [1.0, -2.0]))
         out = pavi_step(pot, X, 0.1, 3, RngStream(1), 0)
         assert np.array_equal(out.values, X.values + noise_rows(RngStream(1), 0, 0.1, 2, 6))
+
+    @pytest.mark.parametrize("algorithm", ["pavi", "exact"])
+    def test_step_keeps_the_bits_of_a_step_with_grad_rms(self, algorithm):
+        # the public steps compute no grad_rms; their state is the one a step
+        # that computes it gives on the same draws
+        pot, _ = equivalence_case("perturbed_quadratic")
+        X = init_particles(pot.m, 16, "standard_normal", 3)
+        h, B = 0.05, (4 if algorithm == "pavi" else None)
+        if algorithm == "pavi":
+            out = pavi_step(pot, X, h, B, RngStream(7), 11)
+        else:
+            out = exact_step(pot, X, h, RngStream(7), 11)
+        new, drift, noise = (np.empty((1, pot.m, 16)) for _ in range(3))
+        rng = RngStream(7)
+        contexts = _draw([rng], [rng.generator()], 11, B, noise)
+        with np.errstate(over="ignore", invalid="ignore"):
+            full, grad_rms = _step_parts(pot, X, h, [rng], 11, contexts, new, drift, noise, True)
+        assert isinstance(grad_rms[0], float) and math.isfinite(grad_rms[0])
+        assert out.values.tobytes() == full.values.tobytes()
 
     def test_step_determinism(self, gauss21):
         X = init_particles(2, 4, "standard_normal", 3)
@@ -919,6 +938,74 @@ class TestStackedRuns:
                 run(gauss21, cfg, seeds=[0, 1], **option)
         with pytest.raises(ConfigError, match="at least one seed"):
             run(gauss21, cfg, seeds=[])
+
+
+class TestRecordFrom:
+    """``run(record_from=k)`` records only the schedule's rows from iteration k
+    on; each equals, bit for bit, the row a whole run records there."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["quadratic", "perturbed_quadratic", "tanh"]),
+        algorithm=st.sampled_from(["pavi", "exact"]),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+        N=st.integers(2, 9),
+        T=st.integers(0, 12),
+        metrics_every=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_rows_from_k_equal_the_whole_runs_rows(
+        self, family, algorithm, seeds, N, T, metrics_every, data
+    ):
+        pot, ref = equivalence_case(family)
+        cfg = RunConfig(
+            N=N, T=T, schedule="corollary", algorithm=algorithm, metrics_every=metrics_every
+        )
+        k = data.draw(st.integers(0, T), label="record_from")
+        whole = run(pot, cfg, ref, seeds=seeds)
+        part = run(pot, cfg, ref, seeds=seeds, record_from=k)
+        for w, p in zip(whole, part, strict=True):
+            # w2_total, w2_coord and grad_rms, as the metrics file writes them
+            assert p.metrics_lines() == [
+                line for r, line in zip(w.rows, w.metrics_lines()) if r.iteration >= k
+            ]
+            assert p.rows[-1].iteration == T
+            assert p.summary == {"step_guard": w.summary["step_guard"]}
+            assert len(p.wall_times) == len(p.rows)
+
+    def test_divergence_in_the_skipped_prefix_is_the_same_error(self):
+        pot = Lying()
+        ref = ReferenceProduct([GaussianMarginal(0.0, 1.0)], "test")
+        cfg = RunConfig(N=4, T=2000, h=0.2, B=2, schedule="explicit", metrics_every=1)
+        init = np.full((1, 4), 1.0)
+        seeds = [5, 2, 3]
+        errors = []
+        for record_from in (None, cfg.T):
+            with pytest.raises(DivergenceError) as err:
+                run(pot, cfg, ref, init=init, seeds=seeds, record_from=record_from)
+            errors.append(err.value)
+        whole, part = errors
+        # the whole run records and checks every row before the divergence
+        assert whole.iteration < cfg.T - 1
+        assert (part.iteration, part.coordinate, part.particle, part.seed) == (
+            whole.iteration, whole.coordinate, whole.particle, whole.seed)
+
+    def test_refused_with_checkpoint_resume_or_sink(self, gauss21, tmp_path):
+        cfg = RunConfig(N=8, T=4, schedule="corollary")
+        for option in (
+            {"sink": print},
+            {"checkpoint_path": tmp_path / "ck.json"},
+            {"resume": True},
+        ):
+            with pytest.raises(ConfigError, match="record_from") as err:
+                run(gauss21, cfg, record_from=2, **option)
+            assert err.value.exit_code == 2
+        assert not (tmp_path / "ck.json").exists()
+
+    @pytest.mark.parametrize("record_from", [-1, 5, 1.5, "2", True])
+    def test_outside_the_run_is_refused(self, gauss21, record_from):
+        with pytest.raises(ConfigError, match="record_from must be an integer"):
+            run(gauss21, RunConfig(N=8, T=4, schedule="corollary"), record_from=record_from)
 
 
 class TestCheckpointDecoding:

@@ -4,10 +4,13 @@ import signal
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pavi import (
     ConvergenceReport,
@@ -291,6 +294,55 @@ class TestCmdSweep:
         assert [e.per_seed for e in serial.entries] == [
             e.per_seed for e in threaded.entries
         ]
+
+
+class TestSweepWindow:
+    """A sweep records only the steady window it averages; its per-seed levels
+    must keep the bits of each seed's whole run's ``steady_mean``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        algorithm=st.sampled_from(["pavi", "exact"]),
+        T=st.integers(0, 40),
+        metrics_every=st.integers(1, 7),
+        R=st.integers(2, 4),
+        chunk=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+    )
+    @example(algorithm="pavi", T=0, metrics_every=3, R=2, chunk=1, seed=0)
+    @example(algorithm="exact", T=23, metrics_every=7, R=3, chunk=2, seed=1)
+    def test_per_seed_equals_whole_runs_steady_mean(
+        self, algorithm, T, metrics_every, R, chunk, seed
+    ):
+        doc = run_doc(algorithm=algorithm, N_list=[4, 6, 8], replications=R, T=T,
+                      metrics_every=metrics_every, seed=seed)
+        pot = potential_from_config(BASE_POTENTIAL)
+        ref = build_reference("analytic", pot)
+        with pytest.MonkeyPatch.context() as patch:
+            # ``chunk`` replications at N = 4, fewer at the larger counts
+            patch.setattr(harness, "_STACK_BUDGET", chunk * pot.m * 4)
+            result = cmd_sweep(doc)
+        for entry in result.entries:
+            cfg = dynamics.RunConfig(N=entry.N, T=T, schedule="corollary",
+                                     algorithm=algorithm, metrics_every=metrics_every)
+            alone = [dynamics.run(pot, replace(cfg, seed=s), ref).summary["steady_mean"]
+                     for s in result.seeds]
+            assert [v.hex() for v in entry.per_seed] == [v.hex() for v in alone]
+            assert entry.mean_w2 == float(np.mean(alone))
+
+    def test_runs_record_from_the_steady_window(self, monkeypatch):
+        # 0, 7, ..., 21, 23: five rows, the last of which is the window
+        doc = run_doc(N_list=[4, 6, 8], replications=2, T=23, metrics_every=7)
+        calls = []
+        real_run = dynamics.run
+
+        def recording_run(*args, **kwargs):
+            calls.append(kwargs["record_from"])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "run", recording_run)
+        cmd_sweep(doc)
+        assert calls == [23, 23, 23]
 
 
 def assert_no_child_left():
