@@ -349,8 +349,8 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     recording schedule), the ``summary["steady_mean"]`` of a whole run, with
     the same arithmetic; the runs record only the rows of that window
     (``record_from``), so they compute no W2 and no ``grad_rms`` before it.
-    Each run is one N and one chunk of seeds that
-    advance together as one stacked state (:func:`run_replications`); from
+    Each run is one N and one chunk of seeds that advance together as one
+    stacked state (:func:`run_replications`); from
     ``_FORK_MIN`` work T m R sum(N) on, the runs are spread over the CPUs of
     the affinity mask by fork (:func:`_spread`).  ``threads`` (argument or
     config key) is accepted and unused, as for :func:`cmd_run`.  A particle
@@ -385,7 +385,8 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
     cfgs = [dynamics.RunConfig(N=N, T=T, **common) for N in N_list]
     # the (h, B) the runs use: B is None for the exact algorithm
     schedules = [dynamics.validate_config(pot, cfg) for cfg in cfgs]
-    # every N records at the same iterations; the steady window's first
+    # every N records at the same iterations; the runs record from the first
+    # of the steady window
     recorded = recording_schedule(T, cfgs[0].resolved_metrics_every())
     window = recorded[steady_window(len(recorded))]
 
