@@ -19,7 +19,8 @@ It writes ``BENCH_<workload>_<short sha>.json`` (``--out``, default ``bench/``)
 with, for each side, the median, quartiles and sample count of every
 end-to-end metric over the runs and of ``ns_per_pci`` (a run's ``wall_s`` over
 perfbench's particle-coordinate-iteration count of the workload, in ns; null for
-the oracle), and failed of attempted operations; the pair
+the oracle), and failed of attempted operations; for each run, the quartiles
+of its operations' ``wall_s`` (``ops_wall_s``); the pair
 wins on the claimed metric (``wall_s``, lower is better), the median gap
 against the parent's interquartile range, and the verdict of the pair protocol:
 
@@ -56,7 +57,8 @@ NOTES = [
     "peak_rss_mb is the perfbench worker's ru_maxrss; Linux carries it over from "
     "the parent across fork and exec, so it still includes the peak of run.py, which spawns it",
     "a forked sweep's figures cover only the calling process",
-    "each sample is one run's figure: the median over its untraced operations",
+    "each sample is one run's figure: the median over its untraced operations; each run's "
+    "ops_wall_s holds the median, quartiles and count of its ok, untraced operations' wall_s",
 ]
 # the probe: a fixed sort loop, started by every copy at the same wall time
 KERNEL = """import sys, time
@@ -90,7 +92,9 @@ def pci(workload, seed):
 
 def run_summary(doc, pci=None):
     """One run's end-to-end figures and operation counts from its result.json,
-    with ``ns_per_pci`` from its ``wall_s`` and the operation's ``pci`` count."""
+    with ``ns_per_pci`` from its ``wall_s`` and the operation's ``pci`` count,
+    and the spread of its operations' ``wall_s`` (the ok, untraced ones), so
+    that a run whose host changed state part way through shows it."""
     records = doc["records"]
     values = {name: m["value"] for name, m in doc["metrics"].items()}
     values["ns_per_pci"] = None if pci is None else values["wall_s"] / pci * 1e9
@@ -100,6 +104,8 @@ def run_summary(doc, pci=None):
         "attempted": len(records),
         "failed": sum(not r["ok"] for r in records),
         "ops": sum(1 for r in records if "wall_s" in r and not r["trace"]),
+        "ops_wall_s": quartiles([r["wall_s"] for r in records
+                                 if r["ok"] and not r["trace"] and "wall_s" in r]),
     }
 
 

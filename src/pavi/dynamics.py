@@ -83,14 +83,21 @@ from .potentials import potential_fingerprint
 # perfbench/spans.py wraps dynamics.stochastic_grad_at, and tests import it from here
 from .potentials import stochastic_grad_at  # noqa: F401
 from .reports import (
+    REQUIRED,
     ConvergenceReport,
     StepTrace,
-    as_integer,
     decode_f8,
+    each,
     f8_base64,
-    is_number,
+    integer,
+    integers,
+    mapping,
+    numbers,
     read_json,
+    read_keys,
+    read_row,
     recording_schedule,
+    string,
     summarize_rows,
     write_atomic,
 )
@@ -121,10 +128,7 @@ class RunConfig:
 
     def resolved_metrics_every(self) -> int:
         if self.metrics_every is not None:
-            me = int(self.metrics_every)
-            if me < 1:
-                raise ConfigError("metrics_every must be a positive integer")
-            return me
+            return integer("metrics_every", self.metrics_every, low=1)
         return max(1, self.T // 200)
 
 
@@ -211,9 +215,7 @@ def validate_config(pot, cfg: RunConfig):
     if cfg.algorithm == "pavi":
         if B is None:
             raise ConfigError("explicit schedule requires a batch size B")
-        B = int(B)
-        if B < 1:
-            raise ConfigError(f"B must be a positive integer, got {B}")
+        B = integer("B", B, low=1)
     elif B is not None:
         raise ConfigError("the exact algorithm takes no batch size B")
     guard = step_guard(pot, h, B)
@@ -322,10 +324,7 @@ def _one_step(pot, X, h, B, rng, n):
 
 def pavi_step(pot, X: ParticleArray, h, B, rng: RngStream, n):
     """One stochastic iteration: contexts drawn once, then one whole-array update."""
-    B = int(B)
-    if B < 1:
-        raise ConfigError(f"B must be >= 1, got {B}")
-    return _one_step(pot, X, float(h), B, rng, int(n))
+    return _one_step(pot, X, float(h), integer("B", B, low=1), rng, int(n))
 
 
 def exact_step(pot, X: ParticleArray, h, rng: RngStream, n):
@@ -399,12 +398,30 @@ def _write_checkpoint(path, pot, cfg, next_iteration, X, rows, wall_times):
     )
 
 
-def read_checkpoint(path):
-    """Decode a checkpoint file into its document and its particle array.
+def _shape(key, value) -> list:
+    """A checkpoint's [m, N]: at least one coordinate and two particles."""
+    shape = integers(key, value)
+    if len(shape) != 2 or shape[0] < 1 or shape[1] < 2:
+        raise ConfigError(f"{key} must be [m, N] with m >= 1 and N >= 2, got {value!r}")
+    return shape
 
-    Anything that is not a well-formed checkpoint raises ConfigError naming
-    the file.
-    """
+
+# a checkpoint's keys besides its format; its rows come back as read, as mappings
+_CHECKPOINT_KEYS = {
+    "fingerprint": (string, REQUIRED),
+    "config": (mapping, REQUIRED),
+    "next_iteration": (functools.partial(integer, low=0), REQUIRED),
+    "rows": (functools.partial(each, read_row), REQUIRED),
+    "wall_times": (numbers, REQUIRED),
+    "particles": (string, REQUIRED),
+    "shape": (_shape, REQUIRED),
+}
+
+
+def read_checkpoint(path):
+    """Decode a checkpoint file into its document, with its values as read,
+    and its particle array; anything that is not a well-formed checkpoint
+    raises ConfigError naming the file."""
     doc = read_json(path)
     if doc.get("format") == "pavi-checkpoint-v1":
         # v1 runs drew from other keys: resumed here, a run would continue on
@@ -412,56 +429,39 @@ def read_checkpoint(path):
         raise ConfigError(f"{path} was written by an older draw scheme (pavi-checkpoint-v1)")
     if doc.get("format") != _CHECKPOINT_FORMAT:
         raise ConfigError(f"{path} is not a checkpoint file")
-    try:
-        m, N = (int(k) for k in doc["shape"])
-        if m < 1 or N < 2:
-            raise ValueError(f"shape {[m, N]}")
-        text = doc["particles"]
-        start = as_integer(doc["next_iteration"])
-        if start is None or start < 0:
-            raise ValueError(f"next_iteration {doc['next_iteration']!r} is not an integer >= 0")
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"{path} is a malformed checkpoint ({err!r})") from None
-    return doc, ParticleArray(decode_f8(text, m * N, path).reshape(m, N))
+    doc = {**doc, **read_keys(doc, _CHECKPOINT_KEYS, path, "checkpoint")}
+    m, N = doc["shape"]
+    return doc, ParticleArray(decode_f8(doc["particles"], m * N, path).reshape(m, N))
 
 
 def _load_checkpoint(path, pot, cfg):
+    """The particles, rows, wall times and next iteration of a checkpoint that
+    continues a run of ``cfg`` on ``pot``, else a ConfigError naming the file."""
     doc, X = read_checkpoint(path)
-    if doc.get("fingerprint") != potential_fingerprint(pot):
-        raise ConfigError("checkpoint was produced with a different potential")
-    if doc.get("config") != asdict(cfg):
-        raise ConfigError("checkpoint was produced with a different run configuration")
-    try:
-        if (X.m, X.N) != (pot.m, cfg.N):
-            raise ValueError(f"shape {[X.m, X.N]} for m={pot.m}, N={cfg.N}")
-        rows, wall_times = doc["rows"], doc["wall_times"]
-        if not isinstance(rows, list):
-            raise TypeError(f"rows must be a list, got {rows!r}")
-        rows = [StepTrace.from_dict(r) for r in rows]
-        # a run checks its rows as it records them; these are checked here
-        for row in rows:
-            row.validate()
-        if not (isinstance(wall_times, list) and all(map(is_number, wall_times))):
-            raise TypeError(f"wall_times must be a list of numbers, got {wall_times!r}")
-        start = as_integer(doc["next_iteration"])
-        if start > cfg.T:
-            raise ValueError(f"next_iteration {start} is past T = {cfg.T}")
-        # the rows a run records up to and including next_iteration
-        me = cfg.resolved_metrics_every()
-        schedule = [k for k in recording_schedule(cfg.T, me) if k <= start]
-        got = [r.iteration for r in rows]
-        if got != schedule:
-            k, a, b = next((k, a, b) for k, (a, b) in enumerate(
-                zip(got + [None], schedule + [None])) if a != b)
-            raise ValueError(
-                f"row {k} is at iteration {a}, where the recording schedule up to "
-                f"next_iteration {start} (0, every {me}, and T = {cfg.T}) has {b}"
-            )
-        if len(wall_times) != len(rows):
-            raise ValueError(f"{len(wall_times)} wall_times for {len(rows)} rows")
-    except (KeyError, TypeError, ValueError, ConfigError) as err:
-        raise ConfigError(f"{path} is a malformed checkpoint ({err!r})") from None
-    return X, rows, wall_times, start
+    if doc["fingerprint"] != potential_fingerprint(pot):
+        raise ConfigError(f"{path} was produced with a different potential")
+    if doc["config"] != asdict(cfg):
+        raise ConfigError(f"{path} was produced with a different run configuration")
+    start, wall_times = doc["next_iteration"], doc["wall_times"]
+    rows = [StepTrace(*row.values()) for row in doc["rows"]]
+    # the rows a run records up to and including next_iteration
+    me = cfg.resolved_metrics_every()
+    schedule = [k for k in recording_schedule(cfg.T, me) if k <= start]
+    got = [r.iteration for r in rows]
+    if (X.m, X.N) != (pot.m, cfg.N):
+        why = f"shape {[X.m, X.N]} for m={pot.m}, N={cfg.N}"
+    elif start > cfg.T:
+        why = f"next_iteration {start} is past T = {cfg.T}"
+    elif got != schedule:
+        k, a, b = next((k, a, b) for k, (a, b) in enumerate(
+            zip(got + [None], schedule + [None])) if a != b)
+        why = (f"row {k} is at iteration {a}, where the recording schedule up to "
+               f"next_iteration {start} (0, every {me}, and T = {cfg.T}) has {b}")
+    elif len(wall_times) != len(rows):
+        why = f"{len(wall_times)} wall_times for {len(rows)} rows"
+    else:
+        return X, rows, wall_times, start
+    raise ConfigError(f"{path} is a malformed checkpoint ({why})")
 
 
 def run(
@@ -530,8 +530,8 @@ def run(
     if record_from is not None:
         if sink is not None or checkpoint_path is not None or resume:
             raise ConfigError("checkpoints, resume and sink take every row, not record_from")
-        first = as_integer(record_from)
-        if first is None or not 0 <= first <= cfg.T:
+        first = integer("record_from", record_from)
+        if not 0 <= first <= cfg.T:
             raise ConfigError(f"record_from must be an integer in [0, T = {cfg.T}], "
                               f"got {record_from!r}")
     # the iterations whose rows this run records

@@ -20,17 +20,21 @@ from .metrics import grad_moment_check, w2_reference_profile
 from .particles import RngStream, init_particles
 from .potentials import potential_from_config
 from .reports import (
+    SEEDS,
     ConvergenceReport,
     SweepEntry,
     SweepResult,
-    as_integer,
-    fit_loglog_slope,
     finite_number,
-    number_array,
+    fit_loglog_slope,
+    init_spec,
+    instance,
+    integer,
+    integers,
     rate_fit,
-    read_json,
+    read_keys,
     recording_schedule,
     steady_window,
+    stream_seed,
 )
 
 __all__ = [
@@ -52,8 +56,6 @@ _STACK_BUDGET = 2**17
 # the work T m R sum(N) from which a sweep forks (_spread): on 2 vCPUs a fork
 # costs about 4 ms, and a sweep of 4 counts breaks even near 3e5
 _FORK_MIN = 2**19
-# the seeds that name distinct streams (particles.RngStream)
-_SEEDS = 2**64
 
 
 def _not_json(name):
@@ -98,52 +100,16 @@ def build_reference(spec, pot):
 
     "analytic" gives the closed-form Gaussian product (quadratic targets
     only), "none"/null disables metrics, any other string is read as the path
-    to a serialized oracle document.
+    to a serialized oracle document, which must have the potential's m.
     """
     if spec is None or spec == "none":
         return None
     if spec == "analytic":
         return oracle.gaussian_mfvi_solution(pot)
-    return oracle.load_reference(spec)
-
-
-def _integer(key, value, low=None) -> int:
-    """A config value that must be an integer (an integral float is accepted), at least ``low``."""
-    n = as_integer(value)
-    if n is None:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if low is not None and n < low:
-        raise ConfigError(f"{key} must be >= {low}")
-    return n
-
-
-def _seed(key, value) -> int:
-    """A seed in [0, _SEEDS): ``RngStream`` reads a seed mod 2**64, so any
-    other integer would give the streams of a seed in that range."""
-    n = _integer(key, value)
-    if not 0 <= n < _SEEDS:
-        raise ConfigError(f"{key} must be an integer in [0, 2**64), got {value!r}")
-    return n
-
-
-def _integers(key, value) -> list:
-    return [_integer(key, n) for n in _instance((list, tuple), "a list of integers", key, value)]
-
-
-def _instance(kinds, what, key, value):
-    """``value`` if it is an instance of ``kinds``, else a ConfigError: it must be ``what``."""
-    if not isinstance(value, kinds):
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return value
-
-
-def _init(key, init):
-    """standard_normal, {point: vector} or an explicit (m, N) list."""
-    if isinstance(init, list):
-        return number_array(key, init)
-    if isinstance(init, dict) and list(init) == ["point"]:
-        return ("point", number_array("init.point", init["point"]))
-    return _instance(str, "standard_normal, {point: x} or a list", key, init)
+    ref = oracle.load_reference(spec)
+    if ref.m != pot.m:
+        raise ConfigError(f"{spec} holds a reference of m={ref.m}, the potential has m={pot.m}")
+    return ref
 
 
 def _as_given(key, value):
@@ -154,30 +120,30 @@ def _as_given(key, value):
 # reads it: run, sweep, oracle, check.  A reader checks no range a library call does.
 _KEYS = {
     "potential": (_as_given, None),  # built by potential_from_config
-    "N": (_integer, None),
-    "T": (_integer, None),
+    "N": (integer, None),
+    "T": (integer, None),
     "h": (finite_number, None),
-    "B": (_integer, None),
-    "schedule": (partial(_instance, str, "corollary or explicit"), dynamics.RunConfig.schedule),
-    "algorithm": (partial(_instance, str, "pavi or exact"), "pavi"),
-    "seed": (_seed, 0),
-    "metrics_every": (_integer, None),
-    "checkpoint_every": (partial(_integer, low=0), None),
-    "init": (_init, "standard_normal"),
-    "reference": (partial(_instance, str, "analytic, none or a file path"), None),
-    "output": (partial(_instance, str, "a path"), None),
+    "B": (integer, None),
+    "schedule": (partial(instance, str, "corollary or explicit"), dynamics.RunConfig.schedule),
+    "algorithm": (partial(instance, str, "pavi or exact"), "pavi"),
+    "seed": (stream_seed, 0),
+    "metrics_every": (integer, None),
+    "checkpoint_every": (partial(integer, low=0), None),
+    "init": (init_spec, "standard_normal"),
+    "reference": (partial(instance, str, "analytic, none or a file path"), None),
+    "output": (partial(instance, str, "a path"), None),
     "threads": (_as_given, None),  # accepted and ignored
-    "N_list": (_integers, None),
-    "replications": (partial(_integer, low=1), 16),
-    "method": (partial(_instance, str, "auto, analytic or grid"), "auto"),
-    "grid_size": (_integer, oracle.DEFAULT_GRID_SIZE),
+    "N_list": (integers, None),
+    "replications": (partial(integer, low=1), 16),
+    "method": (partial(instance, str, "auto, analytic or grid"), "auto"),
+    "grid_size": (integer, oracle.DEFAULT_GRID_SIZE),
     "tol": (finite_number, 1e-8),
-    "max_iter": (_integer, 300),
+    "max_iter": (integer, 300),
     "damping": (finite_number, 1.0),
     "half_width": (finite_number, None),
-    "check_inits": (partial(_instance, bool, "true or false"), True),
-    "trials": (partial(_integer, low=1), 1000),
-    "samples": (partial(_integer, low=2), 20000),  # a variance with ddof=1 needs two
+    "check_inits": (partial(instance, bool, "true or false"), True),
+    "trials": (partial(integer, low=1), 1000),
+    "samples": (partial(integer, low=2), 20000),  # a variance with ddof=1 needs two
 }
 
 
@@ -200,10 +166,7 @@ def _read(doc, *required, **given):
     for key in ("potential", *required):
         if doc.get(key) is None:
             raise ConfigError(f"config missing key {key!r}")
-    return {
-        key: default if doc.get(key) is None else read(key, doc[key])
-        for key, (read, default) in _KEYS.items()
-    }
+    return read_keys(doc, _KEYS)
 
 
 def cmd_run(doc, out_dir=None, seed=None, threads=None, resume=False) -> ConvergenceReport:
@@ -372,7 +335,7 @@ def cmd_sweep(doc, out_dir=None, seed=None, threads=None) -> SweepResult:
             "(duplicates make the design matrix degenerate)"
         )
     R, T, init = doc["replications"], doc["T"], doc["init"]
-    if doc["seed"] + R > _SEEDS:
+    if doc["seed"] + R > SEEDS:
         raise ConfigError(
             f"the sweep's last seed, seed + replications - 1 = {doc['seed'] + R - 1}, "
             "must be below 2**64"
@@ -552,9 +515,7 @@ def _load_compare_side(path):
     path = Path(path)
     if path.is_dir():
         return ("report", ConvergenceReport.load(path), path)
-    if read_json(path).get("format") == "pavi-reference-v1":
-        return ("reference", oracle.load_reference(path), path)
-    raise ConfigError(f"{path} is neither a report directory nor a reference document")
+    return ("reference", oracle.load_reference(path), path)
 
 
 def cmd_compare(path_a, path_b) -> dict:
@@ -582,8 +543,8 @@ def cmd_compare(path_a, path_b) -> dict:
         }
     if kind_a == kind_b:
         raise ConfigError("compare takes two reports, or one report and one reference")
-    report, rep_dir = (a, dir_a) if kind_a == "report" else (b, dir_b)
-    ref = b if kind_b == "reference" else a
+    rep_dir = dir_a if kind_a == "report" else dir_b
+    ref, ref_path = (b, dir_b) if kind_b == "reference" else (a, dir_a)
     ckpt = rep_dir / CHECKPOINT_FILE
     if not ckpt.exists():
         raise ConfigError(
@@ -591,6 +552,10 @@ def cmd_compare(path_a, path_b) -> dict:
             "to compare final particles against a reference"
         )
     doc, X = dynamics.read_checkpoint(ckpt)
+    if X.m != ref.m:
+        raise ConfigError(
+            f"{ckpt} holds particles of m={X.m}, {ref_path} a reference of m={ref.m}"
+        )
     per, total = w2_reference_profile(X, ref)
     return {
         "mode": "report-reference",

@@ -23,6 +23,7 @@ of Moler's pchiptx).  Both axes strictly ascend, so every secant is positive.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -32,7 +33,18 @@ import numpy as np
 from .errors import ConfigError, OracleConvergenceError
 from .metrics import GaussianMarginal, ReferenceProduct
 from .potentials import PerturbedQuadraticPotential, QuadraticPotential
-from .reports import as_integer, decode_f8, encode_f8, read_json, write_atomic
+from .reports import (
+    REQUIRED,
+    decode_f8,
+    each,
+    f8_base64,
+    integer,
+    number,
+    read_json,
+    read_keys,
+    string,
+    write_atomic,
+)
 
 DEFAULT_GRID_SIZE = 1025
 _BOUNDARY_TOL = 1e-8
@@ -319,9 +331,7 @@ def coordinate_grids(pot, G=DEFAULT_GRID_SIZE, half_width=None):
 
 def _centered_grids(pot, G, half_width):
     """The minimizer and a checked grid per coordinate, from one search."""
-    G = int(G)
-    if G < 9:
-        raise ConfigError("grid size must be at least 9 nodes")
+    G = integer("grid size", G, low=9)
     center = minimizer(pot)
     hw = 8.0 / math.sqrt(pot.alpha) if half_width is None else float(half_width)
     try:
@@ -430,14 +440,12 @@ def fixed_point_solve(
         raise ConfigError("tol must be positive")
     if not 0.0 < damping <= 1.0:
         raise ConfigError("damping must lie in (0, 1]")
-    if max_iter < 1:
-        raise ConfigError("max_iter must be >= 1")
+    last = integer("max_iter", max_iter, low=1)
     q = init.copy()
     history = []
     # coordinate 0's update at the committed product, from the last
     # verification pass: the next sweep starts from that same product
     first = None
-    last = int(max_iter)
     for sweep in range(1, last + 1):
         max_w2 = 0.0
         max_sup = 0.0
@@ -508,9 +516,7 @@ def grid_reference(q: GridProduct) -> ReferenceProduct:
 
 def sample_reference(ref: ReferenceProduct, K, rng) -> np.ndarray:
     """Inverse-CDF sampling from the product reference, coordinates independent."""
-    K = int(K)
-    if K < 1:
-        raise ConfigError("K must be >= 1")
+    K = integer("K", K, low=1)
     u = rng.random((ref.m, K))
     np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
     return np.vstack([ref.marginals[i].quantile(u[i]) for i in range(ref.m)])
@@ -534,7 +540,7 @@ def save_reference(path, ref: ReferenceProduct) -> None:
                     "lo": float(mar.nodes[0]),
                     "hi": float(mar.nodes[-1]),
                     "count": int(mar.nodes.size),
-                    "log_density": encode_f8(mar.log_density),
+                    "log_density": f8_base64(mar.log_density).decode("ascii"),
                 }
             )
         else:
@@ -548,48 +554,49 @@ def save_reference(path, ref: ReferenceProduct) -> None:
     write_atomic(path, json.dumps(doc, sort_keys=True).encode())
 
 
-def _finite_fields(path, entry, *keys):
-    values = [float(entry[k]) for k in keys]
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"{path} holds non-finite values")
-    return values
+# each marginal type's keys besides its type
+_MARGINAL_KEYS = {
+    "gaussian": {"mean": (number, REQUIRED), "var": (number, REQUIRED)},
+    "grid": {"lo": (number, REQUIRED), "hi": (number, REQUIRED), "count": (integer, REQUIRED),
+             "log_density": (string, REQUIRED)},
+}
+
+
+def _marginal(key, entry):
+    """The GaussianMarginal or GridDensity of the marginal document ``entry``."""
+    kind = read_keys(entry, {"type": (string, REQUIRED)}, name=key)["type"]
+    if kind not in _MARGINAL_KEYS:
+        raise ConfigError(f"{key}: unknown marginal type {kind!r}")
+    values = read_keys(entry, _MARGINAL_KEYS[kind], name=key)
+    if kind == "gaussian":
+        return GaussianMarginal(values["mean"], values["var"])
+    # decoded first: the buffer must hold count values before count nodes are made
+    log_density = decode_f8(values["log_density"], values["count"], f"{key}.log_density")
+    return GridDensity(np.linspace(values["lo"], values["hi"], values["count"]), log_density)
+
+
+def _converged(key, value):
+    """A residual record, which must be a converged solve's, since
+    :func:`fixed_point_solve` returns only converged products."""
+    if not (isinstance(value, dict) and value.get("converged") is True):
+        raise ConfigError(f"{key} must be null or a converged solve's record")
+    return value
+
+
+_REFERENCE_KEYS = {
+    "marginals": (functools.partial(each, _marginal), REQUIRED),
+    "provenance": (string, REQUIRED),
+    "residual": (_converged, None),
+}
 
 
 def load_reference(path) -> ReferenceProduct:
-    """Inverse of :func:`save_reference`; a corrupt file raises ConfigError.
-
-    So does a residual that is not null or a converged solve's record, since
-    :func:`fixed_point_solve` returns only converged products.
-    """
+    """Inverse of :func:`save_reference`; anything that is not a reference
+    document is a ConfigError naming the file."""
     doc = read_json(path)
     if doc.get("format") != _FORMAT:
         raise ConfigError(f"{path} is not a reference document")
-    residual = doc.get("residual")
-    if residual is not None and not (
-        isinstance(residual, dict) and residual.get("converged") is True
-    ):
-        raise ConfigError(f"{path} holds a residual that is not a converged solve's")
-    if not isinstance(doc.get("provenance"), str):
-        raise ConfigError(f"{path} holds a provenance that is not a string")
-    marginals = []
-    try:
-        for entry in doc["marginals"]:
-            if entry["type"] == "gaussian":
-                make, args = GaussianMarginal, _finite_fields(path, entry, "mean", "var")
-            elif entry["type"] == "grid":
-                lo, hi = _finite_fields(path, entry, "lo", "hi")
-                count = as_integer(entry["count"])
-                if count is None:
-                    raise ValueError(f"count {entry['count']!r} is not an integer")
-                logd = decode_f8(entry["log_density"], count, path)
-                make, args = GridDensity, (np.linspace(lo, hi, count), logd)
-            else:
-                raise ConfigError(f"{path} holds an unknown marginal type {entry['type']!r}")
-            try:
-                marginals.append(make(*args))
-            except ConfigError as err:
-                kind = entry["type"]
-                raise ConfigError(f"{path} holds a malformed {kind} marginal ({err})") from None
-        return ReferenceProduct(marginals, doc["provenance"], residual)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"{path} is a malformed reference ({err!r})") from None
+    ref = ReferenceProduct(**read_keys(doc, _REFERENCE_KEYS, path, "reference"))
+    if not ref.m:
+        raise ConfigError(f"{path} holds no marginals")
+    return ref

@@ -27,6 +27,7 @@ import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 from .errors import ConfigError
+from .reports import integer
 
 _ROLE_CODES = {"init": 0, "context": 1, "noise": 2, "reference": 3, "sample": 4}
 # the iterations whose keys fit in the generator's period: key k owns outputs
@@ -148,9 +149,7 @@ def sample_product(X, B, gen: Generator) -> np.ndarray:
     independently a uniform atom index is drawn from ``gen``, so entries are
     independent across coordinates and across columns.
     """
-    B = int(B)
-    if B < 1:
-        raise ConfigError(f"B must be >= 1, got {B}")
+    B = integer("B", B, low=1)
     values = X.values if isinstance(X, ParticleArray) else X
     m, N = values.shape
     idx = gen.integers(0, N, size=(m, B))

@@ -1,6 +1,6 @@
 """Run reports, steady-state summaries, rate fitting, the file helpers
-shared by the checkpoint and reference documents, and the typed readers of
-config values."""
+shared by the checkpoint and reference documents, and the key-table reader of
+every document pavi reads, configs included, with its typed readers."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ import base64
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,100 +55,106 @@ def f8_base64(values) -> bytes:
     return base64.b64encode(np.ascontiguousarray(values, dtype="<f8"))
 
 
-def encode_f8(values) -> str:
-    """Base64 text of an array's little-endian float64 bytes."""
-    return f8_base64(values).decode("ascii")
-
-
-def decode_f8(text, count, path) -> np.ndarray:
-    """Inverse of :func:`encode_f8`; checks the value count and finiteness."""
+def decode_f8(text, count, name) -> np.ndarray:
+    """Inverse of :func:`f8_base64`; checks the value count and finiteness."""
     try:
         raw = base64.b64decode(text, validate=True)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path} holds a corrupt base64 buffer ({err})") from None
+        raise ConfigError(f"{name} holds a corrupt base64 buffer ({err})") from None
     if len(raw) != 8 * count:
         raise ConfigError(
-            f"{path} holds a buffer of {len(raw)} bytes, expected {count} float64 values"
+            f"{name} holds a buffer of {len(raw)} bytes, expected {count} float64 values"
         )
     values = np.frombuffer(raw, dtype="<f8").astype(float)
     if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{path} holds non-finite values")
+        raise ConfigError(f"{name} holds non-finite values")
     return values
 
 
-@dataclass
-class StepTrace:
-    """One recorded diagnostics row of a run."""
-
-    iteration: int
-    w2_total: float | None = None
-    w2_coord: list | None = None
-    grad_rms: float | None = None
-
-    def validate(self):
-        for v in (self.w2_total, self.grad_rms):
-            if v is not None and not math.isfinite(v):
-                raise ConfigError(f"non-finite diagnostic at iteration {self.iteration}")
-        if self.w2_coord is not None and not all(math.isfinite(v) for v in self.w2_coord):
-            raise ConfigError(f"non-finite diagnostic at iteration {self.iteration}")
-
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "w2": self.w2_total,
-            "w2_coord": self.w2_coord,
-            "grad_rms": self.grad_rms,
-        }
-
-    @classmethod
-    def from_dict(cls, doc) -> "StepTrace":
-        """Inverse of :meth:`to_dict`; a field of the wrong type is a TypeError."""
-        iteration = as_integer(doc["iteration"])
-        if iteration is None:
-            raise TypeError(f"iteration must be an integer, got {doc['iteration']!r}")
-        for key in ("w2", "grad_rms"):
-            if doc.get(key) is not None and not is_number(doc[key]):
-                raise TypeError(f"{key} must be a number or null, got {doc[key]!r}")
-        coord = doc.get("w2_coord")
-        if coord is not None and not (
-            isinstance(coord, list) and all(is_number(v) for v in coord)
-        ):
-            raise TypeError(f"w2_coord must be a list of numbers or null, got {coord!r}")
-        return cls(
-            iteration=iteration,
-            w2_total=doc.get("w2"),
-            w2_coord=coord,
-            grad_rms=doc.get("grad_rms"),
-        )
+# a key table's default for a key its document must have
+REQUIRED = object()
+# the seeds that name distinct streams (particles.RngStream)
+SEEDS = 2**64
 
 
-def is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def read_keys(doc, table, path=None, name=None) -> dict:
+    """The values of the mapping ``doc`` by the key table ``table``.
+
+    ``table`` maps each key to (reader, default); ``reader(key, value)``
+    returns the value read or raises a ConfigError naming ``key``.  An absent
+    or null key takes its default, unless that is ``REQUIRED``.  A failure is
+    one ConfigError: "<path> is a malformed <name> (<reason>)" for the file
+    ``path``, "<name>: <reason>" for a document nested under the key
+    ``name``, and the reason alone for a config.
+    """
+    instance(dict, "a mapping", name, doc)
+    try:
+        values = {}
+        for key, (read, default) in table.items():
+            value = doc.get(key)
+            if value is None and default is REQUIRED:
+                raise ConfigError(f"missing key {key!r}")
+            values[key] = default if value is None else read(key, value)
+        return values
+    except ConfigError as err:
+        if name is None:
+            raise
+        if path is None:
+            raise ConfigError(f"{name}: {err}") from None
+        raise ConfigError(f"{path} is a malformed {name} ({err})") from None
 
 
-def as_integer(value) -> int | None:
-    """``value`` as an int when it is an integer or an integral float, else None."""
-    if isinstance(value, float):
-        return int(value) if value.is_integer() else None
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    return None
+def integer(key, value, low=None) -> int:
+    """An integer, or an integral float, at least ``low``."""
+    integral = isinstance(value, float) and value.is_integer()
+    if not (integral or isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{key} must be >= {low}")
+    return int(value)
+
+
+def stream_seed(key, value) -> int:
+    """A seed in [0, SEEDS): ``RngStream`` reads a seed mod 2**64, so any
+    other integer would give the streams of a seed in that range."""
+    n = integer(key, value)
+    if not 0 <= n < SEEDS:
+        raise ConfigError(f"{key} must be an integer in [0, 2**64), got {value!r}")
+    return n
+
+
+def integers(key, value) -> list:
+    return [integer(key, n) for n in instance((list, tuple), "a list of integers", key, value)]
+
+
+def instance(kinds, what, key, value):
+    """``value`` if it is an instance of ``kinds``, else a ConfigError: it must be ``what``."""
+    if not isinstance(value, kinds):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+string = partial(instance, str, "a string")
+mapping = partial(instance, dict, "a mapping")
+
+
+def number(key, value):
+    """``value`` when it is a number, not a bool, that is finite as a float."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # compared, not converted: an int past the floats is refused, with no OverflowError
+    if not (is_number and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return value
 
 
 def finite_number(key, value):
-    """``value`` when it is a number that is finite as a float; else a
-    ConfigError naming ``key``.
-
-    A string that reads as such a number is returned as that float: YAML 1.1
-    reads an exponent without a decimal point, such as ``1e-8``, as a string.
-    """
+    """A config's number: :func:`number`, or a string that reads as a finite
+    number, as that float (YAML 1.1 reads an exponent without a decimal point,
+    such as ``1e-8``, as a string)."""
     try:
-        number = float(value) if isinstance(value, str) or is_number(value) else math.nan
-    except (ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return value if is_number(value) else number
+        return number(key, float(value) if isinstance(value, str) else value)
+    except (ValueError, ConfigError):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}") from None
 
 
 def number_array(key, value) -> np.ndarray | None:
@@ -164,6 +172,57 @@ def number_array(key, value) -> np.ndarray | None:
             f"{key} must be a list of numbers or of equal-length rows of numbers, "
             f"got {value!r}"
         ) from None
+
+
+def init_spec(key, init):
+    """A config's init: standard_normal, {point: vector} or an explicit (m, N) list."""
+    if isinstance(init, list):
+        return number_array(key, init)
+    if isinstance(init, dict) and list(init) == ["point"]:
+        return ("point", number_array("init.point", init["point"]))
+    return instance(str, "standard_normal, {point: x} or a list", key, init)
+
+
+def each(read, key, value) -> list:
+    """``value``, a list, with item k read as ``read(f"{key}[{k}]", item)``."""
+    items = instance(list, "a list", key, value)
+    return [read(f"{key}[{k}]", item) for k, item in enumerate(items)]
+
+
+numbers = partial(each, number)
+
+
+@dataclass
+class StepTrace:
+    """One recorded diagnostics row of a run."""
+
+    iteration: int
+    w2_total: float | None = None
+    w2_coord: list | None = None
+    grad_rms: float | None = None
+
+    def to_dict(self) -> dict:
+        return dict(zip(_ROW_KEYS, (self.iteration, self.w2_total, self.w2_coord, self.grad_rms)))
+
+    @classmethod
+    def from_dict(cls, doc) -> "StepTrace":
+        """Inverse of :meth:`to_dict`; a key of the wrong type, or a
+        non-finite number, is a ConfigError naming the key."""
+        return cls(*read_row("row", doc).values())
+
+
+# a row's keys, in the order of StepTrace's fields
+_ROW_KEYS = {
+    "iteration": (integer, REQUIRED),
+    "w2": (number, None),
+    "w2_coord": (numbers, None),
+    "grad_rms": (number, None),
+}
+
+
+def read_row(key, doc) -> dict:
+    """The values of the row document ``doc``, named ``key``, in field order."""
+    return read_keys(doc, _ROW_KEYS, name=key)
 
 
 @dataclass(frozen=True)
@@ -296,12 +355,12 @@ class ConvergenceReport:
     wall_total: float = 0.0
 
     def validate(self):
+        """Each row must read back as it is written, and follow the one before."""
         last = -1
         for row in self.rows:
             if row.iteration <= last:
                 raise ConfigError("row iterations must be strictly increasing")
-            last = row.iteration
-            row.validate()
+            last = StepTrace.from_dict(row.to_dict()).iteration
 
     def metrics_lines(self) -> list:
         return [
@@ -314,60 +373,47 @@ class ConvergenceReport:
         outdir.mkdir(parents=True, exist_ok=True)
         self.validate()
         write_atomic(outdir / METRICS_FILE, ("\n".join(self.metrics_lines()) + "\n").encode())
-        sidecar = {
-            "potential_fingerprint": self.potential_fingerprint,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "summary": self.summary,
-            "wall_times": self.wall_times,
-            "wall_total": self.wall_total,
-        }
+        sidecar = {key: getattr(self, key) for key in _SUMMARY_KEYS}
         write_atomic(outdir / SUMMARY_FILE, json.dumps(sidecar, sort_keys=True, indent=2).encode())
 
     @classmethod
     def load(cls, outdir) -> "ConvergenceReport":
-        """Read a saved report; a missing or malformed file is a ConfigError."""
+        """Read a saved report; a missing or malformed file is a ConfigError naming it."""
         outdir = Path(outdir)
         path = outdir / SUMMARY_FILE
-        sidecar = read_json(path)
-        rows = _read_rows(outdir / METRICS_FILE)
-        try:
-            report = cls(
-                potential_fingerprint=sidecar["potential_fingerprint"],
-                config=sidecar["config"],
-                seed=sidecar["seed"],
-                version=sidecar["version"],
-                rows=rows,
-                summary=sidecar["summary"],
-                wall_times=sidecar["wall_times"],
-                wall_total=sidecar["wall_total"],
-            )
-        except KeyError as missing:
-            raise ConfigError(f"{path} has no key {missing}") from None
-        if not isinstance(report.summary, dict):
-            raise ConfigError(f"{path} holds a summary that is not a mapping")
-        steady = report.summary.get("steady_mean")
-        if not (steady is None or is_number(steady)):
-            raise ConfigError(f"{path} holds a steady_mean {steady!r}, not a number or null")
-        return report
+        sidecar = read_keys(read_json(path), _SUMMARY_KEYS, path, "report summary")
+        return cls(rows=_read_rows(outdir / METRICS_FILE), **sidecar)
+
+
+def _run_summary(key, value) -> dict:
+    """A report's ``summary`` mapping, whose steady_mean is a finite number or null."""
+    read_keys(value, {"steady_mean": (number, None)}, name=key)
+    return value
+
+
+# summary.json's keys: every field of ConvergenceReport but its rows
+_SUMMARY_KEYS = {
+    "potential_fingerprint": (string, REQUIRED),
+    "config": (mapping, REQUIRED),
+    "seed": (stream_seed, REQUIRED),
+    "version": (string, REQUIRED),
+    "summary": (_run_summary, REQUIRED),
+    "wall_times": (numbers, REQUIRED),
+    "wall_total": (number, REQUIRED),
+}
+
+
+_METRICS_KEYS = {"rows": (partial(each, read_row), REQUIRED)}
 
 
 def _read_rows(path) -> list:
-    """The StepTrace rows of a metrics file, naming the file and line on failure."""
+    """The StepTrace rows of a metrics file, one JSON object a line."""
     try:
-        lines = Path(path).read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as err:
+        rows = [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+    except (OSError, ValueError) as err:  # UnicodeDecodeError and JSON's errors are ValueErrors
         raise ConfigError(f"cannot read metrics rows from {path} ({err})") from None
-    rows = []
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append(StepTrace.from_dict(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as err:
-            raise ConfigError(f"{path} line {number} is not a metrics row ({err})") from None
-    return rows
+    rows = read_keys({"rows": rows}, _METRICS_KEYS, path, "metrics file")["rows"]
+    return [StepTrace(*row.values()) for row in rows]
 
 
 @dataclass

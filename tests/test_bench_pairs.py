@@ -51,6 +51,21 @@ def test_run_summary_counts_operations():
     assert run["values"]["wall_s"] == 0.02 and run["attempted"] == 6 and run["failed"] == 2
 
 
+def test_run_summary_keeps_the_spread_of_its_operations():
+    # a run whose host changed state part way: its median hides the slow half,
+    # its quartiles show it; failed and traced operations are left out
+    walls = [0.20, 0.21, 0.19, 0.30, 0.31, 0.29, 5.0, 7.0]
+    doc = result_doc(0.25, ops=len(walls))
+    for record, wall in zip(doc["records"], walls):
+        record["wall_s"] = wall
+    doc["records"][6]["ok"] = False
+    doc["records"][7]["trace"] = True
+    spread = pairs.run_summary(doc)["ops_wall_s"]
+    q1, median, q3 = np.percentile(walls[:6], [25, 50, 75])
+    assert [spread["q1"], spread["median"], spread["q3"]] == pytest.approx([q1, median, q3])
+    assert spread["n"] == 6
+
+
 def test_clear_gain_meets_the_protocol():
     sides, protocol = pairs.summarize(pair_list(PARENT, CHANGE))
     assert protocol["verdict"] == "claim_met" and protocol["reasons"] == []

@@ -334,11 +334,14 @@ class TestRunCommand:
             lambda doc: doc.update(next_iteration="ten"),
             lambda doc: doc.update(next_iteration=-1),
             lambda doc: doc.update(shape=[1, 128]),
+            lambda doc: doc.pop("fingerprint"),
+            lambda doc: doc.pop("config"),
         ],
         ids=[
             "row-w2-string", "row-w2-infinite", "row-not-mapping", "rows-missing", "rows-mapping",
             "wall-times-missing", "wall-times-string", "next-iteration-missing",
             "next-iteration-string", "next-iteration-negative", "shape-mismatch",
+            "fingerprint-missing", "config-missing",
         ],
     )
     def test_resume_malformed_checkpoint_exit_two(self, tmp_path, capsys, edit):
@@ -468,7 +471,8 @@ class TestOracleAndCompare:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         lines = [line for line in capsys.readouterr().err.splitlines()
                  if not line.startswith("warning: ")]
-        assert lines == [f"error: {ref} holds an unknown marginal type 'beta'"]
+        assert lines == [f"error: {ref} is a malformed reference "
+                         "(marginals[0]: unknown marginal type 'beta')"]
 
     def test_compare_bad_path_exit_two(self, tmp_path, capsys):
         other = tmp_path / "x.json"
@@ -507,6 +511,56 @@ class TestOracleAndCompare:
         assert main(["compare", str(out), str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+
+
+class TestReferenceDimension:
+    """A reference whose m is not the potential's is refused, naming its file,
+    before any warning, run or output."""
+
+    @staticmethod
+    def three_marginals(tmp_path):
+        potential = {"family": "quadratic", "precision": [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                                                          [0.0, 0.0, 2.0]]}
+        ref = tmp_path / "ref3.json"
+        cfg = write_config(tmp_path, {"potential": potential}, name="oracle.yaml")
+        assert main(["oracle", "--config", str(cfg), "--out", str(ref)]) == 0
+        return ref
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "check"])
+    def test_reference_of_other_dimension_exit_two(self, tmp_path, capsys, command):
+        ref = self.three_marginals(tmp_path)
+        # N = 64 breaks the corollary's batch bound: no warning may come first
+        doc = dict(RUN_DOC, reference=str(ref))
+        if command == "sweep":
+            doc.update(N_list=[16, 32, 64], replications=2)
+        elif command == "check":
+            doc = {"potential": RUN_DOC["potential"], "reference": str(ref), "samples": 400}
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_config(tmp_path, doc))]
+        capsys.readouterr()
+        assert main(argv + (["--out", str(out)] if command != "check" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {ref} holds a reference of m=3, the potential has m=2"]
+        assert captured.out == "" and not out.exists()
+
+    def test_compare_names_checkpoint_and_reference(self, tmp_path, capsys):
+        ref = self.three_marginals(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, RUN_DOC)), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(out), str(ref)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out / 'checkpoint.json'} holds particles of m=2, {ref} a reference of m=3"]
+
+    def test_reference_without_marginals_exit_two(self, tmp_path, capsys):
+        ref = self.three_marginals(tmp_path)
+        json_edit(lambda doc: doc.update(marginals=[]))(ref)
+        cfg = write_config(tmp_path, dict(RUN_DOC, reference=str(ref)))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ref} holds no marginals"]
 
 
 class TestExitCodes:

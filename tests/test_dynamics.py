@@ -39,7 +39,7 @@ from pavi import (
 )
 from pavi.dynamics import _draw, _step_parts, read_checkpoint, stochastic_grad_at
 from pavi.errors import DivergenceError
-from pavi.reports import encode_f8
+from pavi.reports import f8_base64
 
 from conftest import AD_CRIT_1E3, TanhCoupled, anderson_darling_normal, exact_row
 
@@ -687,8 +687,9 @@ class TestRun:
         with pytest.raises(Crash):
             run(gauss21, cfg, ref, crash_at(15), checkpoint_path=ck, checkpoint_every=10)
         other = RunConfig(N=24, T=50, schedule="corollary", seed=9, metrics_every=5)
-        with pytest.raises(ConfigError, match="different run configuration"):
+        with pytest.raises(ConfigError, match="different run configuration") as err:
             run(gauss21, other, ref, checkpoint_path=ck, resume=True)
+        assert str(err.value).startswith(f"{ck} ")
 
     def test_divergence_keeps_last_checkpoint(self, tmp_path):
         pot = Lying()
@@ -834,7 +835,8 @@ CORRUPTIONS = {
     "bad-base64": (lambda text, doc: json.dumps(dict(doc, particles="@@@@")), "base64"),
     "size-mismatch": (lambda text, doc: json.dumps(dict(doc, shape=[2, 7])), "expected 14"),
     "non-finite": (
-        lambda text, doc: json.dumps(dict(doc, particles=encode_f8(np.full(12, np.nan)))),
+        lambda text, doc: json.dumps(
+            dict(doc, particles=f8_base64(np.full(12, np.nan)).decode())),
         "non-finite",
     ),
 }

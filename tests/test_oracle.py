@@ -25,7 +25,7 @@ from pavi.errors import OracleConvergenceError
 from pavi.oracle import coordinate_grids, minimizer
 from pavi.particles import RngStream
 from pavi.potentials import logcosh
-from pavi.reports import encode_f8
+from pavi.reports import f8_base64
 
 from conftest import grid_variance
 
@@ -661,12 +661,12 @@ class TestSerialization:
             (False, None, "JSON"),
             (False, {"log_density": "not base64!"}, "base64"),
             (False, {"count": 34}, "expected 34"),
-            (False, {"log_density": encode_f8(np.full(33, np.nan))}, "non-finite"),
-            (True, {"var": float("inf")}, "non-finite"),
-            (False, {"count": 5, "log_density": encode_f8(np.zeros(5))}, "at least 9"),
+            (False, {"log_density": f8_base64(np.full(33, np.nan)).decode()}, "non-finite"),
+            (True, {"var": float("inf")}, "var must be a finite number"),
+            (False, {"count": 5, "log_density": f8_base64(np.zeros(5)).decode()}, "at least 9"),
             (False, {"lo": 2.0, "hi": -2.0}, "strictly ascending"),
             (True, {"var": -1.0}, "variance must be nonnegative"),
-            (False, {"count": 33.5}, "not an integer"),
+            (False, {"count": 33.5}, "count must be an integer"),
         ],
         ids=[
             "truncated", "bad-base64", "size-mismatch", "non-finite-grid",

@@ -24,7 +24,7 @@ from pavi import (
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 from pavi.dynamics import _write_checkpoint, read_checkpoint
 from pavi.particles import _ITERATIONS, _ROLE_CODES
-from pavi.reports import encode_f8
+from pavi.reports import f8_base64
 
 
 class TestInitParticles:
@@ -274,7 +274,7 @@ class TestSerialization:
         run(pot, cfg, gaussian_mfvi_solution(pot), checkpoint_path=path)
         doc, X = read_checkpoint(path)
         assert len(doc["rows"]) == 4 and len(doc["wall_times"]) == 4
-        assert doc["particles"] == encode_f8(X.values)
+        assert doc["particles"] == f8_base64(X.values).decode()
         assert path.read_bytes() == json.dumps(doc, sort_keys=True).encode()
 
     def test_bad_magic(self, tmp_path):
