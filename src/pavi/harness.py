@@ -166,7 +166,7 @@ def _read(doc, *required, **given):
     for key in ("potential", *required):
         if doc.get(key) is None:
             raise ConfigError(f"config missing key {key!r}")
-    return read_keys(doc, _KEYS)
+    return read_keys(doc, _KEYS, None, None)
 
 
 def cmd_run(doc, out_dir=None, seed=None, threads=None, resume=False) -> ConvergenceReport:

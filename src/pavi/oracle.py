@@ -564,10 +564,10 @@ _MARGINAL_KEYS = {
 
 def _marginal(key, entry):
     """The GaussianMarginal or GridDensity of the marginal document ``entry``."""
-    kind = read_keys(entry, {"type": (string, REQUIRED)}, name=key)["type"]
+    kind = read_keys(entry, {"type": (string, REQUIRED)}, None, key)["type"]
     if kind not in _MARGINAL_KEYS:
         raise ConfigError(f"{key}: unknown marginal type {kind!r}")
-    values = read_keys(entry, _MARGINAL_KEYS[kind], name=key)
+    values = read_keys(entry, _MARGINAL_KEYS[kind], None, key)
     if kind == "gaussian":
         return GaussianMarginal(values["mean"], values["var"])
     # decoded first: the buffer must hold count values before count nodes are made

@@ -77,7 +77,7 @@ REQUIRED = object()
 SEEDS = 2**64
 
 
-def read_keys(doc, table, path=None, name=None) -> dict:
+def read_keys(doc, table, path, name) -> dict:
     """The values of the mapping ``doc`` by the key table ``table``.
 
     ``table`` maps each key to (reader, default); ``reader(key, value)``
@@ -85,7 +85,7 @@ def read_keys(doc, table, path=None, name=None) -> dict:
     or null key takes its default, unless that is ``REQUIRED``.  A failure is
     one ConfigError: "<path> is a malformed <name> (<reason>)" for the file
     ``path``, "<name>: <reason>" for a document nested under the key
-    ``name``, and the reason alone for a config.
+    ``name`` (``path`` None), and the reason alone for a config (both None).
     """
     instance(dict, "a mapping", name, doc)
     try:
@@ -222,7 +222,7 @@ _ROW_KEYS = {
 
 def read_row(key, doc) -> dict:
     """The values of the row document ``doc``, named ``key``, in field order."""
-    return read_keys(doc, _ROW_KEYS, name=key)
+    return read_keys(doc, _ROW_KEYS, None, key)
 
 
 @dataclass(frozen=True)
@@ -387,7 +387,7 @@ class ConvergenceReport:
 
 def _run_summary(key, value) -> dict:
     """A report's ``summary`` mapping, whose steady_mean is a finite number or null."""
-    read_keys(value, {"steady_mean": (number, None)}, name=key)
+    read_keys(value, {"steady_mean": (number, None)}, None, key)
     return value
 
 
