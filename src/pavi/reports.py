@@ -403,17 +403,25 @@ _SUMMARY_KEYS = {
 }
 
 
-_METRICS_KEYS = {"rows": (partial(each, read_row), REQUIRED)}
+def _json_row(key, line) -> dict:
+    """The values of the metrics row ``line``, named ``key``."""
+    try:
+        doc = json.loads(line)
+    except ValueError as err:
+        raise ConfigError(f"{key} is not JSON ({err})") from None
+    return read_row(key, doc)
 
 
 def _read_rows(path) -> list:
-    """The StepTrace rows of a metrics file, one JSON object a line."""
+    """The StepTrace rows of a metrics file, one JSON object a line; an error
+    names the file and the line."""
     try:
-        rows = [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
-    except (OSError, ValueError) as err:  # UnicodeDecodeError and JSON's errors are ValueErrors
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read metrics rows from {path} ({err})") from None
-    rows = read_keys({"rows": rows}, _METRICS_KEYS, path, "metrics file")["rows"]
-    return [StepTrace(*row.values()) for row in rows]
+    rows = {f"line {n}": line for n, line in enumerate(lines, start=1) if line.strip()}
+    rows = read_keys(rows, dict.fromkeys(rows, (_json_row, REQUIRED)), path, "metrics file")
+    return [StepTrace(*row.values()) for row in rows.values()]
 
 
 @dataclass
